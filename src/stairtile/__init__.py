@@ -20,7 +20,7 @@ from .geometry import (Box, Point, Rational, ScaledTriangle, StairPolygon,
                        prec_negative, stair, unit_square)
 from .lattice import (FundamentalDomain, Lattice,
                       enumerate_integer_sublattices, fundamental_rect,
-                      integer_lattice, shift_lattice, make_lattice,
+                      integer_lattice, shift_lattice,
                       points_in_box, rational_dilates)
 from .multiplicity import (Mode, MultiplicityReport, Region, count_at,
                            is_exact_jfold_tiling, is_jfold_covering,
@@ -58,7 +58,7 @@ __all__ = [
     "fundamental_rect", "integer_lattice", "is_exact_jfold_tiling",
     "is_jfold_covering", "is_jfold_packing", "is_multiplicative_check",
     "lambda_lower", "shift_lattice", "lambda_upper", "lattice_search_space",
-    "layer_extrema", "make_lattice", "mean_multiplicity",
+    "layer_extrema", "mean_multiplicity",
     "multiplicity_extrema", "normalize_triangle",
     "optimal_covering_lattices", "optimal_packing_lattices",
     "optimize_circumscribed_stair", "optimize_inscribed_stair",

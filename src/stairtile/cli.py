@@ -13,8 +13,8 @@ import json
 import sys
 from fractions import Fraction
 
-from .density import (COVERING, PACKING, DensityResult,
-                      density_result, normalize_triangle)
+from .density import (COVERING, PACKING, DensityResult, covering_lattice,
+                      density_result, normalize_triangle, packing_lattice)
 from .geometry import Box, Point, format_rational, parse_rational
 from .lattice import (Lattice, enumerate_integer_sublattices, integer_lattice,
                       shift_lattice)
@@ -46,12 +46,8 @@ def _parse_lattice(spec: str, j: int | None) -> Lattice:
             if prefix == "shift":
                 return shift_lattice(m, j)
             if prefix == "packing":
-                den = 2 * j
-                return Lattice(Point(Fraction(1, den), Fraction(m, den)),
-                               Point(Fraction(0), Fraction(2 * j + 1, den)))
-            den = 2 * j + 1
-            return Lattice(Point(Fraction(1, den), Fraction(m, den)),
-                           Point(Fraction(0), Fraction(1)))
+                return packing_lattice(j, m)
+            return covering_lattice(j, m)
     try:
         u1_part, u2_part = s.split(";")
         u1 = [parse_rational(v) for v in u1_part.split(",")]

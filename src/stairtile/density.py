@@ -143,14 +143,28 @@ def _unit_triangle(mode: Mode) -> Region:
     return Region(ScaledTriangle(Fraction(1)), mode)
 
 
-def optimal_packing_lattices(j: int, verify: bool = True) -> list[Lattice]:
-    """The lattices generated by (1/(2j), m/(2j)) and (0, (2j+1)/(2j)) for
-    the admissible shifts m; each is checked to pack j-fold at the closed
-    form density when verify is set."""
+def packing_lattice(j: int, m: int) -> Lattice:
+    """The lattice generated by (1/(2j), m/(2j)) and (0, (2j+1)/(2j))."""
+    if j < 1:
+        raise ValueError(f"need j >= 1: {j}")
     den = 2 * j
-    lats = [Lattice(Point(Fraction(1, den), Fraction(m, den)),
-                    Point(Fraction(0), Fraction(2 * j + 1, den)))
-            for m in admissible_shifts(j)]
+    return Lattice(Point(Fraction(1, den), Fraction(m, den)),
+                   Point(Fraction(0), Fraction(2 * j + 1, den)))
+
+
+def covering_lattice(j: int, m: int) -> Lattice:
+    """The lattice generated by (1/(2j+1), m/(2j+1)) and (0, 1)."""
+    if j < 1:
+        raise ValueError(f"need j >= 1: {j}")
+    den = 2 * j + 1
+    return Lattice(Point(Fraction(1, den), Fraction(m, den)),
+                   Point(Fraction(0), Fraction(1)))
+
+
+def optimal_packing_lattices(j: int, verify: bool = True) -> list[Lattice]:
+    """``packing_lattice(j, m)`` for the admissible shifts m; each is checked
+    to pack j-fold at the closed form density when verify is set."""
+    lats = [packing_lattice(j, m) for m in admissible_shifts(j)]
     if verify:
         region = _unit_triangle(Mode.INTERIOR)
         for lat in lats:
@@ -165,13 +179,9 @@ def optimal_packing_lattices(j: int, verify: bool = True) -> list[Lattice]:
 
 
 def optimal_covering_lattices(j: int, verify: bool = True) -> list[Lattice]:
-    """The lattices generated by (1/(2j+1), m/(2j+1)) and (0, 1) for the
-    admissible shifts m; each is checked to cover j-fold at the closed form
-    density when verify is set."""
-    den = 2 * j + 1
-    lats = [Lattice(Point(Fraction(1, den), Fraction(m, den)),
-                    Point(Fraction(0), Fraction(1)))
-            for m in admissible_shifts(j)]
+    """``covering_lattice(j, m)`` for the admissible shifts m; each is
+    checked to cover j-fold at the closed form density when verify is set."""
+    lats = [covering_lattice(j, m) for m in admissible_shifts(j)]
     if verify:
         region = _unit_triangle(Mode.CLOSED)
         for lat in lats:

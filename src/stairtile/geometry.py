@@ -36,6 +36,8 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"decimal notation rejected, use a/b: {text!r}")
     if "/" in s:
         num, den = s.split("/", 1)
+        if int(den) == 0:
+            raise ValueError(f"zero denominator: {text!r}")
         return Fraction(int(num), int(den))
     return Fraction(int(s))
 

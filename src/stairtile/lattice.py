@@ -116,11 +116,6 @@ class Lattice:
         return Lattice(Point.from_json(data["u1"]), Point.from_json(data["u2"]))
 
 
-def make_lattice(u1: Point, u2: Point) -> Lattice:
-    """Build a lattice, rejecting singular bases."""
-    return Lattice(u1, u2)
-
-
 def integer_lattice() -> Lattice:
     """The standard lattice Z^2."""
     return Lattice(Point(1, 0), Point(0, 1))
@@ -216,10 +211,3 @@ def fundamental_rect(lat: Lattice) -> tuple[Fraction, Fraction]:
     fundamental domain of the lattice (read off the canonical basis)."""
     x1, _, y2 = lat.canonical_key()
     return x1, y2
-
-
-def divisors(n: int) -> list[int]:
-    if n < 1:
-        raise ValueError(f"need a positive integer: {n}")
-    out = [d for d in range(1, n + 1) if n % d == 0]
-    return out

@@ -19,19 +19,16 @@ every mode.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import lcm
 
-import numpy as np
-
-from .geometry import (Box, Point, ScaledTriangle, StairPolygon, frac,
-                       format_rational)
+from .geometry import Box, Point, ScaledTriangle, StairPolygon, frac
 from .lattice import Lattice, fundamental_rect, points_in_box
 
 _F0 = Fraction(0)
-_INT64_SAFE = 1 << 60
 
 
 class Mode(str, Enum):
@@ -108,97 +105,97 @@ def count_at(lat: Lattice, region: Region, u: Point) -> int:
 
     Enumerates the lattice points of the bounding box of (region - u) and
     filters by exact membership; serves as the independent point oracle for
-    the vectorized extrema machinery.
+    the integer count kernel ``_exact_counts``.
     """
     bb = region.bbox()
     vbox = Box(bb.x_min - u.x, bb.x_max - u.x, bb.y_min - u.y, bb.y_max - u.y)
     return sum(1 for v in points_in_box(lat, vbox) if region.contains(u + v))
 
 
-def _scaled_column(values: list[Fraction], den: int) -> list[int]:
-    return [v.numerator * (den // v.denominator) for v in values]
+# How each mode shifts the closed bounds of a stair column once everything
+# is an integer, where a strict bound a < b is a <= b - 1: (first left
+# wall, other left walls, right wall, floor, ceiling).  Half open columns
+# are [x_i, x_{i+1}) x [0, h_i).  Closed columns own their right wall, so an
+# internal break takes the taller (left) height; the first column also owns
+# its left wall.  Interior columns own their left wall, so an internal break
+# takes the shorter (right) height; the first column owns neither wall.
+_STAIR_SHIFTS = {
+    Mode.HALF_OPEN: (0, 0, -1, 0, -1),
+    Mode.CLOSED: (0, 1, 0, 0, 0),
+    Mode.INTERIOR: (1, 0, -1, 1, -1),
+}
+
+
+def _scaled(v: Fraction, den: int) -> int:
+    """The integer v * den, for a den that v's denominator divides."""
+    return v.numerator * (den // v.denominator)
+
+
+def _atoms(region: Region, den: int) -> list[tuple[int, int, int, int, int]]:
+    """The region scaled by den, as disjoint closed integer atoms.
+
+    An atom (x_lo, x_hi, y_lo, y_hi, diag) is the set of integer offsets
+    (dx, dy) with x_lo <= dx <= x_hi, y_lo <= dy <= y_hi and
+    dx + dy <= diag; it may be empty.  A triangle is one atom; a stair is
+    one atom per column, whose diagonal bound never binds.
+    """
+    shape = region.shape
+    if isinstance(shape, ScaledTriangle):
+        side = _scaled(shape.side, den)
+        t = 1 if region.mode is Mode.INTERIOR else 0
+        return [(t, side - t, t, side - t, side - t)]
+    first, left, right, floor, ceiling = _STAIR_SHIFTS[region.mode]
+    xb = [_scaled(v, den) for v in shape.x_breaks]
+    atoms = []
+    for i, h in enumerate(shape.heights):
+        h = _scaled(h, den)
+        x_hi = xb[i + 1] + right
+        atoms.append((xb[i] + (first if i == 0 else left), x_hi,
+                      floor, h + ceiling, x_hi + h))
+    return atoms
 
 
 def _exact_counts(lat: Lattice, region: Region,
                   samples: list[Point]) -> list[int]:
-    """Multiplicity at each sample point, vectorized over translates.
+    """Multiplicity at each sample point, in sample order.
 
-    All coordinates are brought to a common integer scale; membership then
-    needs only integer comparisons, run through numpy (int64 when magnitudes
-    allow, object arrays of Python ints otherwise, so the result is exact
-    either way).
+    The samples, the translates that can reach them and the shape are
+    brought to one common denominator, so that everything is an integer and
+    the region is the atoms of ``_atoms``.  For each sample and atom,
+    bisection finds the translates in the atom's x-window, and only those
+    are tested against its y and diagonal bounds.
     """
-    if not samples:
-        return []
     shape = region.shape
     bb = shape.bbox()
-    sx = [p.x for p in samples]
-    sy = [p.y for p in samples]
-    wbox = Box(min(sx) - bb.x_max, max(sx) - bb.x_min,
-               min(sy) - bb.y_max, max(sy) - bb.y_min)
-    translates = points_in_box(lat, wbox)
-    if not translates:
-        return [0] * len(samples)
-
-    shape_vals: list[Fraction]
-    if isinstance(shape, ScaledTriangle):
-        shape_vals = [shape.side]
-    else:
-        shape_vals = list(shape.x_breaks) + list(shape.heights)
-    all_vals = (sx + sy + [w.x for w in translates]
-                + [w.y for w in translates] + shape_vals)
-    den = 1
-    for v in all_vals:
-        den = lcm(den, v.denominator)
-    magnitude = max(abs(v.numerator) * (den // v.denominator)
-                    for v in all_vals)
-    if magnitude >= _INT64_SAFE:
-        # exact fallback: plain Python loop, no fixed-width arithmetic
-        return [count_at(lat, region, p) for p in samples]
-
-    arr_sx = np.array(_scaled_column(sx, den), dtype=np.int64)
-    arr_sy = np.array(_scaled_column(sy, den), dtype=np.int64)
-    counts = np.zeros(len(samples), dtype=np.int64)
-    mode = region.mode
-    if isinstance(shape, ScaledTriangle):
-        side = shape.side.numerator * (den // shape.side.denominator)
-        for w in translates:
-            wx = w.x.numerator * (den // w.x.denominator)
-            wy = w.y.numerator * (den // w.y.denominator)
-            dx = arr_sx - wx
-            dy = arr_sy - wy
-            if mode is Mode.INTERIOR:
-                mask = (dx > 0) & (dy > 0) & (dx + dy < side)
-            else:
-                mask = (dx >= 0) & (dy >= 0) & (dx + dy <= side)
-            counts += mask
-    else:
-        xb = _scaled_column(list(shape.x_breaks), den)
-        hs = _scaled_column(list(shape.heights), den)
-        for w in translates:
-            wx = w.x.numerator * (den // w.x.denominator)
-            wy = w.y.numerator * (den // w.y.denominator)
-            dx = arr_sx - wx
-            dy = arr_sy - wy
-            mask = np.zeros(len(samples), dtype=bool)
-            if mode is Mode.HALF_OPEN:
-                for i, h in enumerate(hs):
-                    mask |= ((xb[i] <= dx) & (dx < xb[i + 1])
-                             & (0 <= dy) & (dy < h))
-            elif mode is Mode.CLOSED:
-                for i, h in enumerate(hs):
-                    mask |= ((xb[i] <= dx) & (dx <= xb[i + 1])
-                             & (0 <= dy) & (dy <= h))
-            else:
-                for i, h in enumerate(hs):
-                    mask |= ((xb[i] < dx) & (dx < xb[i + 1])
-                             & (0 < dy) & (dy < h))
-                # interior points on internal column walls, below the
-                # shorter neighbouring column
-                for i in range(1, len(hs)):
-                    mask |= (dx == xb[i]) & (0 < dy) & (dy < hs[i])
-            counts += mask
-    return [int(c) for c in counts]
+    translates = points_in_box(lat, Box(
+        min(p.x for p in samples) - bb.x_max,
+        max(p.x for p in samples) - bb.x_min,
+        min(p.y for p in samples) - bb.y_max,
+        max(p.y for p in samples) - bb.y_min))
+    shape_vals = ([shape.side] if isinstance(shape, ScaledTriangle)
+                  else list(shape.x_breaks) + list(shape.heights))
+    den = lcm(*{v.denominator for p in samples + translates
+                for v in (p.x, p.y)},
+              *(v.denominator for v in shape_vals))
+    # sorted, because points_in_box sorts by x
+    wx = [_scaled(w.x, den) for w in translates]
+    wy = [_scaled(w.y, den) for w in translates]
+    ws = [x + y for x, y in zip(wx, wy)]
+    atoms = _atoms(region, den)
+    counts = []
+    for p in samples:
+        px, py = _scaled(p.x, den), _scaled(p.y, den)
+        n = 0
+        for x_lo, x_hi, y_lo, y_hi, diag in atoms:
+            # x_lo <= px - wx <= x_hi, y_lo <= py - wy <= y_hi and
+            # (px - wx) + (py - wy) <= diag
+            lo = bisect_left(wx, px - x_hi)
+            hi = bisect_right(wx, px - x_lo, lo)
+            y_min, y_max, s_min = py - y_hi, py - y_lo, px + py - diag
+            n += len([1 for y, s in zip(wy[lo:hi], ws[lo:hi])
+                      if y_min <= y <= y_max and s >= s_min])
+        counts.append(n)
+    return counts
 
 
 def _halfopen_grid(lat: Lattice,

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -60,7 +63,24 @@ def test_usage_errors_exit_2(capsys):
     # decimal rationals are rejected, never rounded
     assert run(["lambda", "--j", "1", "--which", "lower",
                 "--lattice", "0.5,0;0,1"]) == 2
+    # zero denominators and a zero j are refused, never a traceback
+    assert run(["density", "--triangle", "0,0,1/0,0,0,1", "--j", "1",
+                "--kind", "packing"]) == 2
+    assert run(["render", "--region", "triangle", "--j", "1",
+                "--lattice", "Z2", "--viewport", "0,2/0,0,2"]) == 2
+    assert run(["lambda", "--j", "0", "--which", "lower",
+                "--lattice", "packing:1"]) == 2
     capsys.readouterr()
+
+
+def test_import_does_not_load_numpy():
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, stairtile; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_lambda_subcommand(capsys):

@@ -25,6 +25,8 @@ def test_parse_and_format_rational():
         parse_rational("0.5")
     with pytest.raises(ValueError):
         parse_rational("1e3")
+    with pytest.raises(ValueError):
+        parse_rational("1/0")
 
 
 def test_prec_examples():

@@ -5,17 +5,17 @@ import pytest
 
 from stairtile import (Box, FundamentalDomain, Lattice, Point,
                        enumerate_integer_sublattices, fundamental_rect,
-                       integer_lattice, shift_lattice, make_lattice,
+                       integer_lattice, shift_lattice,
                        points_in_box, rational_dilates)
 
 from oracles import lattice_points_bruteforce
 
 
-def test_make_lattice_examples():
-    assert make_lattice(Point(1, 0), Point(0, 1)).det == 1
-    assert make_lattice(Point(1, 1), Point(0, 3)).det == 3
+def test_lattice_constructor_examples():
+    assert Lattice(Point(1, 0), Point(0, 1)).det == 1
+    assert Lattice(Point(1, 1), Point(0, 3)).det == 3
     with pytest.raises(ValueError):
-        make_lattice(Point(1, 2), Point(2, 4))
+        Lattice(Point(1, 2), Point(2, 4))
 
 
 def test_shift_lattice_examples():

@@ -1,14 +1,19 @@
 import random
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as hyp
 
-from stairtile import (Lattice, Mode, Point, canonical_stair,
-                       count_at, integer_lattice, is_exact_jfold_tiling,
-                       is_jfold_covering, is_jfold_packing, shift_lattice,
-                       mean_multiplicity, multiplicity_extrema,
-                       random_sampling_oracle, stair, stair_region,
-                       triangle_region, unit_square)
+from stairtile import (Lattice, Mode, Point, Region, ScaledTriangle,
+                       canonical_stair, count_at, integer_lattice,
+                       is_exact_jfold_tiling, is_jfold_covering,
+                       is_jfold_packing, shift_lattice, mean_multiplicity,
+                       multiplicity_extrema, random_sampling_oracle, stair,
+                       stair_region, triangle_region, unit_square)
+from stairtile.multiplicity import (_axis_faces, _exact_counts,
+                                    _halfopen_samples, _triangle_faces)
 
 
 def covering_optimal(j, m=1):
@@ -232,3 +237,124 @@ def test_mean_multiplicity_is_area_over_determinant():
     # for an exact tiling the mean collapses to j
     assert mean_multiplicity(shift_lattice(2, 2),
                              stair_region(canonical_stair(2))) == 2
+
+
+small_rationals = hyp.fractions(min_value=-2, max_value=2, max_denominator=5)
+lengths = hyp.fractions(min_value=F(1, 4), max_value=1, max_denominator=4)
+fractions_01 = hyp.fractions(min_value=0, max_value=1, max_denominator=6)
+
+
+@hyp.composite
+def rational_lattices(draw):
+    u1 = Point(draw(small_rationals), draw(small_rationals))
+    u2 = Point(draw(small_rationals), draw(small_rationals))
+    assume(abs(u1.x * u2.y - u1.y * u2.x) >= F(1, 5))
+    return Lattice(u1, u2)
+
+
+@hyp.composite
+def regions(draw):
+    """A small stair or triangle in one of its valid modes."""
+    if draw(hyp.booleans()):
+        side = draw(hyp.fractions(min_value=F(1, 4), max_value=2,
+                                  max_denominator=4))
+        return Region(ScaledTriangle(side),
+                      draw(hyp.sampled_from([Mode.INTERIOR, Mode.CLOSED])))
+    # two columns at least, so that every stair has an internal wall
+    widths = draw(hyp.lists(lengths, min_size=2, max_size=3))
+    steps = draw(hyp.lists(lengths, min_size=len(widths),
+                           max_size=len(widths)))
+    x0 = draw(small_rationals)
+    xs = [x0]
+    for w in widths:
+        xs.append(xs[-1] + w)
+    hs = [sum(steps[i:]) for i in range(len(steps))]
+    return Region(stair(xs, hs), draw(hyp.sampled_from(list(Mode))))
+
+
+def boundary_points(shape, ts):
+    """Corners and points on the walls, floor, ceilings and hypotenuse,
+    placed by the parameters ts in [0, 1]."""
+    if isinstance(shape, ScaledTriangle):
+        s = shape.side
+        pts = [Point(0, 0), Point(s, 0), Point(0, s), Point(s / 4, s / 4)]
+        for t in ts:
+            pts += [Point(t * s, 0), Point(0, t * s),
+                    Point(t * s, (1 - t) * s)]
+        return pts
+    xb, hs = shape.x_breaks, shape.heights
+    pts = [Point(xb[-1], 0), Point(xb[-1], hs[-1])]
+    for i, h in enumerate(hs):
+        pts += [Point(xb[i], 0), Point(xb[i], h)]
+        if i:
+            pts.append(Point(xb[i], hs[i - 1]))
+        for t in ts:
+            x = xb[i] + t * (xb[i + 1] - xb[i])
+            pts += [Point(x, 0), Point(x, h), Point(xb[i], t * hs[0])]
+    return pts
+
+
+@settings(max_examples=80, deadline=None)
+@given(rational_lattices(), regions(),
+       hyp.lists(fractions_01, min_size=1, max_size=3),
+       hyp.lists(hyp.tuples(hyp.integers(-2, 2), hyp.integers(-2, 2)),
+                 min_size=1, max_size=3))
+def test_counts_and_extrema_match_point_oracle(lat, region, ts, shifts):
+    # boundary points of the shape moved by lattice vectors sit on walls,
+    # corners, floors and hypotenuses of several translates at once
+    samples = [p + lat.point(a, b)
+               for p in boundary_points(region.shape, ts)
+               for a, b in shifts]
+    if isinstance(region.shape, ScaledTriangle):
+        faces = _triangle_faces(lat, region.shape)
+    elif region.mode is Mode.HALF_OPEN:
+        faces = _halfopen_samples(lat, region.shape)
+    else:
+        faces = _axis_faces(lat, region.shape)
+    samples += faces[::max(1, len(faces) // 40)]
+    expected = [count_at(lat, region, p) for p in samples]
+    assert _exact_counts(lat, region, samples) == expected
+    rep = multiplicity_extrema(lat, region)
+    assert count_at(lat, region, rep.min_witness) == rep.min_mult
+    assert count_at(lat, region, rep.max_witness) == rep.max_mult
+    assert rep.min_mult <= min(expected)
+    assert max(expected) <= rep.max_mult
+
+
+def _scaled_magnitude(lat, shape, samples):
+    values = [lat.u1.x, lat.u1.y, lat.u2.x, lat.u2.y]
+    values += [v for p in samples for v in (p.x, p.y)]
+    values += ([shape.side] if isinstance(shape, ScaledTriangle)
+               else list(shape.x_breaks) + list(shape.heights))
+    den = lcm(*(v.denominator for v in values))
+    return max(abs(v.numerator) * (den // v.denominator) for v in values)
+
+
+def test_counts_at_denominators_near_2_pow_31():
+    p, q, r = 2**31 - 1, 2**31 - 19, 2**31 + 11
+    # S(2) and its shift lattices stretched by x -> a*x, y -> b*y: the
+    # stretch keeps half open tilings, and the scaled values pass 2**60
+    a, b = F(p, q), F(q, r)
+    shape = stair([a * x for x in canonical_stair(2).x_breaks],
+                  [b * h for h in canonical_stair(2).heights])
+    region = stair_region(shape)
+    for m, tiles in ((1, True), (4, False)):
+        base = shift_lattice(m, 2)
+        lat = Lattice(Point(a * base.u1.x, b * base.u1.y),
+                      Point(a * base.u2.x, b * base.u2.y))
+        samples = _halfopen_samples(lat, shape)
+        assert _scaled_magnitude(lat, shape, samples) >= 2**60
+        assert _exact_counts(lat, region, samples) == \
+            [count_at(lat, region, u) for u in samples]
+        assert is_exact_jfold_tiling(region, lat, 2) is tiles
+    # a perturbed optimal covering lattice against a slightly larger
+    # triangle, lattice and triangle denominators coprime
+    lat = Lattice(Point(F(1, 3) + F(1, p), F(1, 3)), Point(0, 1 - F(1, q)))
+    for mode in (Mode.CLOSED, Mode.INTERIOR):
+        region = triangle_region(1 + F(1, r), mode)
+        samples = _triangle_faces(lat, region.shape)
+        assert _scaled_magnitude(lat, region.shape, samples) >= 2**60
+        counts = _exact_counts(lat, region, samples)
+        assert counts == [count_at(lat, region, u) for u in samples]
+        rep = multiplicity_extrema(lat, region)
+        assert (rep.min_mult, rep.max_mult) == (min(counts), max(counts))
