@@ -15,13 +15,12 @@ from .density import (COVERING, PACKING, AffineMap, DensityPredicateError,
                       density_result, normalize_triangle,
                       optimal_covering_lattices, optimal_packing_lattices,
                       packing_density, triangle_jfold_predicate)
-from .geometry import (Box, Point, Rational, ScaledTriangle, StairPolygon,
+from .geometry import (Box, Point, ScaledTriangle, StairPolygon,
                        format_rational, frac, parse_rational, prec,
                        prec_negative, stair, unit_square)
-from .lattice import (FundamentalDomain, Lattice,
-                      enumerate_integer_sublattices, fundamental_rect,
-                      integer_lattice, shift_lattice,
-                      points_in_box, rational_dilates)
+from .lattice import (Lattice, enumerate_integer_sublattices,
+                      fundamental_rect, integer_lattice, points_in_box,
+                      shift_lattice)
 from .multiplicity import (Mode, MultiplicityReport, Region, count_at,
                            is_exact_jfold_tiling, is_jfold_covering,
                            is_jfold_packing, layer_extrema,
@@ -46,8 +45,8 @@ __version__ = "0.1.0"
 __all__ = [
     "AffineMap", "AreaOptimum", "Box", "COVERING", "CandidateGapError",
     "CanonicalRegions", "DensityPredicateError", "DensityResult",
-    "FundamentalDomain", "HalfOpenBox", "Lattice", "Mode",
-    "MultiplicityReport", "PACKING", "Point", "Rational", "Region",
+    "HalfOpenBox", "Lattice", "Mode",
+    "MultiplicityReport", "PACKING", "Point", "Region",
     "RenderSpec", "ScaleCertificate", "ScaledTriangle", "SearchReport",
     "SelectionStairError", "SelectionStair", "StairPolygon", "admissible_shifts",
     "canonical_regions", "canonical_stair", "candidate_scales",
@@ -64,7 +63,7 @@ __all__ = [
     "optimize_circumscribed_stair", "optimize_inscribed_stair",
     "packing_density", "packing_predicate", "parse_rational",
     "phi_k", "phi_k_bruteforce", "points_in_box", "prec", "prec_negative",
-    "random_sampling_oracle", "rational_dilates", "render",
+    "random_sampling_oracle", "render",
     "search_covering", "search_packing", "selection_member", "stair",
     "stair_region", "triangle_jfold_predicate", "triangle_region",
     "unit_square", "verify_stair_tiling_converse", "verify_stair_tiling_forward",

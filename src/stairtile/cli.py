@@ -49,12 +49,12 @@ def _parse_lattice(spec: str, j: int | None) -> Lattice:
                 return packing_lattice(j, m)
             return covering_lattice(j, m)
     try:
-        u1_part, u2_part = s.split(";")
-        u1 = [parse_rational(v) for v in u1_part.split(",")]
-        u2 = [parse_rational(v) for v in u2_part.split(",")]
-        return Lattice(Point(u1[0], u1[1]), Point(u2[0], u2[1]))
-    except UsageError:
-        raise
+        u1, u2 = ([parse_rational(v) for v in part.split(",")]
+                  for part in s.split(";"))
+        if len(u1) != 2 or len(u2) != 2:
+            raise ValueError("each basis vector needs exactly two "
+                             "coordinates")
+        return Lattice(Point(*u1), Point(*u2))
     except Exception as exc:
         raise UsageError(f"cannot parse lattice spec {spec!r}: {exc}") from exc
 
@@ -308,7 +308,7 @@ def run(argv: list[str]) -> int:
         return code
     try:
         return args.fn(args)
-    except (UsageError, ValueError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -14,13 +14,9 @@ from fractions import Fraction
 
 from .geometry import Point, ScaledTriangle, format_rational, frac
 from .lattice import Lattice
-from .multiplicity import (Mode, Region,
-                           is_jfold_covering, is_jfold_packing,
-                           multiplicity_extrema)
+from .multiplicity import (COVERING, KIND_MODE, PACKING, Region,
+                           jfold_violation)
 from .stairs import admissible_shifts
-
-PACKING = "packing"
-COVERING = "covering"
 
 
 class DensityPredicateError(ValueError):
@@ -139,8 +135,14 @@ def covering_density(j: int) -> Fraction:
     return Fraction(2 * j + 1, 2)
 
 
-def _unit_triangle(mode: Mode) -> Region:
-    return Region(ScaledTriangle(Fraction(1)), mode)
+_CLOSED_FORMS = {PACKING: packing_density, COVERING: covering_density}
+
+
+def _unit_triangle(kind: str) -> Region:
+    """The standard triangle in the mode that decides the kind's predicate."""
+    if kind not in KIND_MODE:
+        raise ValueError(f"kind must be {PACKING!r} or {COVERING!r}: {kind}")
+    return Region(ScaledTriangle(Fraction(1)), KIND_MODE[kind])
 
 
 def packing_lattice(j: int, m: int) -> Lattice:
@@ -161,74 +163,52 @@ def covering_lattice(j: int, m: int) -> Lattice:
                    Point(Fraction(0), Fraction(1)))
 
 
-def optimal_packing_lattices(j: int, verify: bool = True) -> list[Lattice]:
-    """``packing_lattice(j, m)`` for the admissible shifts m; each is checked
-    to pack j-fold at the closed form density when verify is set."""
-    lats = [packing_lattice(j, m) for m in admissible_shifts(j)]
+def _optimal_lattices(j: int, kind: str, verify: bool) -> list[Lattice]:
+    region = _unit_triangle(kind)
+    build = packing_lattice if kind == PACKING else covering_lattice
+    lats = [build(j, m) for m in admissible_shifts(j)]
     if verify:
-        region = _unit_triangle(Mode.INTERIOR)
         for lat in lats:
-            if not is_jfold_packing(region, lat, j):
+            if jfold_violation(region, lat, j, kind) is not None:
                 raise AssertionError(
-                    f"claimed optimal packing lattice fails the predicate: "
+                    f"claimed optimal {kind} lattice fails the predicate: "
                     f"{lat.to_json()}")
-            if Fraction(1, 2) / lat.d != packing_density(j):
+            if Fraction(1, 2) / lat.d != _CLOSED_FORMS[kind](j):
                 raise AssertionError(
                     f"density mismatch for {lat.to_json()}")
     return lats
+
+
+def optimal_packing_lattices(j: int, verify: bool = True) -> list[Lattice]:
+    """``packing_lattice(j, m)`` for the admissible shifts m; each is checked
+    to pack j-fold at the closed form density when verify is set."""
+    return _optimal_lattices(j, PACKING, verify)
 
 
 def optimal_covering_lattices(j: int, verify: bool = True) -> list[Lattice]:
     """``covering_lattice(j, m)`` for the admissible shifts m; each is
     checked to cover j-fold at the closed form density when verify is set."""
-    lats = [covering_lattice(j, m) for m in admissible_shifts(j)]
-    if verify:
-        region = _unit_triangle(Mode.CLOSED)
-        for lat in lats:
-            if not is_jfold_covering(region, lat, j):
-                raise AssertionError(
-                    f"claimed optimal covering lattice fails the predicate: "
-                    f"{lat.to_json()}")
-            if Fraction(1, 2) / lat.d != covering_density(j):
-                raise AssertionError(
-                    f"density mismatch for {lat.to_json()}")
-    return lats
+    return _optimal_lattices(j, COVERING, verify)
 
 
 def density_of(lat: Lattice, j: int, kind: str) -> Fraction:
     """|T| / d(lat) if the unit triangle with this lattice satisfies the
     requested j-fold predicate; raises DensityPredicateError with a witness
     point otherwise."""
-    if kind == PACKING:
-        report = multiplicity_extrema(lat, _unit_triangle(Mode.INTERIOR))
-        if report.max_mult > j:
-            raise DensityPredicateError(
-                f"not a {j}-fold packing: point "
-                f"{report.max_witness.to_json()} lies in "
-                f"{report.max_mult} open translates",
-                report.max_witness, report.max_mult)
-    elif kind == COVERING:
-        report = multiplicity_extrema(lat, _unit_triangle(Mode.CLOSED))
-        if report.min_mult < j:
-            raise DensityPredicateError(
-                f"not a {j}-fold covering: point "
-                f"{report.min_witness.to_json()} lies in only "
-                f"{report.min_mult} closed translates",
-                report.min_witness, report.min_mult)
-    else:
-        raise ValueError(f"kind must be {PACKING!r} or {COVERING!r}: {kind}")
+    violation = jfold_violation(_unit_triangle(kind), lat, j, kind)
+    if violation is not None:
+        witness, mult = violation
+        many = f"{mult} open" if kind == PACKING else f"only {mult} closed"
+        raise DensityPredicateError(
+            f"not a {j}-fold {kind}: point {witness.to_json()} lies in "
+            f"{many} translates", witness, mult)
     return Fraction(1, 2) / lat.d
 
 
 def density_result(j: int, kind: str) -> DensityResult:
     """Closed-form density together with its verified optimal lattices."""
-    if kind == PACKING:
-        return DensityResult(packing_density(j), kind, j,
-                             tuple(optimal_packing_lattices(j)))
-    if kind == COVERING:
-        return DensityResult(covering_density(j), kind, j,
-                             tuple(optimal_covering_lattices(j)))
-    raise ValueError(f"kind must be {PACKING!r} or {COVERING!r}: {kind}")
+    lats = tuple(_optimal_lattices(j, kind, True))
+    return DensityResult(_CLOSED_FORMS[kind](j), kind, j, lats)
 
 
 def triangle_jfold_predicate(a: Point, b: Point, c: Point, lat: Lattice,
@@ -236,10 +216,5 @@ def triangle_jfold_predicate(a: Point, b: Point, c: Point, lat: Lattice,
     """j-fold packing/covering predicate for an arbitrary triangle, decided
     by normalizing the triangle to the standard one and transporting the
     lattice through the same map."""
-    nmap = normalize_triangle(a, b, c)
-    moved = nmap.apply_lattice(lat)
-    if kind == PACKING:
-        return is_jfold_packing(_unit_triangle(Mode.INTERIOR), moved, j)
-    if kind == COVERING:
-        return is_jfold_covering(_unit_triangle(Mode.CLOSED), moved, j)
-    raise ValueError(f"kind must be {PACKING!r} or {COVERING!r}: {kind}")
+    moved = normalize_triangle(a, b, c).apply_lattice(lat)
+    return jfold_violation(_unit_triangle(kind), moved, j, kind) is None

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence, Union
 
-Rational = Fraction
 RationalLike = Union[Fraction, int, str]
 
 

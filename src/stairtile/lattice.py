@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor, gcd, lcm
+from functools import cached_property
+from math import ceil, floor, lcm
 
 from .geometry import Box, Point, RationalLike, frac
 
@@ -61,7 +62,6 @@ class Lattice:
     def __post_init__(self) -> None:
         if self.det == 0:
             raise ValueError(f"singular basis: {self.u1}, {self.u2}")
-        object.__setattr__(self, "_key", _canonical_triple(self.u1, self.u2))
 
     @property
     def det(self) -> Fraction:
@@ -72,8 +72,12 @@ class Lattice:
         """Fundamental-domain area |det|."""
         return abs(self.det)
 
+    @cached_property
+    def _key(self) -> tuple[Fraction, Fraction, Fraction]:
+        return _canonical_triple(self.u1, self.u2)
+
     def canonical_key(self) -> tuple[Fraction, Fraction, Fraction]:
-        return self._key  # type: ignore[attr-defined]
+        return self._key
 
     def canonical(self) -> "Lattice":
         """The lower-triangular canonical basis generating the same lattice."""
@@ -129,27 +133,21 @@ def shift_lattice(m: int, j: int) -> Lattice:
 
 
 def points_in_box(lat: Lattice, box: Box) -> list[Point]:
-    """All lattice points in a closed box, each exactly once.
+    """All lattice points in a closed box, each exactly once, sorted by
+    (x, y).
 
-    The basis is inverted exactly, the box corners are mapped to coefficient
-    space, and the integer points of the coefficient bounding box are
-    enumerated and filtered.  Exact bounds mean no point is ever missed.
+    Walks the columns x = k*x1 of the canonical basis ((x1, y1), (0, y2)):
+    column k holds the points (k*x1, k*y1 + t*y2), and the box bounds k and
+    then t to exact integer ranges, so the cost follows the number of
+    columns and points, not the skew of the given basis.
     """
-    corners = (Point(box.x_min, box.y_min), Point(box.x_min, box.y_max),
-               Point(box.x_max, box.y_min), Point(box.x_max, box.y_max))
-    coeffs = [lat.coefficients(c) for c in corners]
-    a_lo = ceil(min(a for a, _ in coeffs))
-    a_hi = floor(max(a for a, _ in coeffs))
-    b_lo = ceil(min(b for _, b in coeffs))
-    b_hi = floor(max(b for _, b in coeffs))
+    x1, y1, y2 = lat.canonical_key()
     out = []
-    for a in range(a_lo, a_hi + 1):
-        base = lat.u1.scaled(a)
-        for b in range(b_lo, b_hi + 1):
-            p = base + lat.u2.scaled(b)
-            if box.contains(p):
-                out.append(p)
-    out.sort(key=lambda p: (p.x, p.y))
+    for k in range(ceil(box.x_min / x1), floor(box.x_max / x1) + 1):
+        x, y0 = k * x1, k * y1
+        for t in range(ceil((box.y_min - y0) / y2),
+                       floor((box.y_max - y0) / y2) + 1):
+            out.append(Point(x, y0 + t * y2))
     return out
 
 
@@ -169,41 +167,6 @@ def enumerate_integer_sublattices(det_target: int) -> list[Lattice]:
         for b in range(c):
             out.append(Lattice(Point(a, b), Point(0, c)))
     return out
-
-
-def rational_dilates(lattices: list[Lattice],
-                     denominators: list[int]) -> list[Lattice]:
-    """Scale every lattice by 1/q for each q; duplicates are kept."""
-    out = []
-    for lat in lattices:
-        for q in denominators:
-            if q < 1:
-                raise ValueError(f"denominator must be positive: {q}")
-            out.append(lat.scaled(Fraction(1, q)))
-    return out
-
-
-@dataclass(frozen=True)
-class FundamentalDomain:
-    """Half open parallelogram {a*u1 + b*u2 : 0 <= a, b < 1}.
-
-    Its lattice translates partition the plane: every point reduces to
-    exactly one representative.
-    """
-
-    lattice: Lattice
-
-    def contains(self, p: Point) -> bool:
-        a, b = self.lattice.coefficients(p)
-        return 0 <= a < 1 and 0 <= b < 1
-
-    def reduce(self, p: Point) -> Point:
-        a, b = self.lattice.coefficients(p)
-        return (self.lattice.u1.scaled(a - floor(a))
-                + self.lattice.u2.scaled(b - floor(b)))
-
-    def area(self) -> Fraction:
-        return self.lattice.d
 
 
 def fundamental_rect(lat: Lattice) -> tuple[Fraction, Fraction]:

@@ -39,6 +39,11 @@ class Mode(str, Enum):
     HALF_OPEN = "half_open"
 
 
+PACKING = "packing"
+COVERING = "covering"
+KIND_MODE = {PACKING: Mode.INTERIOR, COVERING: Mode.CLOSED}
+
+
 @dataclass(frozen=True)
 class Region:
     """A bounded region together with its membership mode.
@@ -325,20 +330,35 @@ def multiplicity_extrema(lat: Lattice, region: Region) -> MultiplicityReport:
                               samples[i_min], samples[i_max])
 
 
+def jfold_violation(region: Region, lat: Lattice, j: int,
+                    kind: str) -> tuple[Point, int] | None:
+    """A point that breaks the j-fold packing or covering named by kind,
+    with its multiplicity, or None if the translates of region pass.
+
+    A packing is decided on interiors: no point may lie in more than j.  A
+    covering is decided on closed sets: every point must lie in at least j.
+    """
+    if region.mode is not KIND_MODE[kind]:
+        sets = "interiors" if kind == PACKING else "closed sets"
+        raise ValueError(f"{kind} is decided on {sets}; "
+                         f"got mode {region.mode.value}")
+    report = multiplicity_extrema(lat, region)
+    if kind == PACKING:
+        if report.max_mult > j:
+            return report.max_witness, report.max_mult
+    elif report.min_mult < j:
+        return report.min_witness, report.min_mult
+    return None
+
+
 def is_jfold_packing(region: Region, lat: Lattice, j: int) -> bool:
     """True iff no point lies in more than j translate interiors."""
-    if region.mode is not Mode.INTERIOR:
-        raise ValueError("packing is decided on interiors; "
-                         f"got mode {region.mode.value}")
-    return multiplicity_extrema(lat, region).max_mult <= j
+    return jfold_violation(region, lat, j, PACKING) is None
 
 
 def is_jfold_covering(region: Region, lat: Lattice, j: int) -> bool:
     """True iff every point lies in at least j closed translates."""
-    if region.mode is not Mode.CLOSED:
-        raise ValueError("covering is decided on closed sets; "
-                         f"got mode {region.mode.value}")
-    return multiplicity_extrema(lat, region).min_mult >= j
+    return jfold_violation(region, lat, j, COVERING) is None
 
 
 def is_exact_jfold_tiling(region: Region | StairPolygon, lat: Lattice,

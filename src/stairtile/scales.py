@@ -16,13 +16,14 @@ failed certificate aborts loudly instead of returning a wrong value.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .geometry import Box, Point, format_rational, frac
 from .lattice import Lattice, points_in_box
-from .multiplicity import (Mode, Region, ScaledTriangle, is_jfold_covering,
-                           is_jfold_packing)
+from .multiplicity import (COVERING, PACKING, Mode, Region, ScaledTriangle,
+                           is_jfold_covering, is_jfold_packing)
 
 
 class CandidateGapError(RuntimeError):
@@ -103,67 +104,56 @@ def candidate_scales(lat: Lattice, l_max) -> list[Fraction]:
     return sorted(v for v in values if 0 < v <= l_max)
 
 
-def _first_true(cands: list[Fraction], pred) -> int:
-    """Index of the first candidate where the monotone predicate holds."""
-    lo, hi = 0, len(cands) - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if pred(cands[mid]):
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+def _critical_scale(lat: Lattice, j: int, kind: str) -> ScaleCertificate:
+    """The scale where the kind's predicate flips, with its certificate.
+
+    Covering holds from its critical scale upwards, packing up to its
+    critical scale, so both searches look for the first candidate past the
+    flip: where covering starts to hold, or where packing stops holding.
+    """
+    if j < 1:
+        raise ValueError(f"need j >= 1: {j}")
+    covering = kind == COVERING
+    pred = covering_predicate if covering else packing_predicate
+    l_max = Fraction(1)
+    while pred(lat, j, l_max) != covering:
+        l_max *= 2
+    cands = candidate_scales(lat, l_max)
+    # the last candidate is left to the re-check below, not probed here
+    idx = bisect_left(cands, True, hi=len(cands) - 1,
+                      key=lambda l: pred(lat, j, l) == covering)
+    if pred(lat, j, cands[idx]) != covering:
+        raise CandidateGapError(
+            f"{kind} predicate does not flip on candidates up to {l_max} "
+            f"although it does by {l_max}; candidate set has a gap")
+    if not covering:
+        if idx == 0:
+            raise CandidateGapError(
+                "packing predicate fails at the smallest candidate scale; "
+                "candidate set has a gap below it")
+        idx -= 1
+    value = cands[idx]
+    below = value / 2 if idx == 0 else (cands[idx - 1] + value) / 2
+    above = ((value + cands[idx + 1]) / 2 if idx + 1 < len(cands)
+             else value + Fraction(1, 2))
+    # across the flip the predicate must fail; on the other side it is
+    # recorded as found
+    across, other = (below, above) if covering else (above, below)
+    if pred(lat, j, across):
+        raise CandidateGapError(
+            f"{kind} predicate still holds at probe {across} across "
+            f"certified scale {value}; candidate set has a gap")
+    held = pred(lat, j, other)
+    if covering:
+        return ScaleCertificate(value, True, below, False, above, held)
+    return ScaleCertificate(value, True, below, held, above, False)
 
 
 def lambda_lower(lat: Lattice, j: int) -> ScaleCertificate:
     """Smallest scale making closed triangle translates a j-fold covering."""
-    if j < 1:
-        raise ValueError(f"need j >= 1: {j}")
-    l_max = Fraction(1)
-    while not covering_predicate(lat, j, l_max):
-        l_max *= 2
-    cands = candidate_scales(lat, l_max)
-    idx = _first_true(cands, lambda l: covering_predicate(lat, j, l))
-    value = cands[idx]
-    if not covering_predicate(lat, j, value):
-        raise CandidateGapError(
-            f"no candidate scale <= {l_max} satisfies the covering "
-            f"predicate for j={j}")
-    below = value / 2 if idx == 0 else (cands[idx - 1] + value) / 2
-    if covering_predicate(lat, j, below):
-        raise CandidateGapError(
-            f"covering predicate already holds at probe {below} below "
-            f"certified scale {value}; candidate set has a gap")
-    above = ((value + cands[idx + 1]) / 2 if idx + 1 < len(cands)
-             else value + Fraction(1, 2))
-    return ScaleCertificate(value, True, below, False, above,
-                            covering_predicate(lat, j, above))
+    return _critical_scale(lat, j, COVERING)
 
 
 def lambda_upper(lat: Lattice, j: int) -> ScaleCertificate:
     """Largest scale keeping open triangle translates a j-fold packing."""
-    if j < 1:
-        raise ValueError(f"need j >= 1: {j}")
-    l_max = Fraction(1)
-    while packing_predicate(lat, j, l_max):
-        l_max *= 2
-    cands = candidate_scales(lat, l_max)
-    idx = _first_true(cands, lambda l: not packing_predicate(lat, j, l))
-    if packing_predicate(lat, j, cands[idx]):
-        raise CandidateGapError(
-            f"packing predicate never fails on candidates up to {l_max} "
-            f"although it fails at {l_max}; candidate set has a gap")
-    if idx == 0:
-        raise CandidateGapError(
-            "packing predicate fails at the smallest candidate scale; "
-            "candidate set has a gap below it")
-    idx -= 1
-    value = cands[idx]
-    above = (value + cands[idx + 1]) / 2
-    if packing_predicate(lat, j, above):
-        raise CandidateGapError(
-            f"packing predicate still holds at probe {above} above "
-            f"certified scale {value}; candidate set has a gap")
-    below = value / 2 if idx == 0 else (cands[idx - 1] + value) / 2
-    return ScaleCertificate(value, True, below,
-                            packing_predicate(lat, j, below), above, False)
+    return _critical_scale(lat, j, PACKING)

@@ -20,8 +20,8 @@ from fractions import Fraction
 
 from .geometry import Point, ScaledTriangle, format_rational
 from .lattice import Lattice
-from .multiplicity import Mode, Region, is_jfold_covering, is_jfold_packing
-from .density import COVERING, PACKING
+from .multiplicity import (COVERING, KIND_MODE, PACKING, Region,
+                           is_jfold_covering, is_jfold_packing)
 
 
 @dataclass(frozen=True)
@@ -71,22 +71,19 @@ def lattice_search_space(denominator_bound: int,
 
 def _search(j: int, denominator_bound: int, coefficient_bound: int,
             kind: str) -> SearchReport:
+    if j < 1:
+        raise ValueError(f"need j >= 1: {j}")
     space = lattice_search_space(denominator_bound, coefficient_bound)
-    if kind == PACKING:
-        region = Region(ScaledTriangle(Fraction(1)), Mode.INTERIOR)
-        passes = lambda lat: is_jfold_packing(region, lat, j)
-        better = lambda new, best: best is None or new > best
-    else:
-        region = Region(ScaledTriangle(Fraction(1)), Mode.CLOSED)
-        passes = lambda lat: is_jfold_covering(region, lat, j)
-        better = lambda new, best: best is None or new < best
+    region = Region(ScaledTriangle(Fraction(1)), KIND_MODE[kind])
+    passes = is_jfold_packing if kind == PACKING else is_jfold_covering
+    sign = 1 if kind == PACKING else -1  # packings maximize the density
     best_value: Fraction | None = None
     best: list[Lattice] = []
     for lat in space:
-        if not passes(lat):
+        if not passes(region, lat, j):
             continue
         value = Fraction(1, 2) / lat.d
-        if better(value, best_value):
+        if best_value is None or sign * value > sign * best_value:
             best_value = value
             best = [lat]
         elif value == best_value:
@@ -102,8 +99,6 @@ def search_packing(j: int, denominator_bound: int,
     """Maximal density 1/(2 d) over lattices in the bounded space whose unit
     triangle translates form a j-fold packing; never exceeds the closed
     form, and reaches it once the optimal lattices are inside the bounds."""
-    if j < 1:
-        raise ValueError(f"need j >= 1: {j}")
     return _search(j, denominator_bound, coefficient_bound, PACKING)
 
 
@@ -111,8 +106,6 @@ def search_covering(j: int, denominator_bound: int,
                     coefficient_bound: int) -> SearchReport:
     """Minimal density over j-fold covering lattices in the bounded space;
     never below the closed form."""
-    if j < 1:
-        raise ValueError(f"need j >= 1: {j}")
     return _search(j, denominator_bound, coefficient_bound, COVERING)
 
 
@@ -145,89 +138,46 @@ class AreaOptimum:
         }
 
 
-def _inscribed_area(xs: list[float]) -> float:
+def _inscribed_area(xs: list) -> float | Fraction:
     """Area of the stair with breakpoints [0] + xs and the tight heights
-    1 - x_{i+1} allowed inside the closed unit triangle."""
-    area = 0.0
-    prev = 0.0
-    for x in xs:
-        area += (x - prev) * (1.0 - x)
-        prev = x
-    return area
+    1 - x_{i+1} allowed inside the closed unit triangle; exact when the
+    breakpoints are Fractions."""
+    pts = [0] + xs
+    return sum((b - a) * (1 - b) for a, b in zip(pts, pts[1:]))
 
 
-def _circumscribed_area(xs: list[float]) -> float:
+def _circumscribed_area(xs: list) -> float | Fraction:
     """Area of the stair with breakpoints [0] + xs + [1] and the tight
-    heights 1 - x_i needed to contain the open unit triangle."""
-    pts = [0.0] + xs + [1.0]
-    return sum((pts[i + 1] - pts[i]) * (1.0 - pts[i])
-               for i in range(len(pts) - 1))
+    heights 1 - x_i needed to contain the open unit triangle; exact when the
+    breakpoints are Fractions."""
+    pts = [0] + xs + [1]
+    return sum((b - a) * (1 - a) for a, b in zip(pts, pts[1:]))
 
 
-def _snap_layout(xs: list[float], max_den: int) -> list[Fraction]:
-    return [Fraction(x).limit_denominator(max_den) for x in xs]
+def _optimize_stair(j: int, iterations: int, seed: int,
+                    inscribed: bool) -> AreaOptimum:
+    """Coordinate ascent over the interior breakpoints with seeded random
+    restarts: maximize the inscribed area (2j breakpoints) or minimize the
+    circumscribed one (2j-1 breakpoints).
 
-
-def optimize_inscribed_stair(j: int, iterations: int,
-                             seed: int = 0) -> AreaOptimum:
-    """Numerically maximize the area of a stair with at most 2j-1 steps
-    inside the closed unit triangle.
-
-    Coordinate ascent over the interior breakpoints (each one-dimensional
-    update has a closed form) with seeded random restarts.  Every iterate
-    is feasible, so no area may exceed the analytic optimum j/(2j+1) beyond
-    float noise; the worst violation observed is reported.
+    Each one-dimensional update has a closed form, the midpoint of the
+    neighbouring breakpoints.  Every iterate is feasible, so no area may
+    beat the analytic optimum beyond float noise; the worst violation
+    observed is reported.
     """
     if j < 1 or iterations < 1:
         raise ValueError("need j >= 1 and iterations >= 1")
-    target = Fraction(j, 2 * j + 1)
+    if inscribed:  # maximize the area
+        sign, n_vars, area_of = 1, 2 * j, _inscribed_area
+        target = Fraction(j, 2 * j + 1)
+    else:  # minimize it
+        sign, n_vars, area_of = -1, 2 * j - 1, _circumscribed_area
+        target = Fraction(2 * j + 1, 4 * j)
     target_f = float(target)
-    n_vars = 2 * j  # breakpoints x_1 .. x_{r+1}, r = 2j - 1
     rng = random.Random(seed)
     restarts = 3
     sweeps = max(1, iterations // restarts)
-    best_area = -1.0
-    best_xs: list[float] = []
-    worst_violation = 0.0
-    for _ in range(restarts):
-        xs = sorted(rng.random() for _ in range(n_vars))
-        for _ in range(sweeps):
-            for k in range(n_vars):
-                left = xs[k - 1] if k else 0.0
-                if k + 1 < n_vars:
-                    xs[k] = (left + xs[k + 1]) / 2.0
-                else:
-                    xs[k] = (left + 1.0) / 2.0
-            area = _inscribed_area(xs)
-            worst_violation = max(worst_violation, area - target_f)
-            if area > best_area:
-                best_area = area
-                best_xs = xs.copy()
-    snapped = _snap_layout(best_xs, 4 * (2 * j + 1))
-    exact_area = Fraction(0)
-    prev = Fraction(0)
-    for x in snapped:
-        exact_area += (x - prev) * (1 - x)
-        prev = x
-    return AreaOptimum(best_area, tuple(best_xs), target,
-                       abs(best_area - target_f), worst_violation,
-                       exact_area)
-
-
-def optimize_circumscribed_stair(j: int, iterations: int,
-                                 seed: int = 0) -> AreaOptimum:
-    """Numerically minimize the area of a stair with at most 2j-1 steps
-    containing the open unit triangle; dual of the inscribed optimizer with
-    analytic optimum (2j+1)/(4j)."""
-    if j < 1 or iterations < 1:
-        raise ValueError("need j >= 1 and iterations >= 1")
-    target = Fraction(2 * j + 1, 4 * j)
-    target_f = float(target)
-    n_vars = 2 * j - 1  # interior breakpoints x_1 .. x_r
-    rng = random.Random(seed)
-    restarts = 3
-    sweeps = max(1, iterations // restarts)
-    best_area = float("inf")
+    best_area = -sign * float("inf")
     best_xs: list[float] = []
     worst_violation = 0.0
     for _ in range(restarts):
@@ -237,15 +187,28 @@ def optimize_circumscribed_stair(j: int, iterations: int,
                 left = xs[k - 1] if k else 0.0
                 right = xs[k + 1] if k + 1 < n_vars else 1.0
                 xs[k] = (left + right) / 2.0
-            area = _circumscribed_area(xs)
-            worst_violation = max(worst_violation, target_f - area)
-            if area < best_area:
+            area = area_of(xs)
+            # positive when the area beats the analytic optimum
+            worst_violation = max(worst_violation, sign * (area - target_f))
+            if sign * area > sign * best_area:
                 best_area = area
                 best_xs = xs.copy()
-    snapped = _snap_layout(best_xs, 4 * (2 * j + 1))
-    pts = [Fraction(0)] + snapped + [Fraction(1)]
-    exact_area = sum(((pts[i + 1] - pts[i]) * (1 - pts[i])
-                      for i in range(len(pts) - 1)), Fraction(0))
+    snapped = [Fraction(x).limit_denominator(4 * (2 * j + 1))
+               for x in best_xs]
     return AreaOptimum(best_area, tuple(best_xs), target,
                        abs(best_area - target_f), worst_violation,
-                       exact_area)
+                       area_of(snapped))
+
+
+def optimize_inscribed_stair(j: int, iterations: int,
+                             seed: int = 0) -> AreaOptimum:
+    """Numerically maximize the area of a stair with at most 2j-1 steps
+    inside the closed unit triangle; analytic optimum j/(2j+1)."""
+    return _optimize_stair(j, iterations, seed, inscribed=True)
+
+
+def optimize_circumscribed_stair(j: int, iterations: int,
+                                 seed: int = 0) -> AreaOptimum:
+    """Numerically minimize the area of a stair with at most 2j-1 steps
+    containing the open unit triangle; analytic optimum (2j+1)/(4j)."""
+    return _optimize_stair(j, iterations, seed, inscribed=False)

@@ -56,7 +56,7 @@ def test_phi_subcommand(capsys):
     assert payload == {"k": 2, "n": 15, "value": 3, "bruteforce": 3}
 
 
-def test_usage_errors_exit_2(capsys):
+def test_usage_errors_exit_2(capsys, tmp_path):
     assert run(["density", "--j", "2", "--kind", "covering", "--bogus"]) == 2
     assert run(["density", "--j", "2", "--kind", "sideways"]) == 2
     assert run(["nonsense"]) == 2
@@ -71,6 +71,21 @@ def test_usage_errors_exit_2(capsys):
     assert run(["lambda", "--j", "0", "--which", "lower",
                 "--lattice", "packing:1"]) == 2
     capsys.readouterr()
+    # files that cannot be written
+    missing = str(tmp_path / "missing" / "x.svg")
+    assert run(["sj", "--j", "1", "--lattice", "Z2", "--svg", missing]) == 2
+    assert run(["render", "--region", "stair", "--j", "1",
+                "--viewport=-3,6,-3,6", "--out", missing]) == 2
+    assert run(["sj", "--j", "1", "--lattice", "Z2",
+                "--svg", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.count("error: ") == 3
+
+
+def test_lattice_spec_needs_two_coordinates_per_vector(capsys):
+    for spec in ("1,0;0,1,5", "1,0,3;0,1", "1;0,1", "1,0;0,1;1,1"):
+        assert run(["lambda", "--j", "1", "--which", "lower",
+                    "--lattice", spec]) == 2
+        assert "cannot parse lattice spec" in capsys.readouterr().err
 
 
 def test_import_does_not_load_numpy():

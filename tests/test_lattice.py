@@ -1,12 +1,12 @@
 import random
 from fractions import Fraction as F
+from math import ceil
 
 import pytest
 
-from stairtile import (Box, FundamentalDomain, Lattice, Point,
-                       enumerate_integer_sublattices, fundamental_rect,
-                       integer_lattice, shift_lattice,
-                       points_in_box, rational_dilates)
+from stairtile import (Box, Lattice, Point, enumerate_integer_sublattices,
+                       fundamental_rect, integer_lattice, points_in_box,
+                       shift_lattice)
 
 from oracles import lattice_points_bruteforce
 
@@ -68,6 +68,32 @@ def test_points_in_box_matches_bruteforce():
         for p in got:
             a, b = lat.coefficients(p)
             assert a.denominator == 1 and b.denominator == 1
+    # skewed bases with denominators up to 30: a short basis given through
+    # a unimodular change, so the canonical basis is far from the given one
+    checked = 0
+    while checked < 25:
+        u1, u2 = (Point(F(rng.randint(-30, 30), rng.randint(1, 30)),
+                        F(rng.randint(-30, 30), rng.randint(1, 30)))
+                  for _ in range(2))
+        if not F(1, 8) <= abs(u1.x * u2.y - u1.y * u2.x) <= 2:
+            continue
+        for _ in range(3):
+            k = rng.choice((-2, -1, 1, 2))
+            u1, u2 = (u1 + u2.scaled(k), u2) if rng.random() < 0.5 else (
+                u1, u2 + u1.scaled(k))
+        lat = Lattice(u1, u2)
+        x0, y0 = F(rng.randint(-60, 60), 7), F(rng.randint(-60, 60), 11)
+        box = Box(x0, x0 + F(rng.randint(10, 40), 7),
+                  y0, y0 + F(rng.randint(10, 40), 11))
+        corners = [Point(x, y) for x in (box.x_min, box.x_max)
+                   for y in (box.y_min, box.y_max)]
+        coeff = ceil(max(abs(c) for p in corners
+                         for c in lat.coefficients(p)))
+        if coeff > 60:
+            continue
+        checked += 1
+        assert points_in_box(lat, box) == lattice_points_bruteforce(
+            lat, box, coeff=coeff)
 
 
 def test_points_in_box_negation_closure():
@@ -99,17 +125,6 @@ def test_enumerate_integer_sublattices_pairwise_distinct():
                             and a.contains(b.u1) and a.contains(b.u2))
 
 
-def test_rational_dilates_examples():
-    half = rational_dilates([integer_lattice()], [2])[0]
-    assert half == Lattice(Point(F(1, 2), 0), Point(0, F(1, 2)))
-    best_cover = rational_dilates([shift_lattice(1, 1)], [3])[0]
-    assert best_cover == Lattice(Point(F(1, 3), F(1, 3)), Point(0, 1))
-    assert best_cover.d == F(1, 3)
-    best_pack = rational_dilates([shift_lattice(1, 1)], [2])[0]
-    assert best_pack == Lattice(Point(F(1, 2), F(1, 2)), Point(0, F(3, 2)))
-    assert best_pack.d == F(3, 4)
-
-
 def test_scaled_determinant_quadratic():
     lat = shift_lattice(3, 2)
     for c in (F(1, 2), F(2, 3), F(5)):
@@ -131,18 +146,6 @@ def test_canonical_form_shape():
     assert can.u2.x == 0
     assert can.u1.x > 0 and can.u2.y > 0
     assert 0 <= can.u1.y < can.u2.y
-
-
-def test_fundamental_domain_reduce():
-    lat = shift_lattice(2, 1)
-    dom = FundamentalDomain(lat)
-    rng = random.Random(5)
-    for _ in range(50):
-        p = Point(F(rng.randint(-40, 40), 7), F(rng.randint(-40, 40), 7))
-        r = dom.reduce(p)
-        assert dom.contains(r)
-        assert lat.contains(p - r)
-    assert dom.area() == lat.d
 
 
 def test_fundamental_rect_is_fundamental():

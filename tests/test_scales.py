@@ -4,7 +4,7 @@ import pytest
 
 from stairtile import (Lattice, Point, candidate_scales, covering_predicate,
                        integer_lattice, lambda_lower, shift_lattice,
-                       lambda_upper, packing_predicate, rational_dilates)
+                       lambda_upper, packing_predicate)
 
 from oracles import covering_scale_oracle, packing_scale_oracle
 
@@ -12,7 +12,7 @@ from oracles import covering_scale_oracle, packing_scale_oracle
 def test_candidate_scales_examples():
     cands = candidate_scales(integer_lattice(), 3)
     assert F(1) in cands and F(2) in cands
-    third = rational_dilates([shift_lattice(1, 1)], [3])[0]
+    third = shift_lattice(1, 1).scaled(F(1, 3))
     assert F(1) in candidate_scales(third, 2)
     for lat in (integer_lattice(), shift_lattice(2, 1), third):
         cs = candidate_scales(lat, 2)
@@ -44,6 +44,16 @@ def test_lambda_upper_z2():
     cert = lambda_upper(integer_lattice(), 1)
     assert cert.value == 1
     assert cert.predicate_at_value and not cert.predicate_above
+
+
+def test_lambda_upper_probes_on_a_skewed_basis():
+    # the probes are midpoints to the neighbouring candidates of a
+    # candidate set cut short by the search window
+    lat = Lattice(Point(0, F(17, 30)), Point(2, F(-11, 15)))
+    cert = lambda_upper(lat, 1)
+    assert (cert.value, cert.below_scale, cert.above_scale) == (
+        F(17, 30), F(1, 2), F(19, 30))
+    assert cert.predicate_below and not cert.predicate_above
 
 
 def test_lambda_upper_optimal_lattices():

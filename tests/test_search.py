@@ -68,6 +68,22 @@ def test_optimize_circumscribed_examples():
     assert one.value >= float(one.target) - 1e-9
 
 
+def test_optimizer_outputs_are_frozen():
+    # short runs, far from converged, pin every float of the iteration
+    assert optimize_inscribed_stair(2, 7, seed=3).to_json() == {
+        "value": 0.39921750727968675,
+        "corner_layout": [0.16462118343199014, 0.37398845395610514,
+                          0.5828331580981077, 0.7914165790490538],
+        "target": "2/5", "gap": 0.000782492720313277,
+        "max_bound_violation": 0.0, "snapped_area": "83029/207936"}
+    assert optimize_circumscribed_stair(2, 7, seed=3).to_json() == {
+        "value": 0.62505059591176,
+        "corner_layout": [0.24178652231511594, 0.4917865223151159,
+                          0.7458932611575579],
+        "target": "5/8", "gap": 5.0595911760042966e-05,
+        "max_bound_violation": 0.0, "snapped_area": "2891/4624"}
+
+
 def test_optimizer_layout_matches_canonical_breakpoints():
     res = optimize_inscribed_stair(2, 10_000)
     expected = [i / 5 for i in range(1, 5)]
