@@ -41,6 +41,12 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(int(s))
 
 
+def as_int(value: Fraction, den: int) -> int:
+    """The integer value * den, for a den that value's denominator
+    divides."""
+    return value.numerator * (den // value.denominator)
+
+
 def format_rational(value: Fraction) -> str:
     """Render as "num/den", omitting the denominator when it is 1."""
     if value.denominator == 1:

@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import ceil, floor, lcm
 
-from .geometry import Box, Point, RationalLike, frac
+from .geometry import Box, Point, RationalLike, as_int, frac
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -132,23 +132,36 @@ def shift_lattice(m: int, j: int) -> Lattice:
     return Lattice(Point(1, m), Point(0, 2 * j + 1))
 
 
-def points_in_box(lat: Lattice, box: Box) -> list[Point]:
-    """All lattice points in a closed box, each exactly once, sorted by
-    (x, y).
+def scaled_points(lat: Lattice, den: int, x_min: int, x_max: int,
+                  y_min: int, y_max: int) -> list[tuple[int, int]]:
+    """The points of the lattice scaled by den that lie in the closed
+    integer box [x_min, x_max] x [y_min, y_max], each exactly once, sorted
+    by (x, y); den must make the canonical basis integral.
 
     Walks the columns x = k*x1 of the canonical basis ((x1, y1), (0, y2)):
     column k holds the points (k*x1, k*y1 + t*y2), and the box bounds k and
     then t to exact integer ranges, so the cost follows the number of
     columns and points, not the skew of the given basis.
     """
-    x1, y1, y2 = lat.canonical_key()
+    x1, y1, y2 = (as_int(v, den) for v in lat.canonical_key())
     out = []
-    for k in range(ceil(box.x_min / x1), floor(box.x_max / x1) + 1):
+    for k in range(-(-x_min // x1), x_max // x1 + 1):
         x, y0 = k * x1, k * y1
-        for t in range(ceil((box.y_min - y0) / y2),
-                       floor((box.y_max - y0) / y2) + 1):
-            out.append(Point(x, y0 + t * y2))
+        out.extend((x, y) for y in range(y0 - (y0 - y_min) // y2 * y2,
+                                         y_max + 1, y2))
     return out
+
+
+def points_in_box(lat: Lattice, box: Box) -> list[Point]:
+    """All lattice points in a closed box, each exactly once, sorted by
+    (x, y): ``scaled_points`` at the common denominator of the canonical
+    basis."""
+    den = lcm(*(v.denominator for v in lat.canonical_key()))
+    return [Point(Fraction(x, den), Fraction(y, den))
+            for x, y in scaled_points(lat, den, ceil(box.x_min * den),
+                                      floor(box.x_max * den),
+                                      ceil(box.y_min * den),
+                                      floor(box.y_max * den))]
 
 
 def enumerate_integer_sublattices(det_target: int) -> list[Lattice]:

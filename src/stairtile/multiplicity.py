@@ -15,6 +15,13 @@ axis-aligned grid and one corner per cell decides everything.  For interior
 or closed membership the open cells, open edge fragments, and vertices are
 sampled separately, which makes both the minimum and the maximum exact in
 every mode.
+
+Sampling and counting run on plain integers.  The lattice and the shape
+are brought to one common denominator den (``_den``); a sample (x, y)
+stands for the point (x/den, y/den).  Triangle faces are sampled at 4*den,
+where the midpoints of midpoints that place them are still integers, and
+closed or interior stair faces at 2*den.  Only the two witnesses of an
+extremum become ``Point``s again.
 """
 
 from __future__ import annotations
@@ -25,8 +32,9 @@ from enum import Enum
 from fractions import Fraction
 from math import lcm
 
-from .geometry import Box, Point, ScaledTriangle, StairPolygon, frac
-from .lattice import Lattice, fundamental_rect, points_in_box
+from .geometry import (Box, Point, ScaledTriangle, StairPolygon, as_int,
+                       frac)
+from .lattice import Lattice, fundamental_rect, points_in_box, scaled_points
 
 _F0 = Fraction(0)
 
@@ -131,9 +139,23 @@ _STAIR_SHIFTS = {
 }
 
 
-def _scaled(v: Fraction, den: int) -> int:
-    """The integer v * den, for a den that v's denominator divides."""
-    return v.numerator * (den // v.denominator)
+def _shape_values(shape: StairPolygon | ScaledTriangle) -> list[Fraction]:
+    if isinstance(shape, ScaledTriangle):
+        return [shape.side]
+    return list(shape.x_breaks) + list(shape.heights)
+
+
+def _den(lat: Lattice, *shapes: StairPolygon | ScaledTriangle) -> int:
+    """The least common denominator of the lattice's canonical basis and
+    the shapes: every lattice point, translate boundary and grid line is a
+    multiple of 1/den."""
+    return lcm(*(v.denominator for v in lat.canonical_key()),
+               *(v.denominator for shape in shapes
+                 for v in _shape_values(shape)))
+
+
+def _point(sample: tuple[int, int], den: int) -> Point:
+    return Point(Fraction(sample[0], den), Fraction(sample[1], den))
 
 
 def _atoms(region: Region, den: int) -> list[tuple[int, int, int, int, int]]:
@@ -146,50 +168,61 @@ def _atoms(region: Region, den: int) -> list[tuple[int, int, int, int, int]]:
     """
     shape = region.shape
     if isinstance(shape, ScaledTriangle):
-        side = _scaled(shape.side, den)
+        side = as_int(shape.side, den)
         t = 1 if region.mode is Mode.INTERIOR else 0
         return [(t, side - t, t, side - t, side - t)]
     first, left, right, floor, ceiling = _STAIR_SHIFTS[region.mode]
-    xb = [_scaled(v, den) for v in shape.x_breaks]
+    xb = [as_int(v, den) for v in shape.x_breaks]
     atoms = []
     for i, h in enumerate(shape.heights):
-        h = _scaled(h, den)
+        h = as_int(h, den)
         x_hi = xb[i + 1] + right
         atoms.append((xb[i] + (first if i == 0 else left), x_hi,
                       floor, h + ceiling, x_hi + h))
     return atoms
 
 
-def _exact_counts(lat: Lattice, region: Region,
-                  samples: list[Point]) -> list[int]:
-    """Multiplicity at each sample point, in sample order.
+def _y_first(wx: list[int], wy: list[int],
+             atoms: list[tuple[int, int, int, int, int]]) -> bool:
+    """Whether the atoms' y-windows hold fewer of the translates than their
+    x-windows, judged by each window's share of the translates' spread."""
+    x_share = sum(x_hi - x_lo + 1 for x_lo, x_hi, _, _, _ in atoms)
+    y_share = sum(y_hi - y_lo + 1 for _, _, y_lo, y_hi, _ in atoms)
+    return (y_share * (wx[-1] - wx[0] + 1)
+            < x_share * (max(wy) - min(wy) + 1))
 
-    The samples, the translates that can reach them and the shape are
-    brought to one common denominator, so that everything is an integer and
-    the region is the atoms of ``_atoms``.  For each sample and atom,
-    bisection finds the translates in the atom's x-window, and only those
-    are tested against its y and diagonal bounds.
+
+def _exact_counts(lat: Lattice, region: Region,
+                  samples: list[tuple[int, int]], den: int) -> list[int]:
+    """Multiplicity at each sample, in sample order.
+
+    A sample (x, y) stands for the point (x/den, y/den), where den is a
+    multiple of ``_den(lat, region.shape)``, so that the translates that
+    can reach the samples and the shape are integers too and the region is
+    the atoms of ``_atoms``.  For each sample and atom, bisection finds the
+    translates in the atom's x-window, and only those are tested against
+    its y and diagonal bounds; where y-windows hold fewer translates, as
+    on a tall, thin fundamental rectangle, x and y swap roles.
     """
-    shape = region.shape
-    bb = shape.bbox()
+    bb = region.shape.bbox()
+    sx = [x for x, _ in samples]
+    sy = [y for _, y in samples]
     translates = points_in_box(lat, Box(
-        min(p.x for p in samples) - bb.x_max,
-        max(p.x for p in samples) - bb.x_min,
-        min(p.y for p in samples) - bb.y_max,
-        max(p.y for p in samples) - bb.y_min))
-    shape_vals = ([shape.side] if isinstance(shape, ScaledTriangle)
-                  else list(shape.x_breaks) + list(shape.heights))
-    den = lcm(*{v.denominator for p in samples + translates
-                for v in (p.x, p.y)},
-              *(v.denominator for v in shape_vals))
-    # sorted, because points_in_box sorts by x
-    wx = [_scaled(w.x, den) for w in translates]
-    wy = [_scaled(w.y, den) for w in translates]
-    ws = [x + y for x, y in zip(wx, wy)]
+        Fraction(min(sx), den) - bb.x_max, Fraction(max(sx), den) - bb.x_min,
+        Fraction(min(sy), den) - bb.y_max, Fraction(max(sy), den) - bb.y_min))
+    wx = [as_int(w.x, den) for w in translates]
+    wy = [as_int(w.y, den) for w in translates]
     atoms = _atoms(region, den)
+    if translates and _y_first(wx, wy, atoms):
+        # the kernel is symmetric in x and y: transpose everything
+        wx, wy = map(list, zip(*sorted(zip(wy, wx))))
+        samples = ((y, x) for x, y in samples)
+        atoms = [(y_lo, y_hi, x_lo, x_hi, diag)
+                 for x_lo, x_hi, y_lo, y_hi, diag in atoms]
+    # wx is sorted: points_in_box sorts by x, and a transpose re-sorts
+    ws = [x + y for x, y in zip(wx, wy)]
     counts = []
-    for p in samples:
-        px, py = _scaled(p.x, den), _scaled(p.y, den)
+    for px, py in samples:
         n = 0
         for x_lo, x_hi, y_lo, y_hi, diag in atoms:
             # x_lo <= px - wx <= x_hi, y_lo <= py - wy <= y_hi and
@@ -229,84 +262,100 @@ def _halfopen_grid(lat: Lattice,
     return sorted(xs), sorted(ys)
 
 
-def _halfopen_samples(lat: Lattice, shape: StairPolygon) -> list[Point]:
-    xs, ys = _halfopen_grid(lat, [shape])
-    return [Point(x, y) for x in xs[:-1] for y in ys[:-1]]
+def _int_grid(lat: Lattice, stairs: list[StairPolygon],
+              den: int) -> tuple[list[int], list[int]]:
+    """The lines of ``_halfopen_grid``, each scaled by den to an integer."""
+    xs, ys = _halfopen_grid(lat, stairs)
+    return [as_int(x, den) for x in xs], [as_int(y, den) for y in ys]
 
 
-def _axis_faces(lat: Lattice, shape: StairPolygon) -> list[Point]:
+def _cell_corners(xs: list[int], ys: list[int]) -> list[tuple[int, int]]:
+    """The lower left corner of every half open grid cell."""
+    return [(x, y) for x in xs[:-1] for y in ys[:-1]]
+
+
+def _axis_faces(lat: Lattice, shape: StairPolygon,
+                den: int) -> list[tuple[int, int]]:
     """Cell, edge, and vertex samples of the axis-parallel arrangement of
-    translate boundaries over the closed fundamental rectangle."""
-    xs, ys = _halfopen_grid(lat, [shape])
-    xmids = [(a + b) / 2 for a, b in zip(xs, xs[1:])]
-    ymids = [(a + b) / 2 for a, b in zip(ys, ys[1:])]
-    samples = [Point(x, y) for x in xs for y in ys]
-    samples += [Point(x, y) for x in xs for y in ymids]
-    samples += [Point(x, y) for x in xmids for y in ys]
-    samples += [Point(x, y) for x in xmids for y in ymids]
+    translate boundaries over the closed fundamental rectangle, scaled by
+    den, which must be even times ``_den(lat, shape)`` so that the
+    midpoints are integers."""
+    xs, ys = _int_grid(lat, [shape], den)
+    xmids = [(a + b) // 2 for a, b in zip(xs, xs[1:])]
+    ymids = [(a + b) // 2 for a, b in zip(ys, ys[1:])]
+    samples = [(x, y) for x in xs for y in ys]
+    samples += [(x, y) for x in xs for y in ymids]
+    samples += [(x, y) for x in xmids for y in ys]
+    samples += [(x, y) for x in xmids for y in ymids]
     return samples
 
 
-def _triangle_faces(lat: Lattice, tri: ScaledTriangle) -> list[Point]:
+def _triangle_faces(lat: Lattice, tri: ScaledTriangle,
+                    den: int) -> list[tuple[int, int]]:
     """Samples of every cell, edge fragment, and vertex of the three-family
     line arrangement (verticals, horizontals, hypotenuse diagonals) of the
     translate boundaries, clipped to the closed fundamental rectangle.
 
-    Cells are enumerated as slab/band intersections: within each grid square
-    cut by the vertical and horizontal families, the diagonal family slices
-    it into bands, and each nonempty band piece contains the exact rational
-    sample constructed here.  This enumeration is complete by construction.
-    """
-    side = tri.side
-    w, h = fundamental_rect(lat)
-    translates = points_in_box(lat, Box(_F0 - side, w, _F0 - side, h))
-    a_vals = sorted({t.x for t in translates if _F0 <= t.x <= w}
-                    | {_F0, w})
-    b_vals = sorted({t.y for t in translates if _F0 <= t.y <= h}
-                    | {_F0, h})
-    sum_lo, sum_hi = _F0, w + h
-    c_in = sorted({side + t.x + t.y for t in translates
-                   if sum_lo <= side + t.x + t.y <= sum_hi})
-    c_all = [sum_lo - 1] + c_in + [sum_hi + 1]
+    Everything is scaled by den, which must be a multiple of 4 times
+    ``_den(lat, tri)``: the lines are then multiples of 4, and the
+    midpoints of midpoints that place the samples are still integers.
 
-    samples: list[Point] = []
-    for i in range(len(a_vals) - 1):
-        a0, a1 = a_vals[i], a_vals[i + 1]
-        for k in range(len(b_vals) - 1):
-            b0, b1 = b_vals[k], b_vals[k + 1]
+    Cells are enumerated as slab/band intersections: within each grid square
+    cut by the vertical and horizontal families, the diagonals that cross
+    it (found by bisection) slice it into bands, and each band piece
+    contains the sample constructed here.  This enumeration is complete by
+    construction.  Each wall and each diagonal is cut the same way at the
+    lines that cross it.
+    """
+    w, h = (as_int(v, den) for v in fundamental_rect(lat))
+    side = as_int(tri.side, den)
+    translates = scaled_points(lat, den, -side, w, -side, h)
+    a_vals = sorted({x for x, _ in translates if 0 <= x <= w} | {0, w})
+    b_vals = sorted({y for _, y in translates if 0 <= y <= h} | {0, h})
+    c_in = sorted({c for c in (side + x + y for x, y in translates)
+                   if 0 <= c <= w + h})
+
+    samples: list[tuple[int, int]] = []
+    for a0, a1 in zip(a_vals, a_vals[1:]):
+        for b0, b1 in zip(b_vals, b_vals[1:]):
             sq_lo, sq_hi = a0 + b0, a1 + b1
-            for m in range(len(c_all) - 1):
-                lo = max(c_all[m], sq_lo)
-                hi = min(c_all[m + 1], sq_hi)
-                if lo >= hi:
-                    continue
-                s = (lo + hi) / 2
-                x_lo = max(a0, s - b1)
-                x_hi = min(a1, s - b0)
-                x = (x_lo + x_hi) / 2
-                samples.append(Point(x, s - x))
+            cuts = [sq_lo, *c_in[bisect_right(c_in, sq_lo):
+                                 bisect_left(c_in, sq_hi)], sq_hi]
+            for lo, hi in zip(cuts, cuts[1:]):
+                s = (lo + hi) // 2
+                x = (max(a0, s - b1) + min(a1, s - b0)) // 2
+                samples.append((x, s - x))
     for a in a_vals:
-        ts = sorted(set(b_vals)
-                    | {c - a for c in c_in if _F0 <= c - a <= h})
-        samples += [Point(a, t) for t in ts]
-        samples += [Point(a, (t0 + t1) / 2) for t0, t1 in zip(ts, ts[1:])]
+        ts = sorted(set(b_vals).union(
+            c - a for c in c_in[bisect_left(c_in, a):
+                                bisect_right(c_in, a + h)]))
+        samples += [(a, t) for t in ts]
+        samples += [(a, (t0 + t1) // 2) for t0, t1 in zip(ts, ts[1:])]
     for b in b_vals:
-        us = sorted(set(a_vals)
-                    | {c - b for c in c_in if _F0 <= c - b <= w})
-        samples += [Point(u, b) for u in us]
-        samples += [Point((u0 + u1) / 2, b) for u0, u1 in zip(us, us[1:])]
+        us = sorted(set(a_vals).union(
+            c - b for c in c_in[bisect_left(c_in, b):
+                                bisect_right(c_in, b + w)]))
+        samples += [(u, b) for u in us]
+        samples += [((u0 + u1) // 2, b) for u0, u1 in zip(us, us[1:])]
     for c in c_in:
-        x_lo = max(_F0, c - h)
-        x_hi = min(w, c)
-        if x_lo > x_hi:
-            continue
-        us = sorted({x for x in a_vals if x_lo <= x <= x_hi}
-                    | {c - b for b in b_vals if x_lo <= c - b <= x_hi}
-                    | {x_lo, x_hi})
-        samples += [Point(u, c - u) for u in us]
-        samples += [Point((u0 + u1) / 2, c - (u0 + u1) / 2)
+        x_lo, x_hi = max(0, c - h), min(w, c)
+        us = sorted({x_lo, x_hi}.union(
+            a_vals[bisect_left(a_vals, x_lo):bisect_right(a_vals, x_hi)],
+            (c - b for b in b_vals[bisect_left(b_vals, c - x_hi):
+                                   bisect_right(b_vals, c - x_lo)])))
+        samples += [(u, c - u) for u in us]
+        samples += [((u0 + u1) // 2, c - (u0 + u1) // 2)
                     for u0, u1 in zip(us, us[1:])]
     return samples
+
+
+def _extrema(counts: list[int], samples: list[tuple[int, int]],
+             den: int) -> MultiplicityReport:
+    i_min = min(range(len(counts)), key=counts.__getitem__)
+    i_max = max(range(len(counts)), key=counts.__getitem__)
+    return MultiplicityReport(counts[i_min], counts[i_max],
+                              _point(samples[i_min], den),
+                              _point(samples[i_max], den))
 
 
 def multiplicity_extrema(lat: Lattice, region: Region) -> MultiplicityReport:
@@ -316,18 +365,17 @@ def multiplicity_extrema(lat: Lattice, region: Region) -> MultiplicityReport:
     are computed over one fundamental rectangle by sampling every face of
     the translate-boundary arrangement there.
     """
-    if isinstance(region.shape, StairPolygon):
-        if region.mode is Mode.HALF_OPEN:
-            samples = _halfopen_samples(lat, region.shape)
-        else:
-            samples = _axis_faces(lat, region.shape)
+    shape = region.shape
+    den = _den(lat, shape)
+    if isinstance(shape, ScaledTriangle):
+        den *= 4
+        samples = _triangle_faces(lat, shape, den)
+    elif region.mode is Mode.HALF_OPEN:
+        samples = _cell_corners(*_int_grid(lat, [shape], den))
     else:
-        samples = _triangle_faces(lat, region.shape)
-    counts = _exact_counts(lat, region, samples)
-    i_min = min(range(len(counts)), key=counts.__getitem__)
-    i_max = max(range(len(counts)), key=counts.__getitem__)
-    return MultiplicityReport(counts[i_min], counts[i_max],
-                              samples[i_min], samples[i_max])
+        den *= 2
+        samples = _axis_faces(lat, shape, den)
+    return _extrema(_exact_counts(lat, region, samples, den), samples, den)
 
 
 def jfold_violation(region: Region, lat: Lattice, j: int,
@@ -388,18 +436,13 @@ def mean_multiplicity(lat: Lattice, region: Region) -> Fraction:
             and region.mode is Mode.HALF_OPEN):
         raise ValueError("mean multiplicity is exact only for half open "
                          "stair regions")
-    xs, ys = _halfopen_grid(lat, [region.shape])
-    samples = [Point(x, y) for x in xs[:-1] for y in ys[:-1]]
-    counts = _exact_counts(lat, region, samples)
-    total = Fraction(0)
-    idx = 0
-    for i in range(len(xs) - 1):
-        dx = xs[i + 1] - xs[i]
-        for k in range(len(ys) - 1):
-            total += counts[idx] * dx * (ys[k + 1] - ys[k])
-            idx += 1
+    den = _den(lat, region.shape)
+    xs, ys = _int_grid(lat, [region.shape], den)
+    counts = iter(_exact_counts(lat, region, _cell_corners(xs, ys), den))
+    total = sum(next(counts) * (x1 - x0) * (y1 - y0)
+                for x0, x1 in zip(xs, xs[1:]) for y0, y1 in zip(ys, ys[1:]))
     w, h = fundamental_rect(lat)
-    return total / (w * h)
+    return Fraction(total, den * den) / (w * h)
 
 
 def layer_extrema(lat: Lattice, outer: StairPolygon,
@@ -410,15 +453,11 @@ def layer_extrema(lat: Lattice, outer: StairPolygon,
     difference of the two half open indicators; counted cellwise on the
     common translate grid.
     """
-    xs, ys = _halfopen_grid(lat, [outer, inner])
-    samples = [Point(x, y) for x in xs[:-1] for y in ys[:-1]]
-    c_out = _exact_counts(lat, Region(outer, Mode.HALF_OPEN), samples)
-    c_in = _exact_counts(lat, Region(inner, Mode.HALF_OPEN), samples)
-    diffs = [a - b for a, b in zip(c_out, c_in)]
-    i_min = min(range(len(diffs)), key=diffs.__getitem__)
-    i_max = max(range(len(diffs)), key=diffs.__getitem__)
-    return MultiplicityReport(diffs[i_min], diffs[i_max],
-                              samples[i_min], samples[i_max])
+    den = _den(lat, outer, inner)
+    samples = _cell_corners(*_int_grid(lat, [outer, inner], den))
+    c_out = _exact_counts(lat, Region(outer, Mode.HALF_OPEN), samples, den)
+    c_in = _exact_counts(lat, Region(inner, Mode.HALF_OPEN), samples, den)
+    return _extrema([a - b for a, b in zip(c_out, c_in)], samples, den)
 
 
 _LCG_MULTIPLIER = 6364136223846793005

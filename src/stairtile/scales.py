@@ -12,16 +12,24 @@ such degeneracy happens at a scale of one of the difference forms produced
 by ``candidate_scales``, so a binary search over the candidate list plus a
 flip certificate at the adjacent midpoints pins the answer down exactly.  A
 failed certificate aborts loudly instead of returning a wrong value.
+
+The candidates are found on integers: the window's coordinates and l_max
+are scaled to one common denominator, and the candidate set is an integer
+sumset, collected as the bits of a Python int (``_scaled_candidates``).
+The search runs over those integers; only the scales it probes and the
+three it certifies become Fractions.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
-from .geometry import Box, Point, format_rational, frac
-from .lattice import Lattice, points_in_box
+from .geometry import as_int, format_rational, frac
+from .lattice import Lattice, scaled_points
 from .multiplicity import (COVERING, PACKING, Mode, Region, ScaledTriangle,
                            is_jfold_covering, is_jfold_packing)
 
@@ -69,6 +77,77 @@ def packing_predicate(lat: Lattice, j: int, scale) -> bool:
                                    Mode.INTERIOR), lat, j)
 
 
+# A set of ints costs some 60 bytes per element; a bitmask is filled
+# through one byte per value of its range.  The lifts go into a bitmask
+# while its range is at most this many bytes per pair summed, so that a huge
+# denominator, which widens the range but not the pairs, falls back to sets.
+_BYTES_PER_PAIR = 32
+
+
+def _spans(xs: Iterable[int], ys: list[int], lo: int,
+           hi: int) -> list[tuple[int, int, int]]:
+    """Each x with the index range [i, j) of the sorted ys that bisection
+    finds in [lo - x, hi - x]."""
+    return [(x, bisect_left(ys, lo - x), bisect_right(ys, hi - x))
+            for x in xs]
+
+
+def _bit_values(mask: int, lo: int) -> list[int]:
+    """The values lo + k for the set bits k of mask, in increasing order."""
+    bits = bin(mask)[:1:-1]
+    out = []
+    k = bits.find("1")
+    while k >= 0:
+        out.append(lo + k)
+        k = bits.find("1", k + 1)
+    return out
+
+
+def _scaled_candidates(lat: Lattice, l_max: Fraction) -> tuple[int,
+                                                               list[int]]:
+    """``candidate_scales`` as (den, values): the candidates are v/den for
+    the sorted integers v in values.
+
+    With every coordinate an integer at den and top = l_max * den, the
+    values are the sums x + (y - s) in (0, top].  Bisection pairs each y
+    only with the s that give a lift y - s in (-max xs, top - min xs],
+    which some x can bring into (0, top].  The lifts are set as the bits of
+    one Python int, and that mask is ORed in once per x, shifted by x, so
+    the xs x ys sums are never built.
+    """
+    if l_max <= 0:
+        raise ValueError(f"l_max must be positive: {l_max}")
+    key = lat.canonical_key()
+    den = lcm(*(v.denominator for v in key), l_max.denominator)
+    x1, y1, y2 = (as_int(v, den) for v in key)
+    top = as_int(l_max, den)
+    # the canonical parallelogram's bounding box is [0, x1] x [0, y1 + y2],
+    # as y1 >= 0
+    pts = scaled_points(lat, den, -top, x1 + top, -top, y1 + y2 + top)
+    xs = sorted({x for x, _ in pts})
+    ys = {y for _, y in pts}
+    neg_sums = sorted({-x - y for x, y in pts})
+    lo, hi = 1 - xs[-1], top - xs[0]
+    spans = _spans(ys, neg_sums, lo, hi)
+    if hi - lo >= _BYTES_PER_PAIR * sum(j - i for _, i, j in spans):
+        lifts = sorted({y + s for y, i, j in spans for s in neg_sums[i:j]})
+        return den, sorted({x + d for x, i, j in _spans(xs, lifts, 1, top)
+                            for d in lifts[i:j]})
+    # the binary digits of the mask, most significant first: the lift d
+    # is bit d - lo, digit hi - d
+    digits = bytearray(b"0") * (hi - lo + 1)
+    for y, i, j in spans:
+        for s in neg_sums[i:j]:
+            digits[hi - y - s] = 49  # "1"
+    lifts = int(digits, 2)
+    # bit k of lifts is the lift lo + k, so bit k of lifts >> (xs[-1] - x)
+    # is the value x + lo + k - xs[-1] = 1 + k
+    found = 0
+    for x in xs:
+        found |= lifts >> (xs[-1] - x)
+    return den, _bit_values(found & ((1 << top) - 1), 1)
+
+
 def candidate_scales(lat: Lattice, l_max) -> list[Fraction]:
     """Every scale in (0, l_max] at which a covering or packing multiplicity
     can change.
@@ -76,32 +155,12 @@ def candidate_scales(lat: Lattice, l_max) -> list[Fraction]:
     The values have the forms w_x + w'_y - z_x - z_y, w_x - v_x, and
     w_y - v_y over lattice points of the enumeration window (the bounding
     box of the fundamental parallelogram inflated by l_max on all sides).
+    The first form holds the other two (take w' = z = v, or w = z = v), so
+    only it is computed, on integers at one common denominator
+    (``_scaled_candidates``).
     """
-    l_max = frac(l_max)
-    if l_max <= 0:
-        raise ValueError(f"l_max must be positive: {l_max}")
-    can = lat.canonical()
-    corners = [Point(Fraction(0), Fraction(0)), can.u1, can.u2,
-               can.u1 + can.u2]
-    window = Box(min(p.x for p in corners), max(p.x for p in corners),
-                 min(p.y for p in corners),
-                 max(p.y for p in corners)).inflated(l_max)
-    pts = points_in_box(lat, window)
-    xs = sorted({p.x for p in pts})
-    ys = sorted({p.y for p in pts})
-    sums = sorted({p.x + p.y for p in pts})
-    values: set[Fraction] = set()
-    for x in xs:
-        for x2 in xs:
-            values.add(x - x2)
-    for y in ys:
-        for y2 in ys:
-            values.add(y - y2)
-    xy = {x + y for x in xs for y in ys}
-    for s in xy:
-        for s2 in sums:
-            values.add(s - s2)
-    return sorted(v for v in values if 0 < v <= l_max)
+    den, values = _scaled_candidates(lat, frac(l_max))
+    return [Fraction(v, den) for v in values]
 
 
 def _critical_scale(lat: Lattice, j: int, kind: str) -> ScaleCertificate:
@@ -110,6 +169,8 @@ def _critical_scale(lat: Lattice, j: int, kind: str) -> ScaleCertificate:
     Covering holds from its critical scale upwards, packing up to its
     critical scale, so both searches look for the first candidate past the
     flip: where covering starts to hold, or where packing stops holding.
+    The search runs over the integer candidates; only the scales it probes
+    and certifies become Fractions.
     """
     if j < 1:
         raise ValueError(f"need j >= 1: {j}")
@@ -118,11 +179,11 @@ def _critical_scale(lat: Lattice, j: int, kind: str) -> ScaleCertificate:
     l_max = Fraction(1)
     while pred(lat, j, l_max) != covering:
         l_max *= 2
-    cands = candidate_scales(lat, l_max)
+    den, cands = _scaled_candidates(lat, l_max)
     # the last candidate is left to the re-check below, not probed here
     idx = bisect_left(cands, True, hi=len(cands) - 1,
-                      key=lambda l: pred(lat, j, l) == covering)
-    if pred(lat, j, cands[idx]) != covering:
+                      key=lambda v: pred(lat, j, Fraction(v, den)) == covering)
+    if pred(lat, j, Fraction(cands[idx], den)) != covering:
         raise CandidateGapError(
             f"{kind} predicate does not flip on candidates up to {l_max} "
             f"although it does by {l_max}; candidate set has a gap")
@@ -132,10 +193,11 @@ def _critical_scale(lat: Lattice, j: int, kind: str) -> ScaleCertificate:
                 "packing predicate fails at the smallest candidate scale; "
                 "candidate set has a gap below it")
         idx -= 1
-    value = cands[idx]
-    below = value / 2 if idx == 0 else (cands[idx - 1] + value) / 2
-    above = ((value + cands[idx + 1]) / 2 if idx + 1 < len(cands)
-             else value + Fraction(1, 2))
+    value = Fraction(cands[idx], den)
+    below = (value / 2 if idx == 0
+             else Fraction(cands[idx - 1] + cands[idx], 2 * den))
+    above = (Fraction(cands[idx] + cands[idx + 1], 2 * den)
+             if idx + 1 < len(cands) else value + Fraction(1, 2))
     # across the flip the predicate must fail; on the other side it is
     # recorded as found
     across, other = (below, above) if covering else (above, below)

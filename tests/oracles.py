@@ -64,6 +64,30 @@ def packing_scale_oracle(lat: Lattice, j: int, window: int) -> Fraction:
     return best
 
 
+def candidate_scales_reference(lat: Lattice, l_max) -> list[Fraction]:
+    """Every scale in (0, l_max] of the forms w_x + w'_y - z_x - z_y,
+    w_x - v_x and w_y - v_y over the lattice points of the window.
+
+    The window is the bounding box of the canonical fundamental
+    parallelogram inflated by l_max on all sides.  The three difference
+    sets are built in full from the window's coordinates, as Fractions.
+    """
+    l_max = Fraction(l_max)
+    x1, y1, y2 = lat.canonical_key()
+    corners = [Point(0, 0), Point(x1, y1), Point(0, y2), Point(x1, y1 + y2)]
+    window = Box(min(c.x for c in corners), max(c.x for c in corners),
+                 min(c.y for c in corners),
+                 max(c.y for c in corners)).inflated(l_max)
+    pts = points_in_box(lat, window)
+    xs = {p.x for p in pts}
+    ys = {p.y for p in pts}
+    sums = {p.x + p.y for p in pts}
+    values = {a - b for a in xs for b in xs}
+    values |= {a - b for a in ys for b in ys}
+    values |= {x + y - s for x in xs for y in ys for s in sums}
+    return sorted(v for v in values if 0 < v <= l_max)
+
+
 def lattice_points_bruteforce(lat: Lattice, box: Box,
                               coeff: int = 12) -> list[Point]:
     """Lattice points in a closed box by sweeping small basis coefficients."""

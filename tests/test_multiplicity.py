@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction as F
 from math import lcm
@@ -10,10 +12,12 @@ from stairtile import (Lattice, Mode, Point, Region, ScaledTriangle,
                        canonical_stair, count_at, integer_lattice,
                        is_exact_jfold_tiling, is_jfold_covering,
                        is_jfold_packing, shift_lattice, mean_multiplicity,
-                       multiplicity_extrema, random_sampling_oracle, stair,
-                       stair_region, triangle_region, unit_square)
-from stairtile.multiplicity import (_axis_faces, _exact_counts,
-                                    _halfopen_samples, _triangle_faces)
+                       multiplicity_extrema, optimal_covering_lattices,
+                       optimal_packing_lattices, random_sampling_oracle,
+                       stair, stair_region, triangle_region, unit_square)
+from stairtile.multiplicity import (_axis_faces, _cell_corners,
+                                    _exact_counts, _int_grid,
+                                    _triangle_faces)
 
 
 def covering_optimal(j, m=1):
@@ -294,6 +298,23 @@ def boundary_points(shape, ts):
     return pts
 
 
+def _shape_values(shape):
+    return ([shape.side] if isinstance(shape, ScaledTriangle)
+            else list(shape.x_breaks) + list(shape.heights))
+
+
+def _common_den(lat, shape, points=()):
+    """A denominator at which the lattice, the shape and the points are
+    integers."""
+    values = list(lat.canonical_key()) + _shape_values(shape)
+    values += [v for p in points for v in (p.x, p.y)]
+    return lcm(*(v.denominator for v in values))
+
+
+def _at(sample, den):
+    return Point(F(sample[0], den), F(sample[1], den))
+
+
 @settings(max_examples=80, deadline=None)
 @given(rational_lattices(), regions(),
        hyp.lists(fractions_01, min_size=1, max_size=3),
@@ -302,18 +323,21 @@ def boundary_points(shape, ts):
 def test_counts_and_extrema_match_point_oracle(lat, region, ts, shifts):
     # boundary points of the shape moved by lattice vectors sit on walls,
     # corners, floors and hypotenuses of several translates at once
-    samples = [p + lat.point(a, b)
-               for p in boundary_points(region.shape, ts)
-               for a, b in shifts]
+    points = [p + lat.point(a, b)
+              for p in boundary_points(region.shape, ts)
+              for a, b in shifts]
+    # a multiple of 4 puts the midpoints of every face sampler on integers
+    den = 4 * _common_den(lat, region.shape, points)
+    samples = [(int(p.x * den), int(p.y * den)) for p in points]
     if isinstance(region.shape, ScaledTriangle):
-        faces = _triangle_faces(lat, region.shape)
+        faces = _triangle_faces(lat, region.shape, den)
     elif region.mode is Mode.HALF_OPEN:
-        faces = _halfopen_samples(lat, region.shape)
+        faces = _cell_corners(*_int_grid(lat, [region.shape], den))
     else:
-        faces = _axis_faces(lat, region.shape)
+        faces = _axis_faces(lat, region.shape, den)
     samples += faces[::max(1, len(faces) // 40)]
-    expected = [count_at(lat, region, p) for p in samples]
-    assert _exact_counts(lat, region, samples) == expected
+    expected = [count_at(lat, region, _at(u, den)) for u in samples]
+    assert _exact_counts(lat, region, samples, den) == expected
     rep = multiplicity_extrema(lat, region)
     assert count_at(lat, region, rep.min_witness) == rep.min_mult
     assert count_at(lat, region, rep.max_witness) == rep.max_mult
@@ -321,13 +345,10 @@ def test_counts_and_extrema_match_point_oracle(lat, region, ts, shifts):
     assert max(expected) <= rep.max_mult
 
 
-def _scaled_magnitude(lat, shape, samples):
-    values = [lat.u1.x, lat.u1.y, lat.u2.x, lat.u2.y]
-    values += [v for p in samples for v in (p.x, p.y)]
-    values += ([shape.side] if isinstance(shape, ScaledTriangle)
-               else list(shape.x_breaks) + list(shape.heights))
-    den = lcm(*(v.denominator for v in values))
-    return max(abs(v.numerator) * (den // v.denominator) for v in values)
+def _scaled_magnitude(lat, shape, samples, den):
+    values = [lat.u1.x, lat.u1.y, lat.u2.x, lat.u2.y] + _shape_values(shape)
+    return max([abs(v * den) for v in values]
+               + [abs(c) for u in samples for c in u])
 
 
 def test_counts_at_denominators_near_2_pow_31():
@@ -342,19 +363,49 @@ def test_counts_at_denominators_near_2_pow_31():
         base = shift_lattice(m, 2)
         lat = Lattice(Point(a * base.u1.x, b * base.u1.y),
                       Point(a * base.u2.x, b * base.u2.y))
-        samples = _halfopen_samples(lat, shape)
-        assert _scaled_magnitude(lat, shape, samples) >= 2**60
-        assert _exact_counts(lat, region, samples) == \
-            [count_at(lat, region, u) for u in samples]
+        den = _common_den(lat, shape)
+        samples = _cell_corners(*_int_grid(lat, [shape], den))
+        assert _scaled_magnitude(lat, shape, samples, den) >= 2**60
+        assert _exact_counts(lat, region, samples, den) == \
+            [count_at(lat, region, _at(u, den)) for u in samples]
         assert is_exact_jfold_tiling(region, lat, 2) is tiles
     # a perturbed optimal covering lattice against a slightly larger
     # triangle, lattice and triangle denominators coprime
     lat = Lattice(Point(F(1, 3) + F(1, p), F(1, 3)), Point(0, 1 - F(1, q)))
     for mode in (Mode.CLOSED, Mode.INTERIOR):
         region = triangle_region(1 + F(1, r), mode)
-        samples = _triangle_faces(lat, region.shape)
-        assert _scaled_magnitude(lat, region.shape, samples) >= 2**60
-        counts = _exact_counts(lat, region, samples)
-        assert counts == [count_at(lat, region, u) for u in samples]
+        den = 4 * _common_den(lat, region.shape)
+        samples = _triangle_faces(lat, region.shape, den)
+        assert _scaled_magnitude(lat, region.shape, samples, den) >= 2**60
+        counts = _exact_counts(lat, region, samples, den)
+        assert counts == [count_at(lat, region, _at(u, den))
+                          for u in samples]
         rep = multiplicity_extrema(lat, region)
         assert (rep.min_mult, rep.max_mult) == (min(counts), max(counts))
+
+
+# The seven generic-D* bases of the benchmark's generic_scales ladder.
+GENERIC_BASES = [
+    ((3, 2), (1, F(1, 2))), ((-2, F(-1, 3)), (1, 0)),
+    ((F(1, 2), F(-4, 3)), (F(3, 4), F(-25, 12))),
+    ((2, F(1, 2)), (4, F(4, 5))), ((0, F(17, 30)), (2, F(-11, 15))),
+    ((F(7, 2), F(3, 2)), (F(5, 2), 2)), ((-1, F(-7, 6)), (-1, F(8, 5))),
+]
+
+
+def test_triangle_witnesses_are_frozen():
+    # which face sample becomes a witness depends on the order of the
+    # faces; the digest was taken from the Fraction face sampler
+    lats = [integer_lattice()]
+    for j in (1, 2):
+        lats += (optimal_packing_lattices(j, verify=False)
+                 + optimal_covering_lattices(j, verify=False))
+    lats += [Lattice(Point(*u1), Point(*u2)) for u1, u2 in GENERIC_BASES]
+    digest = hashlib.sha256()
+    for lat in lats:
+        for side in (1, F(3, 2), 2):
+            for mode in (Mode.CLOSED, Mode.INTERIOR):
+                rep = multiplicity_extrema(lat, triangle_region(side, mode))
+                digest.update(json.dumps(rep.to_json()).encode())
+    assert digest.hexdigest() == ("e5fd0fb264ed4903010b8c147bff3d89"
+                                  "0c1958edac629a86eb51c4d81ae9ed8f")

@@ -1,12 +1,16 @@
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as hyp
 
 from stairtile import (Lattice, Point, candidate_scales, covering_predicate,
                        integer_lattice, lambda_lower, shift_lattice,
                        lambda_upper, packing_predicate)
 
-from oracles import covering_scale_oracle, packing_scale_oracle
+from oracles import (candidate_scales_reference, covering_scale_oracle,
+                     packing_scale_oracle)
 
 
 def test_candidate_scales_examples():
@@ -20,6 +24,78 @@ def test_candidate_scales_examples():
         assert all(a < b for a, b in zip(cs, cs[1:]))
     with pytest.raises(ValueError):
         candidate_scales(integer_lattice(), 0)
+
+
+@hyp.composite
+def skewed_lattices(draw):
+    """A random lattice, given through a random unimodular change of its
+    canonical basis ((x1, y1), (0, y2))."""
+    x1 = draw(hyp.fractions(F(1, 4), 2, max_denominator=30))
+    y2 = draw(hyp.fractions(F(1, 4), 2, max_denominator=30))
+    y1 = draw(hyp.fractions(0, y2, max_denominator=30))
+    assume(y1 < y2)
+    a, b, c, d = 1, 0, 0, 1
+    for k in draw(hyp.lists(hyp.integers(-3, 3), min_size=1, max_size=3)):
+        # left multiplication by [[0, 1], [1, k]], of determinant -1
+        a, b, c, d = c, d, a + k * c, b + k * d
+    u1, u2 = Point(x1, y1), Point(0, y2)
+    return Lattice(u1.scaled(a) + u2.scaled(b), u1.scaled(c) + u2.scaled(d))
+
+
+@settings(max_examples=60, deadline=None)
+@given(skewed_lattices(), hyp.sampled_from([F(1, 3), 1, 2, F(7, 2)]))
+# l_max a candidate only through x + (y - s) with x the leftmost column
+@example(Lattice(Point(F(3, 8), F(1, 3)), Point(0, F(4, 3))), F(1, 3))
+@example(Lattice(Point(F(8, 5), F(1, 2)), Point(0, F(3, 2))), F(1, 2))
+# a candidate only through a point on the top edge of the window
+@example(Lattice(Point(F(7, 8), F(1, 18)), Point(0, F(1, 3))), F(1, 3))
+def test_candidate_scales_match_reference(lat, l_max):
+    x1, y1, y2 = lat.canonical_key()
+    # about the number of window points, which the reference pays for
+    # cubed
+    assume((x1 + 2 * l_max) * (y1 + y2 + 2 * l_max) <= 60 * x1 * y2)
+    assert candidate_scales(lat, l_max) == candidate_scales_reference(lat,
+                                                                      l_max)
+
+
+def test_candidate_scales_with_few_pairs_for_their_range():
+    # a huge common denominator and few window points: the sums are
+    # collected as sets, not as bitmasks over the scaled range
+    p, q = 2**31 - 1, 2**31 - 19
+    lat = Lattice(Point(1 + F(1, p), F(1, 3)), Point(0, 1 - F(1, q)))
+    reference = candidate_scales_reference(lat, 2)
+    assert candidate_scales(lat, 2) == reference
+    # l_max itself a candidate of each form: x-, y- and sum-difference
+    for l_max in (1 + F(1, p), 1 - F(1, q), reference[-1]):
+        assert candidate_scales(lat, l_max) == \
+            candidate_scales_reference(lat, l_max)
+    # four window points and one candidate, 1/den = l_max
+    lat = Lattice(Point(1, F(1, 1000)), Point(0, 1))
+    assert candidate_scales(lat, F(1, 1000)) == \
+        candidate_scales_reference(lat, F(1, 1000)) == [F(1, 1000)]
+
+
+def test_lambda_on_the_sliver_basis():
+    # canonical basis (1/221, 1907/77), (0, 1013/11): a sliver 1/221 wide
+    # and about 92 tall, whose candidate set at l_max = 2 has 34,034 values
+    lat = Lattice(Point(F(7, 13), F(3, 11)), Point(F(-2, 17), F(5, 7)))
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        cert = lambda_lower(lat, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    # covering_scale_oracle(lat, 1, window=2) gives 114/91 but takes
+    # seconds; the value is frozen from it
+    assert cert.value == F(114, 91)
+    # the candidates as Fractions instead of integers would take 4.7 MB
+    assert peak < 4_000_000
+    assert lambda_upper(lat, 1).value == F(145, 221) == \
+        packing_scale_oracle(lat, 1, window=1)
 
 
 def test_lambda_lower_z2():
