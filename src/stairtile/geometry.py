@@ -78,9 +78,6 @@ class Point:
         c = frac(c)
         return Point(self.x * c, self.y * c)
 
-    def coord_sum(self) -> Fraction:
-        return self.x + self.y
-
     def to_json(self) -> list[str]:
         return [format_rational(self.x), format_rational(self.y)]
 

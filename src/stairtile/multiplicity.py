@@ -18,10 +18,11 @@ every mode.
 
 Sampling and counting run on plain integers.  The lattice and the shape
 are brought to one common denominator den (``_den``); a sample (x, y)
-stands for the point (x/den, y/den).  Triangle faces are sampled at 4*den,
-where the midpoints of midpoints that place them are still integers, and
-closed or interior stair faces at 2*den.  Only the two witnesses of an
-extremum become ``Point``s again.
+stands for the point (x/den, y/den).  Half open cell corners are taken at
+den.  The faces of closed or interior stairs and triangles are sampled by
+one sampler, ``_faces``, at 4*den, where the midpoints of midpoints that
+place them are still integers.  Only the two witnesses of an extremum
+become ``Point``s again.
 """
 
 from __future__ import annotations
@@ -35,8 +36,6 @@ from math import lcm
 from .geometry import (Box, Point, ScaledTriangle, StairPolygon, as_int,
                        frac)
 from .lattice import Lattice, fundamental_rect, points_in_box, scaled_points
-
-_F0 = Fraction(0)
 
 
 class Mode(str, Enum):
@@ -236,37 +235,28 @@ def _exact_counts(lat: Lattice, region: Region,
     return counts
 
 
-def _halfopen_grid(lat: Lattice,
-                   stairs: list[StairPolygon]) -> tuple[list[Fraction],
-                                                        list[Fraction]]:
+def _halfopen_grid(lat: Lattice, stairs: list[StairPolygon],
+                   den: int) -> tuple[list[int], list[int]]:
     """Grid lines of all translate boundaries inside the fundamental
-    rectangle [0, w) x [0, h); the half open cells partition it exactly."""
-    w, h = fundamental_rect(lat)
-    xs = {_F0, w}
-    ys = {_F0, h}
+    rectangle [0, w) x [0, h), scaled by den, a multiple of
+    ``_den(lat, *stairs)``; the half open cells partition it exactly.
+
+    Every lattice x-coordinate is a multiple of w, so the walls of the
+    translates cross the rectangle at the residues of the x-breaks mod w;
+    the floors and ceilings come from the translates that reach it.
+    """
+    rect = fundamental_rect(lat)
+    w, h = (as_int(v, den) for v in rect)
+    xs, ys = {0, w}, {0, h}
     for shape in stairs:
+        xs.update(as_int(v, den) % w for v in shape.x_breaks)
         bb = shape.bbox()
-        box = Box(_F0 - bb.x_max, w - bb.x_min, _F0 - bb.y_max, h - bb.y_min)
-        for t in points_in_box(lat, box):
-            for xv in shape.x_breaks:
-                v = xv + t.x
-                if _F0 < v < w:
-                    xs.add(v)
-            yv = t.y
-            if _F0 < yv < h:
-                ys.add(yv)
-            for hv in shape.heights:
-                v = hv + t.y
-                if _F0 < v < h:
-                    ys.add(v)
+        box = Box(-bb.x_max, rect[0] - bb.x_min,
+                  -bb.y_max, rect[1] - bb.y_min)
+        offsets = [0] + [as_int(v, den) for v in shape.heights]
+        for ty in {as_int(t.y, den) for t in points_in_box(lat, box)}:
+            ys.update(y for y in (ty + o for o in offsets) if 0 < y < h)
     return sorted(xs), sorted(ys)
-
-
-def _int_grid(lat: Lattice, stairs: list[StairPolygon],
-              den: int) -> tuple[list[int], list[int]]:
-    """The lines of ``_halfopen_grid``, each scaled by den to an integer."""
-    xs, ys = _halfopen_grid(lat, stairs)
-    return [as_int(x, den) for x in xs], [as_int(y, den) for y in ys]
 
 
 def _cell_corners(xs: list[int], ys: list[int]) -> list[tuple[int, int]]:
@@ -274,47 +264,25 @@ def _cell_corners(xs: list[int], ys: list[int]) -> list[tuple[int, int]]:
     return [(x, y) for x in xs[:-1] for y in ys[:-1]]
 
 
-def _axis_faces(lat: Lattice, shape: StairPolygon,
-                den: int) -> list[tuple[int, int]]:
-    """Cell, edge, and vertex samples of the axis-parallel arrangement of
-    translate boundaries over the closed fundamental rectangle, scaled by
-    den, which must be even times ``_den(lat, shape)`` so that the
-    midpoints are integers."""
-    xs, ys = _int_grid(lat, [shape], den)
-    xmids = [(a + b) // 2 for a, b in zip(xs, xs[1:])]
-    ymids = [(a + b) // 2 for a, b in zip(ys, ys[1:])]
-    samples = [(x, y) for x in xs for y in ys]
-    samples += [(x, y) for x in xs for y in ymids]
-    samples += [(x, y) for x in xmids for y in ys]
-    samples += [(x, y) for x in xmids for y in ymids]
-    return samples
+def _faces(a_vals: list[int], b_vals: list[int],
+           c_in: list[int]) -> list[tuple[int, int]]:
+    """One sample in every cell, edge fragment, and vertex of the
+    arrangement of the vertical lines x = a, the horizontal lines y = b and
+    the diagonals x + y = c over the closed rectangle [0, w] x [0, h],
+    where w = a_vals[-1] and h = b_vals[-1], each sample once and in the
+    order of its first construction.
 
-
-def _triangle_faces(lat: Lattice, tri: ScaledTriangle,
-                    den: int) -> list[tuple[int, int]]:
-    """Samples of every cell, edge fragment, and vertex of the three-family
-    line arrangement (verticals, horizontals, hypotenuse diagonals) of the
-    translate boundaries, clipped to the closed fundamental rectangle.
-
-    Everything is scaled by den, which must be a multiple of 4 times
-    ``_den(lat, tri)``: the lines are then multiples of 4, and the
+    The lines are sorted integers that include the rectangle's sides, c_in
+    those diagonals that meet it, and all are multiples of 4, so that the
     midpoints of midpoints that place the samples are still integers.
-
-    Cells are enumerated as slab/band intersections: within each grid square
-    cut by the vertical and horizontal families, the diagonals that cross
-    it (found by bisection) slice it into bands, and each band piece
+    Cells are enumerated as slab/band intersections: within each grid
+    square cut by the vertical and horizontal lines, the diagonals that
+    cross it (found by bisection) slice it into bands, and each band piece
     contains the sample constructed here.  This enumeration is complete by
     construction.  Each wall and each diagonal is cut the same way at the
     lines that cross it.
     """
-    w, h = (as_int(v, den) for v in fundamental_rect(lat))
-    side = as_int(tri.side, den)
-    translates = scaled_points(lat, den, -side, w, -side, h)
-    a_vals = sorted({x for x, _ in translates if 0 <= x <= w} | {0, w})
-    b_vals = sorted({y for _, y in translates if 0 <= y <= h} | {0, h})
-    c_in = sorted({c for c in (side + x + y for x, y in translates)
-                   if 0 <= c <= w + h})
-
+    w, h = a_vals[-1], b_vals[-1]
     samples: list[tuple[int, int]] = []
     for a0, a1 in zip(a_vals, a_vals[1:]):
         for b0, b1 in zip(b_vals, b_vals[1:]):
@@ -346,7 +314,26 @@ def _triangle_faces(lat: Lattice, tri: ScaledTriangle,
         samples += [(u, c - u) for u in us]
         samples += [((u0 + u1) // 2, c - (u0 + u1) // 2)
                     for u0, u1 in zip(us, us[1:])]
-    return samples
+    return list(dict.fromkeys(samples))
+
+
+def _triangle_faces(lat: Lattice, tri: ScaledTriangle,
+                    den: int) -> list[tuple[int, int]]:
+    """``_faces`` of the three-family line arrangement (verticals,
+    horizontals, hypotenuse diagonals) of the translate boundaries, clipped
+    to the closed fundamental rectangle [0, w] x [0, h].
+
+    Everything is scaled by den, which must be a multiple of 4 times
+    ``_den(lat, tri)``.  Every lattice x-coordinate is a multiple of w, so
+    the only verticals in the rectangle are its own sides.
+    """
+    w, h = (as_int(v, den) for v in fundamental_rect(lat))
+    side = as_int(tri.side, den)
+    translates = scaled_points(lat, den, -side, w, -side, h)
+    b_vals = sorted({y for _, y in translates if 0 <= y <= h} | {0, h})
+    c_in = sorted({c for c in (side + x + y for x, y in translates)
+                   if 0 <= c <= w + h})
+    return _faces([0, w], b_vals, c_in)
 
 
 def _extrema(counts: list[int], samples: list[tuple[int, int]],
@@ -367,14 +354,13 @@ def multiplicity_extrema(lat: Lattice, region: Region) -> MultiplicityReport:
     """
     shape = region.shape
     den = _den(lat, shape)
-    if isinstance(shape, ScaledTriangle):
-        den *= 4
-        samples = _triangle_faces(lat, shape, den)
-    elif region.mode is Mode.HALF_OPEN:
-        samples = _cell_corners(*_int_grid(lat, [shape], den))
+    if region.mode is Mode.HALF_OPEN:
+        samples = _cell_corners(*_halfopen_grid(lat, [shape], den))
     else:
-        den *= 2
-        samples = _axis_faces(lat, shape, den)
+        den *= 4
+        samples = (_triangle_faces(lat, shape, den)
+                   if isinstance(shape, ScaledTriangle)
+                   else _faces(*_halfopen_grid(lat, [shape], den), []))
     return _extrema(_exact_counts(lat, region, samples, den), samples, den)
 
 
@@ -437,7 +423,7 @@ def mean_multiplicity(lat: Lattice, region: Region) -> Fraction:
         raise ValueError("mean multiplicity is exact only for half open "
                          "stair regions")
     den = _den(lat, region.shape)
-    xs, ys = _int_grid(lat, [region.shape], den)
+    xs, ys = _halfopen_grid(lat, [region.shape], den)
     counts = iter(_exact_counts(lat, region, _cell_corners(xs, ys), den))
     total = sum(next(counts) * (x1 - x0) * (y1 - y0)
                 for x0, x1 in zip(xs, xs[1:]) for y0, y1 in zip(ys, ys[1:]))
@@ -449,12 +435,20 @@ def layer_extrema(lat: Lattice, outer: StairPolygon,
                   inner: StairPolygon) -> MultiplicityReport:
     """Multiplicity extrema of the set difference outer minus inner.
 
-    Assumes inner is contained in outer, so the difference indicator is the
+    Inner must lie inside outer, so that the difference indicator is the
     difference of the two half open indicators; counted cellwise on the
-    common translate grid.
+    common translate grid.  A ValueError names the first inner column that
+    sticks out.
     """
+    xb, hs = outer.x_breaks, outer.heights
+    for i, (x0, x1, h) in enumerate(inner.columns()):
+        # outer heights decrease, so the outer column just left of x1 is
+        # the lowest over [x0, x1)
+        if x0 < xb[0] or x1 > xb[-1] or h > hs[bisect_left(xb, x1) - 1]:
+            raise ValueError(f"inner column {i}, [{x0}, {x1}) x [0, {h}), "
+                             "is not inside the outer stair")
     den = _den(lat, outer, inner)
-    samples = _cell_corners(*_int_grid(lat, [outer, inner], den))
+    samples = _cell_corners(*_halfopen_grid(lat, [outer, inner], den))
     c_out = _exact_counts(lat, Region(outer, Mode.HALF_OPEN), samples, den)
     c_in = _exact_counts(lat, Region(inner, Mode.HALF_OPEN), samples, den)
     return _extrema([a - b for a, b in zip(c_out, c_in)], samples, den)

@@ -108,6 +108,15 @@ def test_lambda_subcommand(capsys):
     assert payload["value"] == "1"
     assert payload["predicate_at_value"] is True
     assert payload["predicate_above"] is False
+    # a lattice spec that starts with "-" must follow "=", as --viewport=
+    # does; otherwise argparse takes it for an option
+    lower = ["lambda", "--j", "1", "--which", "lower", "--json"]
+    assert run(lower + ["--lattice", "-1,0;0,-1"]) == 2
+    capsys.readouterr()
+    assert run(lower + ["--lattice=-1,0;0,-1"]) == 0
+    negated = capsys.readouterr().out
+    assert run(lower + ["--lattice", "Z2"]) == 0
+    assert negated == capsys.readouterr().out
 
 
 def test_enumerate_subcommand(capsys):

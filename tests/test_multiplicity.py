@@ -11,13 +11,13 @@ from hypothesis import strategies as hyp
 from stairtile import (Lattice, Mode, Point, Region, ScaledTriangle,
                        canonical_stair, count_at, integer_lattice,
                        is_exact_jfold_tiling, is_jfold_covering,
-                       is_jfold_packing, shift_lattice, mean_multiplicity,
+                       is_jfold_packing, layer_extrema, mean_multiplicity,
                        multiplicity_extrema, optimal_covering_lattices,
                        optimal_packing_lattices, random_sampling_oracle,
-                       stair, stair_region, triangle_region, unit_square)
-from stairtile.multiplicity import (_axis_faces, _cell_corners,
-                                    _exact_counts, _int_grid,
-                                    _triangle_faces)
+                       shift_lattice, stair, stair_region, triangle_region,
+                       unit_square)
+from stairtile.multiplicity import (_cell_corners, _exact_counts, _faces,
+                                    _halfopen_grid, _triangle_faces)
 
 
 def covering_optimal(j, m=1):
@@ -329,12 +329,12 @@ def test_counts_and_extrema_match_point_oracle(lat, region, ts, shifts):
     # a multiple of 4 puts the midpoints of every face sampler on integers
     den = 4 * _common_den(lat, region.shape, points)
     samples = [(int(p.x * den), int(p.y * den)) for p in points]
-    if isinstance(region.shape, ScaledTriangle):
-        faces = _triangle_faces(lat, region.shape, den)
-    elif region.mode is Mode.HALF_OPEN:
-        faces = _cell_corners(*_int_grid(lat, [region.shape], den))
+    if region.mode is Mode.HALF_OPEN:
+        faces = _cell_corners(*_halfopen_grid(lat, [region.shape], den))
     else:
-        faces = _axis_faces(lat, region.shape, den)
+        faces = (_triangle_faces(lat, region.shape, den)
+                 if isinstance(region.shape, ScaledTriangle)
+                 else _faces(*_halfopen_grid(lat, [region.shape], den), []))
     samples += faces[::max(1, len(faces) // 40)]
     expected = [count_at(lat, region, _at(u, den)) for u in samples]
     assert _exact_counts(lat, region, samples, den) == expected
@@ -364,7 +364,7 @@ def test_counts_at_denominators_near_2_pow_31():
         lat = Lattice(Point(a * base.u1.x, b * base.u1.y),
                       Point(a * base.u2.x, b * base.u2.y))
         den = _common_den(lat, shape)
-        samples = _cell_corners(*_int_grid(lat, [shape], den))
+        samples = _cell_corners(*_halfopen_grid(lat, [shape], den))
         assert _scaled_magnitude(lat, shape, samples, den) >= 2**60
         assert _exact_counts(lat, region, samples, den) == \
             [count_at(lat, region, _at(u, den)) for u in samples]
@@ -382,6 +382,44 @@ def test_counts_at_denominators_near_2_pow_31():
                           for u in samples]
         rep = multiplicity_extrema(lat, region)
         assert (rep.min_mult, rep.max_mult) == (min(counts), max(counts))
+
+
+def test_faces_sample_each_face_once():
+    def with_mids(v):
+        return set(v) | {(a + b) // 2 for a, b in zip(v, v[1:])}
+
+    shapes = [canonical_stair(1), canonical_stair(2),
+              stair([0, F(1, 2), 2], [1, F(2, 3)])]
+    for lat in (integer_lattice(), shift_lattice(2, 2), covering_optimal(2),
+                Lattice(Point(F(2, 3), F(1, 5)), Point(F(-1, 2), 1))):
+        for shape in shapes:
+            den = 4 * _common_den(lat, shape)
+            xs, ys = _halfopen_grid(lat, [shape], den)
+            faces = _faces(xs, ys, [])
+            assert len(faces) == len(set(faces))
+            # with no diagonals: the vertices, edge midpoints and cell
+            # centres of the axis-parallel grid
+            assert set(faces) == {(x, y) for x in with_mids(xs)
+                                  for y in with_mids(ys)}
+        for side in (1, F(3, 2)):
+            tri = ScaledTriangle(F(side))
+            faces = _triangle_faces(lat, tri, 4 * _common_den(lat, tri))
+            assert len(faces) == len(set(faces))
+
+
+def test_layer_extrema_rejects_an_inner_stair_outside_outer():
+    lat = shift_lattice(1, 1)
+    with pytest.raises(ValueError, match="inner column 0"):
+        # taller than outer
+        layer_extrema(lat, stair([0, 1], [1]), canonical_stair(1))
+    with pytest.raises(ValueError, match="inner column 0"):
+        # wider than outer
+        layer_extrema(lat, canonical_stair(1), stair([0, 3], [1]))
+    with pytest.raises(ValueError, match="inner column 1"):
+        # [1, 3) x [0, 5/2) rises above the outer column [2, 3) x [0, 2)
+        layer_extrema(lat, canonical_stair(2), stair([0, 1, 3], [3, F(5, 2)]))
+    rep = layer_extrema(lat, canonical_stair(2), stair([0, 1, 3], [3, 2]))
+    assert (rep.min_mult, rep.max_mult) == (0, 2)
 
 
 # The seven generic-D* bases of the benchmark's generic_scales ladder.
@@ -409,3 +447,21 @@ def test_triangle_witnesses_are_frozen():
                 digest.update(json.dumps(rep.to_json()).encode())
     assert digest.hexdigest() == ("e5fd0fb264ed4903010b8c147bff3d89"
                                   "0c1958edac629a86eb51c4d81ae9ed8f")
+
+
+def test_stair_witnesses_are_frozen():
+    # which face sample becomes a witness depends on the order of the
+    # faces; the digest was taken from the integer face sampler _faces
+    lats = [integer_lattice()]
+    lats += [shift_lattice(m, j) for j in (1, 2) for m in range(1, 2 * j + 2)]
+    lats += [Lattice(Point(*u1), Point(*u2)) for u1, u2 in GENERIC_BASES]
+    shapes = [canonical_stair(1), canonical_stair(2),
+              stair([0, F(1, 2), 2], [1, F(2, 3)])]
+    digest = hashlib.sha256()
+    for lat in lats:
+        for shape in shapes:
+            for mode in (Mode.CLOSED, Mode.INTERIOR):
+                rep = multiplicity_extrema(lat, stair_region(shape, mode))
+                digest.update(json.dumps(rep.to_json()).encode())
+    assert digest.hexdigest() == ("20fceced437b3a5e03e1d61e16a4e673"
+                                  "94ae7fc2b2d057b9c1f9b1c9a7598577")

@@ -188,7 +188,8 @@ def test_verify_stair_tiling_forward():
     assert [m for m, ok in got.items() if ok] == [1, 2, 3]
     got = dict(verify_stair_tiling_forward(4))
     assert [m for m, ok in got.items() if ok] == [1, 4, 7]
-    for j in (1, 2, 3, 4):
+    # 2j+1 = 25 and 35 add composite moduli besides 9
+    for j in (1, 2, 3, 4, 12, 17):
         n = 2 * j + 1
         for m, ok in verify_stair_tiling_forward(j):
             assert ok == (gcd(m, n) == 1 and gcd(m + 1, n) == 1)
