@@ -17,7 +17,7 @@ from .density import (COVERING, PACKING, AffineMap, DensityPredicateError,
                       packing_density, triangle_jfold_predicate)
 from .geometry import (Box, Point, ScaledTriangle, StairPolygon,
                        format_rational, frac, parse_rational, prec,
-                       prec_negative, stair, unit_square)
+                       prec_negative, stair)
 from .lattice import (Lattice, enumerate_integer_sublattices,
                       fundamental_rect, integer_lattice, points_in_box,
                       shift_lattice)
@@ -66,5 +66,5 @@ __all__ = [
     "random_sampling_oracle", "render",
     "search_covering", "search_packing", "selection_member", "stair",
     "stair_region", "triangle_jfold_predicate", "triangle_region",
-    "unit_square", "verify_stair_tiling_converse", "verify_stair_tiling_forward",
+    "verify_stair_tiling_converse", "verify_stair_tiling_forward",
 ]

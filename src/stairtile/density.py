@@ -60,15 +60,6 @@ class AffineMap:
     def apply_lattice(self, lat: Lattice) -> Lattice:
         return Lattice(self.apply_linear(lat.u1), self.apply_linear(lat.u2))
 
-    def compose(self, other: "AffineMap") -> "AffineMap":
-        """self after other."""
-        return AffineMap(
-            self.m11 * other.m11 + self.m12 * other.m21,
-            self.m11 * other.m12 + self.m12 * other.m22,
-            self.m21 * other.m11 + self.m22 * other.m21,
-            self.m21 * other.m12 + self.m22 * other.m22,
-            self.apply(other.t))
-
     def inverse(self) -> "AffineMap":
         det = self.det
         inv = AffineMap(self.m22 / det, -self.m12 / det,

@@ -246,10 +246,6 @@ def stair(x_breaks: Sequence[RationalLike],
                         tuple(frac(v) for v in heights))
 
 
-def unit_square() -> StairPolygon:
-    return stair([0, 1], [1])
-
-
 @dataclass(frozen=True)
 class ScaledTriangle:
     """The triangle l*T with vertices (0,0), (l,0), (0,l), l > 0."""

@@ -180,6 +180,11 @@ def _critical_scale(lat: Lattice, j: int, kind: str) -> ScaleCertificate:
     while pred(lat, j, l_max) != covering:
         l_max *= 2
     den, cands = _scaled_candidates(lat, l_max)
+    top = as_int(l_max, den)
+    if not covering and cands[-1] != top:
+        # packing fails at l_max, so the flip is found even when the
+        # packing scale is the last candidate below it
+        cands.append(top)
     # the last candidate is left to the re-check below, not probed here
     idx = bisect_left(cands, True, hi=len(cands) - 1,
                       key=lambda v: pred(lat, j, Fraction(v, den)) == covering)

@@ -17,6 +17,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .geometry import Point, ScaledTriangle, format_rational
 from .lattice import Lattice
@@ -49,24 +50,19 @@ def lattice_search_space(denominator_bound: int,
     1 <= a, c <= coefficient_bound, 0 <= b < c, 1 <= q <= denominator_bound.
 
     Every planar lattice has a triangular basis after column reduction, so
-    this is a genuine bounded slice of lattice space; duplicates arising
-    from different (q, a, b, c) encodings are removed.
+    this is a genuine bounded slice of lattice space.  The basis is the
+    lattice's canonical one, so two encodings give the same lattice iff
+    (a, b, c)/q agree; each lattice is kept once, at its encoding with
+    gcd(q, a, b, c) = 1, which lies in the bounds whenever another does.
     """
     if denominator_bound < 1 or coefficient_bound < 1:
         raise ValueError("bounds must be positive")
-    seen: set[Lattice] = set()
-    out: list[Lattice] = []
-    for q in range(1, denominator_bound + 1):
-        for a in range(1, coefficient_bound + 1):
-            for c in range(1, coefficient_bound + 1):
-                for b in range(c):
-                    lat = Lattice(Point(Fraction(a, q), Fraction(b, q)),
-                                  Point(Fraction(0), Fraction(c, q)))
-                    if lat in seen:
-                        continue
-                    seen.add(lat)
-                    out.append(lat)
-    return out
+    return [Lattice(Point(Fraction(a, q), Fraction(b, q)),
+                    Point(Fraction(0), Fraction(c, q)))
+            for q in range(1, denominator_bound + 1)
+            for a in range(1, coefficient_bound + 1)
+            for c in range(1, coefficient_bound + 1)
+            for b in range(c) if gcd(q, a, b, c) == 1]
 
 
 def _search(j: int, denominator_bound: int, coefficient_bound: int,

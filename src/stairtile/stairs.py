@@ -9,15 +9,20 @@ exhausting a bounded rational search space.
 
 ``selection_stair`` builds, for any lattice L, the half open stair formed by
 keeping the j first points (in the coordinate-sum order) of every residue
-class inside the critical covering triangle.  Its column heights are swept
-exactly: for a fixed x, the height is the level where the j-th preceding
-competitor enters, capped by the triangle hypotenuse.  The construction then
-validates shape, exact j-fold tiling, and the area identity
-area = j * d(L), and aborts loudly if any of those fail.
+class inside the critical covering triangle lam*T.  A competitor, a lattice
+vector v preceding the origin, has v.x + v.y <= 0, so it moves a point of
+lam*T out of the triangle only across an axis, never across the
+hypotenuse: each competitor blocks the quadrant above the corner
+(max(0, -v.x), max(0, -v.y)), a point is kept while fewer than j blocked
+quadrants hold it, and one sweep over the corners sorted by x yields the
+column heights.  The construction then validates shape, exact j-fold
+tiling, and the area identity area = j * d(L), and aborts loudly if any of
+those fail.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -160,20 +165,21 @@ def verify_stair_tiling_converse(j: int, denominator_bound: int) -> list[Lattice
     The space is every integer sublattice of (1/q)Z^2 with q up to the bound
     and determinant exactly 2j+1.  A desk-scale stand-in for the
     unrestricted converse: the result should coincide with the admissible
-    shift_lattice family.
+    shift_lattice family.  A sublattice ((a, b), (0, c)) of index
+    (2j+1)q^2 whose entries share a factor g with q is the scaled sublattice
+    already met at q/g, so it is skipped.
     """
     if denominator_bound < 1:
         raise ValueError(f"need a positive bound: {denominator_bound}")
     s = canonical_stair(j)
-    seen: set[Lattice] = set()
     found: list[Lattice] = []
     for q in range(1, denominator_bound + 1):
         index = (2 * j + 1) * q * q
         for integral in enumerate_integer_sublattices(index):
-            lat = integral.scaled(Fraction(1, q))
-            if lat in seen:
+            u1, u2 = integral.u1, integral.u2
+            if gcd(q, u1.x.numerator, u1.y.numerator, u2.y.numerator) > 1:
                 continue
-            seen.add(lat)
+            lat = integral.scaled(Fraction(1, q))
             if is_exact_jfold_tiling(s, lat, j):
                 found.append(lat)
     found.sort(key=lambda lat: lat.canonical_key())
@@ -228,93 +234,47 @@ class SelectionStair:
         }
 
 
-def _column_height(x: Fraction, lam: Fraction, preceding: list[Point],
-                   j: int) -> Fraction:
-    """Height of the selection stair's column at abscissa x.
-
-    Sweeps the y-levels where preceding competitors enter or leave the
-    closed triangle; the column ends at the j-th net entry, or at the
-    hypotenuse if fewer than j competitors ever stack up.
-    """
-    if x < 0 or x > lam:
-        return _F0
-    cap = lam - x
-    events: list[tuple[Fraction, int]] = []
-    for v in preceding:
-        if x + v.x < 0 or x + v.x > lam:
-            continue
-        enter = max(_F0, -v.y)
-        leave = lam - x - v.x - v.y
-        if leave < enter or enter > cap:
-            continue
-        events.append((enter, 0))
-        if leave < cap:
-            events.append((leave, 1))
-    events.sort()
-    active = 0
-    for y, kind in events:
-        if kind == 0:
-            active += 1
-            if active >= j:
-                return y
-        else:
-            active -= 1
-    return cap
-
-
 def selection_stair(lat: Lattice, j: int) -> SelectionStair:
     """Build the exact first-j selection stair of the lattice.
 
-    Candidate column breaks are the abscissas where a competitor's entry
-    level or triangle wall can cross another's: differences of lattice
-    coordinates and of hypotenuse intercepts.  Heights are swept per
-    candidate and equal neighbours merged; the result is validated as a
-    strict stair that tiles exactly j-fold with area j * d(lat), any failure
-    aborting with diagnostics.
+    A competitor v precedes the origin, so v.x + v.y <= 0, and for p in
+    the critical triangle lam*T the translate p + v stays in it exactly
+    when p.x >= -v.x and p.y >= -v.y: the competitor's hypotenuse never
+    binds.  Each competitor thus blocks the quadrant above its corner
+    (max(0, -v.x), max(0, -v.y)), and the column at x ends at the j-th
+    lowest corner among those at or left of x, or at the hypotenuse.  One
+    sweep over the corners sorted by x keeps the j lowest corner heights
+    and opens a column wherever the height drops; the heights never rise,
+    and at x = lam the hypotenuse closes the stair.  The result is
+    validated as a strict stair that tiles exactly j-fold with area
+    j * d(lat), any failure aborting with diagnostics.
     """
     if j < 1:
         raise ValueError(f"need j >= 1: {j}")
     lam = lambda_lower(lat, j).value
     window = points_in_box(lat, Box(-lam, lam, -lam, lam))
-    preceding = [v for v in window if prec_negative(v)]
-    anchors = preceding + [Point(_F0, _F0)]
-
-    xcand: set[Fraction] = {_F0, lam}
-    for v in anchors:
-        if _F0 <= -v.x <= lam:
-            xcand.add(-v.x)
-        base = lam - v.x - v.y
-        for w in anchors:
-            val = base + w.y
-            if _F0 <= val <= lam:
-                xcand.add(val)
-    xs = sorted(xcand)
-
-    heights = [_column_height(x, lam, preceding, j) for x in xs]
-    breaks: list[Fraction] = [xs[0]]
+    blocks = sorted((max(_F0, -v.x), max(_F0, -v.y))
+                    for v in window if prec_negative(v))
+    xs = sorted({_F0, lam} | {x for x, _ in blocks if x < lam})
+    lowest: list[Fraction] = []  # the j lowest corner heights so far
+    breaks: list[Fraction] = []
     col_heights: list[Fraction] = []
-    for x, h in zip(xs, heights):
-        if not col_heights:
+    k = 0
+    for x in xs:
+        while k < len(blocks) and blocks[k][0] <= x:
+            insort(lowest, blocks[k][1])
+            del lowest[j:]
+            k += 1
+        # the hypotenuse, or the j-th lowest corner once there are j
+        h = min([lam - x] + lowest[j - 1:])
+        if not col_heights or h < col_heights[-1]:
+            breaks.append(x)
             col_heights.append(h)
-            continue
-        if h == col_heights[-1]:
-            continue
-        if h > col_heights[-1]:
-            raise SelectionStairError(
-                f"column heights increased at x={x}: {h} after "
-                f"{col_heights[-1]}; candidate abscissa set has a gap")
-        breaks.append(x)
-        col_heights.append(h)
-    if col_heights and col_heights[-1] == 0:
-        col_heights.pop()
-    else:
-        raise SelectionStairError(
-            "selection stair never closed before the triangle wall")
+    col_heights.pop()  # the height 0 at x = lam
     if not col_heights or any(h <= 0 for h in col_heights):
         raise SelectionStairError(
             f"degenerate column heights {col_heights} for lattice "
             f"{lat.to_json()}")
-    breaks = breaks[:len(col_heights) + 1]
     stair = StairPolygon(tuple(breaks), tuple(col_heights))
 
     if stair.area() != j * lat.d:

@@ -1,15 +1,20 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as hyp
 
 from stairtile import (Box, Lattice, Point, RenderSpec,
                        ScaleCertificate, canonical_stair,
                        count_at, shift_lattice, render, stair_region)
-from stairtile.cli import run
+from stairtile.cli import _parse_lattice, run
 
 
 def test_density_plain_and_json(capsys):
@@ -200,3 +205,103 @@ def test_scale_certificate_json_round_trip():
     blob = cert.to_json()
     assert blob["value"] == "2"
     assert json.loads(json.dumps(blob)) == blob
+
+
+# Small rationals, a few with a zero denominator; argument values are
+# passed as --opt=value so that a leading "-" is not taken for an option.
+_RATIONALS = hyp.builds(lambda n, d: f"{n}/{d}", hyp.integers(-4, 4),
+                        hyp.sampled_from([1, 2, 3, 4] * 3 + [0]))
+_LATTICES = hyp.sampled_from(
+    ["Z2", "shift:1", "shift:2", "packing:1", "covering:2", "covering:0",
+     "shift:x", "1,0;0", "0.5,0;0,1"]) | hyp.builds(
+         lambda a, b, c, d: f"{a},{b};{c},{d}",
+         _RATIONALS, _RATIONALS, _RATIONALS, _RATIONALS)
+_J = hyp.integers(0, 3)
+_POSITIVE = hyp.builds(lambda n, d: f"{n}/{d}", hyp.integers(1, 4),
+                       hyp.integers(1, 4))
+_VIEWPORTS = hyp.builds(lambda a, b, c, d: f"-{a},{b},-{c},{d}", _POSITIVE,
+                        _POSITIVE, _POSITIVE, _POSITIVE) | hyp.lists(
+                            _RATIONALS, min_size=3, max_size=4).map(",".join)
+
+
+def _command(name, required, optional):
+    """The subcommand with each required option and a random subset of
+    the optional ones, as --name=value; a strategy of None makes a flag."""
+    def option(name, strategy):
+        if strategy is None:
+            return hyp.just([f"--{name}"])
+        return strategy.map(lambda v: [f"--{name}={v}"])
+    parts = [option(*item) for item in required.items()]
+    parts += [hyp.just([]) | option(*item) for item in optional.items()]
+    return hyp.tuples(*parts).map(
+        lambda ps: [name] + [a for p in ps for a in p])
+
+
+_KIND = hyp.sampled_from(["packing", "covering"] * 3 + ["both"])
+_ARGV = hyp.one_of(
+    _command("density", {"j": _J, "kind": _KIND},
+             {"json": None, "triangle": hyp.lists(
+                 _RATIONALS, min_size=6, max_size=6).map(",".join)}),
+    _command("lambda", {"j": _J, "which": hyp.sampled_from(["lower",
+                                                            "upper"]),
+                        "lattice": _LATTICES}, {"json": None}),
+    _command("sj", {"j": _J, "lattice": _LATTICES},
+             {"json": None, "svg": hyp.just("tiling.svg")}),
+    _command("verify", {"j": _J},
+             {"stair": hyp.sampled_from(["Sj", "S"]),
+              "m": hyp.integers(-1, 8),
+              "expect": hyp.sampled_from(["tiling", "no-tiling"]),
+              "forward": None, "converse": None,
+              "qmax": hyp.integers(-1, 2), "json": None}),
+    _command("enumerate", {"det": hyp.integers(-2, 30)}, {"json": None}),
+    _command("phi", {"k": hyp.integers(-1, 4), "n": hyp.integers(-2, 40)},
+             {"verify": None, "json": None}),
+    _command("search", {"j": _J, "kind": _KIND, "qmax": hyp.integers(0, 2),
+                        "cmax": hyp.integers(0, 3)}, {"json": None}),
+    _command("stair-opt", {"j": _J, "mode": hyp.sampled_from(["in", "out"])},
+             {"iters": hyp.integers(-1, 50), "seed": hyp.integers(0, 3),
+              "json": None}),
+    _command("render", {"region": hyp.sampled_from(["stair", "triangle"]),
+                        "j": _J, "viewport": _VIEWPORTS},
+             {"m": hyp.integers(0, 5), "lattice": _LATTICES,
+              "scale": _RATIONALS, "copies": hyp.integers(-1, 3),
+              "out": hyp.just("tiling.svg")}),
+    # argument lists that argparse itself must refuse
+    hyp.lists(hyp.sampled_from(["lambda", "--j", "1", "--bogus", "Z2",
+                                "-1", "--lattice"]), max_size=4),
+)
+
+
+def _small_enough(argv):
+    """Whether every lattice the call names has a canonical basis within
+    aspect 8 and a determinant of at least 1/16; cost past that is a
+    matter of the size of the problem, not of its validity."""
+    j = next((int(a.split("=")[1]) for a in argv if a.startswith("--j=")),
+             None)
+    for arg in argv:
+        if not arg.startswith("--lattice="):
+            continue
+        try:
+            lat = _parse_lattice(arg.split("=", 1)[1], j)
+        except ValueError:
+            continue
+        x1, _, y2 = lat.canonical_key()
+        if y2 > 8 * x1 or x1 > 8 * y2 or lat.d < F(1, 16):
+            return False
+    return True
+
+
+@settings(max_examples=150, deadline=None)
+@given(_ARGV)
+def test_cli_fuzz_exit_codes(argv):
+    assume(_small_enough(argv))
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = [a.replace("tiling.svg", os.path.join(tmp, "tiling.svg"))
+                for a in argv]
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()) as err:
+            code = run(argv)
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert any(a.startswith(("--expect", "--verify")) for a in argv)
+    assert "Traceback" not in err.getvalue()

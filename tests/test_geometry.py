@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hyp
 
 from stairtile import (Point, StairPolygon, format_rational, parse_rational,
-                       prec, prec_negative, stair, unit_square)
+                       prec, prec_negative, stair)
 from stairtile.geometry import ScaledTriangle
 
 from oracles import stair_area_by_columns
@@ -110,7 +110,7 @@ def test_stair_area_examples():
     assert stair_area_by_columns(2) == 10
     assert stair([0, 1, 2], [2, 1]).area() == 3
     assert stair([0, 1, 2, 3, 4], [4, 3, 2, 1]).area() == 10
-    assert unit_square().area() == 1
+    assert stair([0, 1], [1]).area() == 1
 
 
 def test_scale_stair_examples():

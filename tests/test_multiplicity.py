@@ -14,8 +14,7 @@ from stairtile import (Lattice, Mode, Point, Region, ScaledTriangle,
                        is_jfold_packing, layer_extrema, mean_multiplicity,
                        multiplicity_extrema, optimal_covering_lattices,
                        optimal_packing_lattices, random_sampling_oracle,
-                       shift_lattice, stair, stair_region, triangle_region,
-                       unit_square)
+                       shift_lattice, stair, stair_region, triangle_region)
 from stairtile.multiplicity import (_cell_corners, _exact_counts, _faces,
                                     _halfopen_grid, _triangle_faces)
 
@@ -39,7 +38,7 @@ def test_region_mode_validation():
 def test_count_at_examples():
     assert count_at(shift_lattice(1, 1), stair_region(canonical_stair(1)),
                     Point(0, 0)) == 1
-    assert count_at(integer_lattice(), stair_region(unit_square()),
+    assert count_at(integer_lattice(), stair_region(stair([0, 1], [1])),
                     Point(F(7, 13), F(-22, 7))) == 1
     rng = random.Random(1)
     lat = shift_lattice(1, 2)
@@ -75,7 +74,8 @@ def test_extrema_exact_tiling_examples():
     rep = multiplicity_extrema(shift_lattice(1, 1),
                                stair_region(canonical_stair(1)))
     assert (rep.min_mult, rep.max_mult) == (1, 1)
-    rep = multiplicity_extrema(integer_lattice(), stair_region(unit_square()))
+    rep = multiplicity_extrema(integer_lattice(),
+                               stair_region(stair([0, 1], [1])))
     assert (rep.min_mult, rep.max_mult) == (1, 1)
 
 
@@ -93,11 +93,10 @@ def test_extrema_triangle_examples():
 def test_extrema_boundary_mode_edge_cases():
     # four closed unit squares meet at every lattice corner; interiors
     # leave the shared walls uncovered
-    z2 = integer_lattice()
-    rep = multiplicity_extrema(z2, stair_region(unit_square(), Mode.CLOSED))
+    z2, square = integer_lattice(), stair([0, 1], [1])
+    rep = multiplicity_extrema(z2, stair_region(square, Mode.CLOSED))
     assert (rep.min_mult, rep.max_mult) == (1, 4)
-    rep = multiplicity_extrema(z2, stair_region(unit_square(),
-                                                Mode.INTERIOR))
+    rep = multiplicity_extrema(z2, stair_region(square, Mode.INTERIOR))
     assert (rep.min_mult, rep.max_mult) == (0, 1)
     rep = multiplicity_extrema(z2, triangle_region(1, Mode.INTERIOR))
     assert (rep.min_mult, rep.max_mult) == (0, 1)
@@ -181,9 +180,9 @@ def test_is_exact_jfold_tiling_examples():
     assert count_at(shift_lattice(4, 2), stair_region(canonical_stair(2)),
                     Point(0, 0)) == 1
     assert not is_exact_jfold_tiling(canonical_stair(2), shift_lattice(4, 2), 2)
-    assert is_exact_jfold_tiling(unit_square(), integer_lattice(), 1)
+    assert is_exact_jfold_tiling(stair([0, 1], [1]), integer_lattice(), 1)
     with pytest.raises(ValueError):
-        is_exact_jfold_tiling(stair_region(unit_square(), Mode.CLOSED),
+        is_exact_jfold_tiling(stair_region(stair([0, 1], [1]), Mode.CLOSED),
                               integer_lattice(), 1)
 
 

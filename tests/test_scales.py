@@ -132,6 +132,36 @@ def test_lambda_upper_probes_on_a_skewed_basis():
     assert cert.predicate_below and not cert.predicate_above
 
 
+@pytest.mark.parametrize("c", [F(3, 2), F(5, 3), F(7, 4), F(9, 5),
+                               F(13, 7)])
+@pytest.mark.parametrize("j", [1, 2])
+def test_lambda_upper_at_the_last_candidate_below_l_max(c, j):
+    # the packing scale c is the last candidate below l_max = 2, where
+    # packing fails; the search used to find no failing candidate
+    lat = integer_lattice().scaled(c)
+    cert = lambda_upper(lat, j)
+    assert cert.value == c == packing_scale_oracle(lat, j, window=2)
+    assert (cert.below_scale, cert.above_scale) == (c / 2, (c + 2) / 2)
+    assert cert.predicate_below and not cert.predicate_above
+
+
+@settings(max_examples=100, deadline=None)
+@given(skewed_lattices(), hyp.sampled_from([1, 2]))
+@example(integer_lattice().scaled(F(13, 7)), 1)
+def test_scales_match_the_oracles(lat, j):
+    x1, _, y2 = lat.canonical_key()
+    # the canonical aspect bounds the points in the oracles' windows
+    assume(y2 <= 4 * x1 and x1 <= 4 * y2)
+    # [0, x1) x [0, j*y2) covers j-fold and lies in the triangle of side
+    # x1 + j*y2, which is thus a window past the covering scale
+    assert lambda_lower(lat, j).value == covering_scale_oracle(
+        lat, j, window=x1 + j * y2)
+    # a window narrower than the packing scale can only raise the oracle's
+    # minimum, so a wrong value of either sign fails this
+    upper = lambda_upper(lat, j).value
+    assert upper == packing_scale_oracle(lat, j, window=upper)
+
+
 def test_lambda_upper_optimal_lattices():
     pack1 = Lattice(Point(F(1, 2), F(1, 2)), Point(0, F(3, 2)))
     assert packing_scale_oracle(pack1, 1, window=2) == 1

@@ -1,15 +1,24 @@
+import hashlib
+import json
 import random
 from fractions import Fraction as F
 from math import gcd
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as hyp
 
 from stairtile import (Lattice, Point, admissible_shifts,
                        canonical_regions, canonical_stair, selection_stair,
                        count_in_halfopen_boxes, count_region,
                        integer_lattice, is_exact_jfold_tiling, shift_lattice,
-                       layer_extrema, selection_member,
-                       verify_stair_tiling_converse, verify_stair_tiling_forward)
+                       layer_extrema, optimal_covering_lattices,
+                       optimal_packing_lattices, selection_member,
+                       verify_stair_tiling_converse,
+                       verify_stair_tiling_forward)
+
+from test_multiplicity import GENERIC_BASES
+from test_scales import skewed_lattices
 
 
 def test_canonical_stair_shape_and_area():
@@ -138,6 +147,46 @@ def test_selection_stair_validations_hold_generically():
                 p = Point(F(rng.randint(0, 24), 8), F(rng.randint(0, 24), 8))
                 assert res.stair.contains(p) == selection_member(
                     lat, j, p, res.scale)
+
+
+@settings(max_examples=60, deadline=None)
+@given(skewed_lattices(), hyp.sampled_from([1, 2]),
+       hyp.lists(hyp.tuples(hyp.fractions(0, 1, max_denominator=16),
+                            hyp.fractions(0, 1, max_denominator=16)),
+                 max_size=8))
+@example(Lattice(Point(1, F(1, 10)), Point(F(-1, 10), 1)), 2, [])
+def test_selection_stair_matches_selection_member(lat, j, unit_points):
+    x1, _, y2 = lat.canonical_key()
+    assume(y2 <= 4 * x1 and x1 <= 4 * y2)
+    res = selection_stair(lat, j)
+    xb, hs = res.stair.x_breaks, res.stair.heights
+    # every break and corner, every column midpoint, the wall and floor
+    # midpoints, and random points of the triangle's bounding square
+    xs = list(xb) + [(a + b) / 2 for a, b in zip(xb, xb[1:])]
+    ys = [F(0)] + list(hs) + [h / 2 for h in hs]
+    probes = [Point(x, y) for x in xs for y in ys]
+    probes += [Point(res.scale * u, res.scale * v) for u, v in unit_points]
+    for p in probes:
+        assert res.stair.contains(p) == selection_member(lat, j, p,
+                                                         res.scale)
+
+
+def test_selection_stairs_are_frozen():
+    # the digest was taken from the construction that swept every
+    # abscissa where two competitors' walls or hypotenuses could cross
+    lats = [integer_lattice(), Lattice(Point(F(1, 3), F(1, 3)), Point(0, 1))]
+    for j in (1, 2):
+        lats += (optimal_packing_lattices(j, verify=False)
+                 + optimal_covering_lattices(j, verify=False))
+    lats += [Lattice(Point(*u1), Point(*u2)) for u1, u2 in GENERIC_BASES]
+    lats.append(Lattice(Point(1, F(1, 10)), Point(F(-1, 10), 1)))
+    digest = hashlib.sha256()
+    for lat in lats:
+        for j in (1, 2):
+            digest.update(json.dumps(selection_stair(lat, j).to_json())
+                          .encode())
+    assert digest.hexdigest() == ("6afb67816c879972073b45c2bbaef63f"
+                                  "9ccab15dde5ce36b07a84b2a85964eb4")
 
 
 def test_sj_nesting_and_downward_closure():
