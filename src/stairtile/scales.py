@@ -5,24 +5,34 @@ translates of l*T never overlap more than j deep (the j-fold packing scale),
 and ``lambda_lower`` the smallest l such that the closed translates cover
 every point at least j deep (the j-fold covering scale).
 
-Both predicates are monotone in l and can only flip where a translate vertex
-meets a translate edge or three boundary lines concur.  For triangles whose
+Both scales are read off corners (v_x, w_y) built from one lattice x- and
+one lattice y-coordinate.  The covering scale is the largest distance
+v_x + w_y - (z_x + z_y) from a corner to its j-th nearest lattice point z
+strictly south-west of it; the packing scale is the smallest distance to
+the (j+1)-th nearest point weakly south-west.  ``_corner_scale`` computes
+both in integers with one sliding window over the canonical columns.
+
+The formula gives the value; the predicates certify it.  Both predicates
+are monotone in l and can only flip where a translate vertex meets a
+translate edge or three boundary lines concur.  For triangles whose
 boundary lines come in the three families x = c, y = c, x + y = c, every
 such degeneracy happens at a scale of one of the difference forms produced
-by ``candidate_scales``, so a binary search over the candidate list plus a
-flip certificate at the adjacent midpoints pins the answer down exactly.  A
-failed certificate aborts loudly instead of returning a wrong value.
+by ``candidate_scales``.  The value must be such a candidate; the predicate
+must hold there and fail at the midpoint to the neighbouring candidate
+across the flip, and it is recorded at the midpoint on the other side.
+That is three predicate evaluations per scale.  A value that is not a
+candidate, or a probe that disagrees, aborts loudly instead of returning a
+wrong value.
 
 The candidates are found on integers: the window's coordinates and l_max
 are scaled to one common denominator, and the candidate set is an integer
 sumset, collected as the bits of a Python int (``_scaled_candidates``).
-The search runs over those integers; only the scales it probes and the
-three it certifies become Fractions.
+Only the value and its two probes become Fractions.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left, bisect_right, insort
 from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
@@ -35,7 +45,9 @@ from .multiplicity import (COVERING, PACKING, Mode, Region, ScaledTriangle,
 
 
 class CandidateGapError(RuntimeError):
-    """The flip scale fell between candidates; the candidate set has a gap."""
+    """The corner formula's scale failed its certificate: it is not a
+    candidate, the predicate fails there, or the predicate does not flip
+    at the neighbouring candidate."""
 
 
 @dataclass(frozen=True)
@@ -163,42 +175,88 @@ def candidate_scales(lat: Lattice, l_max) -> list[Fraction]:
     return [Fraction(v, den) for v in values]
 
 
-def _critical_scale(lat: Lattice, j: int, kind: str) -> ScaleCertificate:
-    """The scale where the kind's predicate flips, with its certificate.
+def _corner_scale(lat: Lattice, j: int, kind: str) -> Fraction:
+    """The kind's critical scale by the corner formula.
 
-    Covering holds from its critical scale upwards, packing up to its
-    critical scale, so both searches look for the first candidate past the
-    flip: where covering starts to hold, or where packing stops holding.
-    The search runs over the integer candidates; only the scales it probes
-    and certifies become Fractions.
+    With the canonical basis (x1, y1), (0, y2) at one common denominator,
+    a lattice vector moves a corner to (0, b), b the height of a point k0
+    columns to its left.  The highest point of column k (x = -k*x1) below
+    b then lies k0*x1 + S(k - k0) away, and t rows lower t*y2 further,
+    where S(d) = d*x1 + ((d*y1 - s) mod y2) + s, with s = 1 for strict
+    dominance and s = 0 for weak.  Covering is the largest over k0 >= 1 of
+    the j-th smallest distance to columns k >= 1, strictly south-west;
+    packing the smallest over k0 >= 0 of the (j+1)-th smallest to columns
+    k >= 0, weakly south-west.
+
+    Corners and columns are cut at k0, k <= size, and the distances of one
+    corner sit in a sorted window that slides as k0 steps.  A point past
+    column size is more than size*x1 away, so once size*x1 reaches the
+    result, no left-out point is among the nearest ones.  No left-out
+    corner is the extremum either.  The packing minimum's own points lie
+    within size*x1 of its corner, so that corner is in.  The covering
+    maximum sits at a corner whose point k0* columns to the left is nearer
+    than the maximum (else raising the corner's y would raise its value);
+    were k0* > size, the corner size columns right of that point would
+    read at least the maximum less (k0* - size)*x1, more than size*x1.
+    """
+    key = lat.canonical_key()
+    den = lcm(*(v.denominator for v in key))
+    x1, y1, y2 = (as_int(v, den) for v in key)
+    strict = int(kind == COVERING)
+    # the n-th nearest point, from column `strict` on; a column holds at
+    # most n of the n nearest
+    n, pick = j + 1 - strict, max if strict else min
+
+    def dist(d: int) -> int:
+        return d * x1 + (d * y1 - strict) % y2 + strict
+
+    size = 1
+    while True:
+        # corner k0 sees the column offsets d in [strict - k0, size - k0]
+        window = sorted(dist(d) + t * y2 for d in range(size - strict + 1)
+                        for t in range(n))
+        found = strict * x1 + window[n - 1]
+        for k0 in range(strict + 1, size + 1):
+            new, old = dist(strict - k0), dist(size + 1 - k0)
+            for t in range(n):
+                insort(window, new + t * y2)
+                del window[bisect_left(window, old + t * y2)]
+            found = pick(found, k0 * x1 + window[n - 1])
+        if size * x1 >= found:
+            return Fraction(found, den)
+        size *= 2
+
+
+def _critical_scale(lat: Lattice, j: int, kind: str) -> ScaleCertificate:
+    """The kind's critical scale from ``_corner_scale``, with its
+    certificate.
+
+    Covering holds from its critical scale upwards, packing up to it.  The
+    value is placed among the candidates up to l_max, the smallest power
+    of two >= 1 where covering holds or packing fails; l_max itself is a
+    last packing candidate, as packing is known to fail there.  The
+    probes are the midpoints to the neighbouring candidates (value / 2 and
+    value + 1/2 past the ends).  The predicate is evaluated three times:
+    at the value and across the flip, where it must hold and fail, and on
+    the other side, where it is recorded.
     """
     if j < 1:
         raise ValueError(f"need j >= 1: {j}")
     covering = kind == COVERING
     pred = covering_predicate if covering else packing_predicate
+    value = _corner_scale(lat, j, kind)
     l_max = Fraction(1)
-    while pred(lat, j, l_max) != covering:
+    while l_max < value or (not covering and l_max == value):
         l_max *= 2
     den, cands = _scaled_candidates(lat, l_max)
     top = as_int(l_max, den)
     if not covering and cands[-1] != top:
-        # packing fails at l_max, so the flip is found even when the
-        # packing scale is the last candidate below it
         cands.append(top)
-    # the last candidate is left to the re-check below, not probed here
-    idx = bisect_left(cands, True, hi=len(cands) - 1,
-                      key=lambda v: pred(lat, j, Fraction(v, den)) == covering)
-    if pred(lat, j, Fraction(cands[idx], den)) != covering:
+    idx = bisect_left(cands, value * den)
+    if idx == len(cands) or cands[idx] != value * den:
         raise CandidateGapError(
-            f"{kind} predicate does not flip on candidates up to {l_max} "
-            f"although it does by {l_max}; candidate set has a gap")
-    if not covering:
-        if idx == 0:
-            raise CandidateGapError(
-                "packing predicate fails at the smallest candidate scale; "
-                "candidate set has a gap below it")
-        idx -= 1
-    value = Fraction(cands[idx], den)
+            f"{kind} scale {value} from the corner formula is not a "
+            f"candidate up to {l_max}")
     below = (value / 2 if idx == 0
              else Fraction(cands[idx - 1] + cands[idx], 2 * den))
     above = (Fraction(cands[idx] + cands[idx + 1], 2 * den)
@@ -206,10 +264,14 @@ def _critical_scale(lat: Lattice, j: int, kind: str) -> ScaleCertificate:
     # across the flip the predicate must fail; on the other side it is
     # recorded as found
     across, other = (below, above) if covering else (above, below)
+    if not pred(lat, j, value):
+        raise CandidateGapError(
+            f"{kind} predicate fails at scale {value} from the corner "
+            f"formula")
     if pred(lat, j, across):
         raise CandidateGapError(
             f"{kind} predicate still holds at probe {across} across "
-            f"certified scale {value}; candidate set has a gap")
+            f"scale {value} from the corner formula")
     held = pred(lat, j, other)
     if covering:
         return ScaleCertificate(value, True, below, False, above, held)

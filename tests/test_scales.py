@@ -1,3 +1,5 @@
+import hashlib
+import json
 import tracemalloc
 from fractions import Fraction as F
 
@@ -5,12 +7,29 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as hyp
 
-from stairtile import (Lattice, Point, candidate_scales, covering_predicate,
+from stairtile import scales
+from stairtile import (COVERING, PACKING, CandidateGapError, Lattice, Point,
+                       candidate_scales, covering_predicate,
                        integer_lattice, lambda_lower, shift_lattice,
-                       lambda_upper, packing_predicate)
+                       lambda_upper, optimal_covering_lattices,
+                       optimal_packing_lattices, packing_predicate)
 
 from oracles import (candidate_scales_reference, covering_scale_oracle,
                      packing_scale_oracle)
+from test_multiplicity import GENERIC_BASES
+
+THETA = Lattice(Point(F(1, 3), F(1, 3)), Point(0, 1))
+ROADMAP_A = Lattice(Point(F(2, 5), F(1, 7)), Point(F(-1, 3), F(3, 4)))
+# canonical basis (1/221, 1907/77), (0, 1013/11): a sliver 1/221 wide and
+# about 92 tall
+SLIVER = Lattice(Point(F(7, 13), F(3, 11)), Point(F(-2, 17), F(5, 7)))
+SCALED_Z2 = [F(3, 2), F(5, 3), F(7, 4), F(9, 5), F(13, 7)]
+
+
+def near_rotation(n: int) -> Lattice:
+    """The basis (1, 1/n), (-1/n, 1): Z^2 up to O(1/n), with a canonical
+    rectangle 1/n wide and about n tall."""
+    return Lattice(Point(1, F(1, n)), Point(F(-1, n), 1))
 
 
 def test_candidate_scales_examples():
@@ -76,9 +95,8 @@ def test_candidate_scales_with_few_pairs_for_their_range():
 
 
 def test_lambda_on_the_sliver_basis():
-    # canonical basis (1/221, 1907/77), (0, 1013/11): a sliver 1/221 wide
-    # and about 92 tall, whose candidate set at l_max = 2 has 34,034 values
-    lat = Lattice(Point(F(7, 13), F(3, 11)), Point(F(-2, 17), F(5, 7)))
+    # the sliver's candidate set at l_max = 2 has 34,034 values
+    lat = SLIVER
     tracing = tracemalloc.is_tracing()
     if not tracing:
         tracemalloc.start()
@@ -132,8 +150,7 @@ def test_lambda_upper_probes_on_a_skewed_basis():
     assert cert.predicate_below and not cert.predicate_above
 
 
-@pytest.mark.parametrize("c", [F(3, 2), F(5, 3), F(7, 4), F(9, 5),
-                               F(13, 7)])
+@pytest.mark.parametrize("c", SCALED_Z2)
 @pytest.mark.parametrize("j", [1, 2])
 def test_lambda_upper_at_the_last_candidate_below_l_max(c, j):
     # the packing scale c is the last candidate below l_max = 2, where
@@ -146,7 +163,7 @@ def test_lambda_upper_at_the_last_candidate_below_l_max(c, j):
 
 
 @settings(max_examples=100, deadline=None)
-@given(skewed_lattices(), hyp.sampled_from([1, 2]))
+@given(skewed_lattices(), hyp.sampled_from([1, 2, 3]))
 @example(integer_lattice().scaled(F(13, 7)), 1)
 def test_scales_match_the_oracles(lat, j):
     x1, _, y2 = lat.canonical_key()
@@ -154,12 +171,15 @@ def test_scales_match_the_oracles(lat, j):
     assume(y2 <= 4 * x1 and x1 <= 4 * y2)
     # [0, x1) x [0, j*y2) covers j-fold and lies in the triangle of side
     # x1 + j*y2, which is thus a window past the covering scale
-    assert lambda_lower(lat, j).value == covering_scale_oracle(
-        lat, j, window=x1 + j * y2)
+    lower = scales._corner_scale(lat, j, COVERING)
+    assert lower == covering_scale_oracle(lat, j, window=x1 + j * y2)
     # a window narrower than the packing scale can only raise the oracle's
     # minimum, so a wrong value of either sign fails this
-    upper = lambda_upper(lat, j).value
+    upper = scales._corner_scale(lat, j, PACKING)
     assert upper == packing_scale_oracle(lat, j, window=upper)
+    if j <= 2:
+        assert lambda_lower(lat, j).value == lower
+        assert lambda_upper(lat, j).value == upper
 
 
 def test_lambda_upper_optimal_lattices():
@@ -215,3 +235,66 @@ def test_area_sandwich_at_optimal_lattices():
                         Point(0, F(2 * j + 1, 2 * j)))
         lam = lambda_upper(pack_lat, j).value
         assert lam * lam / 2 <= j * pack_lat.d
+
+
+def test_scale_certificates_are_frozen():
+    # the digest was taken from the candidate search that doubled l_max
+    # and bisected the candidates with the predicate
+    lats = [integer_lattice(), THETA]
+    for j in (1, 2):
+        lats += (optimal_packing_lattices(j, verify=False)
+                 + optimal_covering_lattices(j, verify=False))
+    lats += [Lattice(Point(*u1), Point(*u2)) for u1, u2 in GENERIC_BASES]
+    lats += [ROADMAP_A, near_rotation(10), near_rotation(100)]
+    lats += [integer_lattice().scaled(c) for c in SCALED_Z2]
+    cases = [(lat, j) for lat in lats for j in (1, 2)] + [(SLIVER, 1)]
+    digest = hashlib.sha256()
+    for lat, j in cases:
+        for fn in (lambda_lower, lambda_upper):
+            digest.update(json.dumps(fn(lat, j).to_json()).encode())
+    assert digest.hexdigest() == ("f01d78d21b95b4987cc51d4f0b987645"
+                                  "ccd64b0bb25744a269ae895fae7903fa")
+
+
+@pytest.mark.parametrize("lat", [integer_lattice(), THETA, ROADMAP_A, SLIVER],
+                         ids=["Z2", "theta", "roadmap-a", "sliver"])
+@pytest.mark.parametrize("j", [1, 2])
+def test_three_predicate_evaluations_per_scale(monkeypatch, lat, j):
+    # the value comes from the corner formula; the predicate only
+    # certifies it, at the value and at its two probes
+    calls = []
+    for name in ("covering_predicate", "packing_predicate"):
+        def counted(lat, j, scale, real=getattr(scales, name), name=name):
+            calls.append(name)
+            return real(lat, j, scale)
+        monkeypatch.setattr(scales, name, counted)
+    lambda_lower(lat, j)
+    assert calls == ["covering_predicate"] * 3
+    calls.clear()
+    lambda_upper(lat, j)
+    assert calls == ["packing_predicate"] * 3
+
+
+@pytest.mark.parametrize("lat", [integer_lattice(), ROADMAP_A],
+                         ids=["Z2", "roadmap-a"])
+@pytest.mark.parametrize("fn", [lambda_lower, lambda_upper])
+def test_a_wrong_corner_scale_fails_its_certificate(monkeypatch, lat, fn):
+    value = fn(lat, 1).value
+    cands = candidate_scales(lat, 2 * value + 1)
+    i = cands.index(value)
+    # the neighbouring candidates, and a scale between two candidates
+    wrong = cands[max(i - 1, 0):i] + [cands[i + 1],
+                                      (value + cands[i + 1]) / 2]
+    for scale in wrong:
+        monkeypatch.setattr(scales, "_corner_scale",
+                            lambda lat, j, kind: scale)
+        with pytest.raises(CandidateGapError):
+            fn(lat, 1)
+
+
+@pytest.mark.parametrize("n", [10, 100, 1000])
+def test_near_rotation_ladder(n):
+    # Z^2 up to O(1/n), though its canonical rectangle is 1/n wide
+    lat = near_rotation(n)
+    assert lambda_lower(lat, 1).value == 2
+    assert lambda_upper(lat, 1).value == 1
