@@ -4,17 +4,19 @@ A lattice is stored as an ordered basis but compared as a point set: two
 ``Lattice`` values are equal iff each basis vector of one is an integer
 combination of the other's, which we decide by reducing both to the unique
 lower-triangular canonical basis ((x1, y1), (0, y2)) with x1, y2 > 0 and
-0 <= y1 < y2.
+0 <= y1 < y2.  The canonical basis is computed once, in integers, when a
+``Lattice`` is constructed; that computation is also the check that the
+basis is not singular.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import ceil, floor, lcm
 
-from .geometry import Box, Point, RationalLike, as_int, frac
+from .geometry import (Box, Point, RationalLike, as_int, format_rational,
+                       frac)
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -33,23 +35,25 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
 
 
 def _canonical_triple(u1: Point, u2: Point) -> tuple[Fraction, Fraction, Fraction]:
-    """Canonical (x1, y1, y2) of the lattice spanned by u1, u2."""
-    den = lcm(u1.x.denominator, u2.x.denominator)
-    n1 = int(u1.x * den)
-    n2 = int(u2.x * den)
-    if n1 == 0 and n2 == 0:
-        raise ValueError("both basis x-coordinates vanish; basis is singular")
-    g, s, t = _xgcd(n1, n2)
-    v1 = u1.scaled(s) + u2.scaled(t)          # x-coordinate g/den > 0
-    k1, k2 = -(n2 // g), n1 // g              # primitive kernel of the x-map
-    v2 = u1.scaled(k1) + u2.scaled(k2)        # x-coordinate 0
-    if v2.y < 0:
-        v2 = -v2
-    if v2.y == 0:
-        raise ValueError("basis is singular")
-    shift = floor(v1.y / v2.y)
-    v1 = v1 - v2.scaled(shift)
-    return v1.x, v1.y, v2.y
+    """Canonical (x1, y1, y2) of the lattice spanned by u1, u2; raises
+    ValueError when the basis is singular.
+
+    Works in integers at the lcm den of the four coordinate denominators:
+    with (a1, b1), (a2, b2) the scaled basis and g = s*a1 + t*a2 =
+    gcd(a1, a2), the vectors s*u1 + t*u2 and (a1*u2 - a2*u1)/g form a
+    basis with x-coordinates g and 0; reducing the first one's height
+    modulo the second's gives the canonical basis.
+    """
+    coords = (u1.x, u1.y, u2.x, u2.y)
+    den = lcm(*(v.denominator for v in coords))
+    a1, b1, a2, b2 = (as_int(v, den) for v in coords)
+    g, s, t = _xgcd(a1, a2)
+    y2 = abs(a1 // g * b2 - a2 // g * b1) if g else 0
+    if y2 == 0:
+        raise ValueError("singular basis: ({}, {}), ({}, {})".format(
+            *map(format_rational, coords)))
+    return (Fraction(g, den), Fraction((s * b1 + t * b2) % y2, den),
+            Fraction(y2, den))
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,8 +64,7 @@ class Lattice:
     u2: Point
 
     def __post_init__(self) -> None:
-        if self.det == 0:
-            raise ValueError(f"singular basis: {self.u1}, {self.u2}")
+        object.__setattr__(self, "_key", _canonical_triple(self.u1, self.u2))
 
     @property
     def det(self) -> Fraction:
@@ -70,11 +73,8 @@ class Lattice:
     @property
     def d(self) -> Fraction:
         """Fundamental-domain area |det|."""
-        return abs(self.det)
-
-    @cached_property
-    def _key(self) -> tuple[Fraction, Fraction, Fraction]:
-        return _canonical_triple(self.u1, self.u2)
+        x1, _, y2 = self._key
+        return x1 * y2
 
     def canonical_key(self) -> tuple[Fraction, Fraction, Fraction]:
         return self._key

@@ -67,6 +67,12 @@ def lattice_search_space(denominator_bound: int,
 
 def _search(j: int, denominator_bound: int, coefficient_bound: int,
             kind: str) -> SearchReport:
+    """Best-first sweep of the bounded space: lattices are visited from the
+    best density down (a stable sort), the exact predicate decides each
+    one, and the sweep stops at the first lattice whose density differs
+    from one that has already passed.  Every lattice at the best level is
+    tested, so the result is the same as a full scan's; space_size still
+    counts the whole space."""
     if j < 1:
         raise ValueError(f"need j >= 1: {j}")
     space = lattice_search_space(denominator_bound, coefficient_bound)
@@ -75,16 +81,14 @@ def _search(j: int, denominator_bound: int, coefficient_bound: int,
     sign = 1 if kind == PACKING else -1  # packings maximize the density
     best_value: Fraction | None = None
     best: list[Lattice] = []
-    for lat in space:
-        if not passes(region, lat, j):
-            continue
+    for lat in sorted(space, key=lambda lat: sign * lat.d):
         value = Fraction(1, 2) / lat.d
-        if best_value is None or sign * value > sign * best_value:
+        if best_value is not None and value != best_value:
+            break
+        if passes(region, lat, j):
             best_value = value
-            best = [lat]
-        elif value == best_value:
             best.append(lat)
-    best.sort(key=lambda lat: lat.canonical_key())
+    best.sort(key=Lattice.canonical_key)
     params = {"j": j, "denominator_bound": denominator_bound,
               "coefficient_bound": coefficient_bound, "kind": kind}
     return SearchReport(best_value, tuple(best), len(space), params)
@@ -94,14 +98,22 @@ def search_packing(j: int, denominator_bound: int,
                    coefficient_bound: int) -> SearchReport:
     """Maximal density 1/(2 d) over lattices in the bounded space whose unit
     triangle translates form a j-fold packing; never exceeds the closed
-    form, and reaches it once the optimal lattices are inside the bounds."""
+    form, and reaches it once the optimal lattices are inside the bounds.
+
+    The sweep is best-first: lattices are tested from the smallest
+    determinant up, and it stops below the first density that passes;
+    space_size still counts the whole space."""
     return _search(j, denominator_bound, coefficient_bound, PACKING)
 
 
 def search_covering(j: int, denominator_bound: int,
                     coefficient_bound: int) -> SearchReport:
     """Minimal density over j-fold covering lattices in the bounded space;
-    never below the closed form."""
+    never below the closed form.
+
+    The sweep is best-first: lattices are tested from the largest
+    determinant down, and it stops above the first density that passes;
+    space_size still counts the whole space."""
     return _search(j, denominator_bound, coefficient_bound, COVERING)
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from math import floor, lcm
 
 from stairtile import Box, Lattice, Point, points_in_box
 
@@ -86,6 +87,38 @@ def candidate_scales_reference(lat: Lattice, l_max) -> list[Fraction]:
     values |= {a - b for a in ys for b in ys}
     values |= {x + y - s for x in xs for y in ys for s in sums}
     return sorted(v for v in values if 0 < v <= l_max)
+
+
+def _bezout(a: int, b: int) -> tuple[int, int, int]:
+    """(g, s, t) with s*a + t*b = g = gcd(a, b) >= 0, by recursion."""
+    if b == 0:
+        return abs(a), (1 if a >= 0 else -1), 0
+    g, s, t = _bezout(b, a % b)
+    return g, t, s - (a // b) * t
+
+
+def canonical_key_reference(u1: Point, u2: Point
+                            ) -> tuple[Fraction, Fraction, Fraction]:
+    """Canonical (x1, y1, y2) of the lattice spanned by u1, u2, by integer
+    row operations on Fraction points: a Bezout combination of the basis
+    has the smallest positive x-coordinate g/den, the primitive kernel of
+    the x-map is the vertical basis vector, and the first vector's height
+    is reduced modulo the second's.  Raises ValueError on a singular
+    basis."""
+    den = lcm(u1.x.denominator, u2.x.denominator)
+    n1 = int(u1.x * den)
+    n2 = int(u2.x * den)
+    if n1 == 0 and n2 == 0:
+        raise ValueError("both basis x-coordinates vanish")
+    g, s, t = _bezout(n1, n2)
+    v1 = u1.scaled(s) + u2.scaled(t)
+    v2 = u1.scaled(-(n2 // g)) + u2.scaled(n1 // g)
+    if v2.y < 0:
+        v2 = -v2
+    if v2.y == 0:
+        raise ValueError("basis is singular")
+    v1 = v1 - v2.scaled(floor(v1.y / v2.y))
+    return v1.x, v1.y, v2.y
 
 
 def lattice_points_bruteforce(lat: Lattice, box: Box,

@@ -86,6 +86,15 @@ def test_usage_errors_exit_2(capsys, tmp_path):
     assert capsys.readouterr().err.count("error: ") == 3
 
 
+def test_singular_lattice_spec_is_a_readable_usage_error(capsys):
+    assert run(["lambda", "--j", "1", "--which", "upper",
+                "--lattice", "0,1;0,2"]) == 2
+    assert "singular basis: (0, 1), (0, 2)" in capsys.readouterr().err
+    assert run(["lambda", "--j", "1", "--which", "lower",
+                "--lattice", "1/2,1;-1,-2"]) == 2
+    assert "singular basis: (1/2, 1), (-1, -2)" in capsys.readouterr().err
+
+
 def test_lattice_spec_needs_two_coordinates_per_vector(capsys):
     for spec in ("1,0;0,1,5", "1,0,3;0,1", "1;0,1", "1,0;0,1;1,1"):
         assert run(["lambda", "--j", "1", "--which", "lower",

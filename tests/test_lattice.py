@@ -3,12 +3,14 @@ from fractions import Fraction as F
 from math import ceil
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as hyp
 
 from stairtile import (Box, Lattice, Point, enumerate_integer_sublattices,
                        fundamental_rect, integer_lattice, points_in_box,
                        shift_lattice)
 
-from oracles import lattice_points_bruteforce
+from oracles import canonical_key_reference, lattice_points_bruteforce
 
 
 def test_lattice_constructor_examples():
@@ -16,6 +18,48 @@ def test_lattice_constructor_examples():
     assert Lattice(Point(1, 1), Point(0, 3)).det == 3
     with pytest.raises(ValueError):
         Lattice(Point(1, 2), Point(2, 4))
+
+
+_COORD = hyp.fractions(min_value=-6, max_value=6, max_denominator=30)
+_SHEAR = hyp.integers(min_value=-4, max_value=4)
+_BIG = 2**31
+
+
+@settings(max_examples=300, deadline=None)
+@given(_COORD, _COORD, _COORD, _COORD, _SHEAR, _SHEAR, hyp.booleans())
+@example(F(1, _BIG - 1), F(3, _BIG - 3), F(-5, _BIG + 11), F(7, _BIG - 1),
+         2, -1, False)
+@example(F(_BIG - 5, _BIG - 1), F(-1, _BIG + 1), F(2, _BIG - 3),
+         F(_BIG + 3, _BIG - 5), -3, 1, True)
+@example(F(0), F(1, _BIG - 1), F(1, _BIG + 1), F(0), 0, 0, False)
+def test_canonical_key_matches_reference(x1, y1, x2, y2, k, m, swap):
+    assume(x1 * y2 != y1 * x2)
+    # a unimodular skew: two shears, then perhaps a swap
+    u1, u2 = Point(x1, y1), Point(x2, y2)
+    u2 = u2 + u1.scaled(k)
+    u1 = u1 + u2.scaled(m)
+    if swap:
+        u1, u2 = u2, u1
+    lat = Lattice(u1, u2)
+    key = lat.canonical_key()
+    assert key == canonical_key_reference(u1, u2)
+    assert key == canonical_key_reference(Point(x1, y1), Point(x2, y2))
+    assert lat.d == abs(lat.det)
+
+
+@pytest.mark.parametrize("u1, u2", [
+    (Point(1, 2), Point(2, 4)),                       # collinear
+    (Point(F(1, 3), F(1, 2)), Point(F(-2, 3), -1)),   # collinear, rational
+    (Point(0, 1), Point(0, 2)),                       # both x-coordinates 0
+    (Point(0, F(1, 5)), Point(0, F(-3, 7))),
+    (Point(0, 0), Point(1, 1)),                       # a zero vector
+    (Point(F(2, 3), F(1, 7)), Point(0, 0)),
+])
+def test_singular_bases_raise(u1, u2):
+    with pytest.raises(ValueError, match="singular basis"):
+        Lattice(u1, u2)
+    with pytest.raises(ValueError):
+        canonical_key_reference(u1, u2)
 
 
 def test_shift_lattice_examples():

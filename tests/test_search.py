@@ -1,7 +1,11 @@
+import hashlib
+import json
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 
+import stairtile.search
 from stairtile import (Lattice, Point, covering_density,
                        lattice_search_space, optimize_circumscribed_stair,
                        optimize_inscribed_stair, packing_density,
@@ -43,6 +47,33 @@ def test_search_never_beats_closed_forms():
         cover = search_covering(j, 2 * j + 1, 2 * j + 1)
         assert cover.best_value is not None
         assert cover.best_value >= covering_density(j)
+
+
+@pytest.mark.parametrize("search, j, q, c, best_value", [
+    (search_packing, 1, 3, 4, F(2, 3)),
+    (search_covering, 2, 3, 4, F(9, 2)),
+    (search_covering, 1, 1, 2, None),   # no lattice passes
+])
+def test_search_tests_only_lattices_at_least_as_good(monkeypatch, search,
+                                                     j, q, c, best_value):
+    calls = []
+    for name in ("is_jfold_packing", "is_jfold_covering"):
+        predicate = getattr(stairtile.search, name)
+        monkeypatch.setattr(
+            stairtile.search, name,
+            lambda *args, predicate=predicate:
+                calls.append(args) or predicate(*args))
+    report = search(j, q, c)
+    assert report.best_value == best_value
+    space = lattice_search_space(q, c)
+    assert report.space_size == len(space)
+    sign = 1 if search is search_packing else -1
+    expected = len(space) if best_value is None else sum(
+        sign * F(1, 2) / abs(lat.det) >= sign * best_value for lat in space)
+    assert len(calls) == expected
+    # the packing sweep stops early; in these covering spaces only the
+    # densest lattice passes, or none does, so every lattice is tested
+    assert (expected < len(space)) == (search is search_packing)
 
 
 def test_optimize_inscribed_examples():
@@ -102,3 +133,15 @@ def test_search_rejects_bad_bounds():
         lattice_search_space(0, 1)
     with pytest.raises(ValueError):
         optimize_inscribed_stair(1, 0)
+
+
+def test_search_reports_are_frozen():
+    # the small_sweeps grid, both kinds: every report byte for byte
+    digest = hashlib.sha256()
+    for search in (search_packing, search_covering):
+        for j, q, c in product((1, 2, 3), (1, 2, 3), (2, 3, 4)):
+            report = search(j, q, c).to_json()
+            digest.update(json.dumps(report, sort_keys=True).encode())
+            digest.update(b"\n")
+    assert digest.hexdigest() == (
+        "030cc9e69bfa6a7cd5205052ec2fd3063277c3c62ffada2f7f81772d7d957abd")
