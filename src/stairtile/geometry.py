@@ -54,6 +54,11 @@ def format_rational(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+def format_rationals(values: Sequence[Fraction]) -> str:
+    """Render as "(a, b, ...)", each value as by ``format_rational``."""
+    return "(" + ", ".join(map(format_rational, values)) + ")"
+
+
 @dataclass(frozen=True)
 class Point:
     """A point of the rational plane."""
@@ -77,6 +82,9 @@ class Point:
     def scaled(self, c: RationalLike) -> "Point":
         c = frac(c)
         return Point(self.x * c, self.y * c)
+
+    def __str__(self) -> str:
+        return format_rationals((self.x, self.y))
 
     def to_json(self) -> list[str]:
         return [format_rational(self.x), format_rational(self.y)]
@@ -169,11 +177,14 @@ class StairPolygon:
         if len(xb) != len(hs) + 1 or not hs:
             raise ValueError("need len(x_breaks) == len(heights) + 1 >= 2")
         if any(a >= b for a, b in zip(xb, xb[1:])):
-            raise ValueError(f"x_breaks not strictly increasing: {xb}")
+            raise ValueError("x_breaks not strictly increasing: "
+                             f"{format_rationals(xb)}")
         if any(a <= b for a, b in zip(hs, hs[1:])):
-            raise ValueError(f"heights not strictly decreasing: {hs}")
+            raise ValueError("heights not strictly decreasing: "
+                             f"{format_rationals(hs)}")
         if hs[-1] <= 0:
-            raise ValueError(f"heights must stay positive: {hs}")
+            raise ValueError("heights must stay positive: "
+                             f"{format_rationals(hs)}")
 
     @property
     def r(self) -> int:

@@ -15,8 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor, lcm
 
-from .geometry import (Box, Point, RationalLike, as_int, format_rational,
-                       frac)
+from .geometry import Box, Point, RationalLike, as_int, frac
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -50,8 +49,7 @@ def _canonical_triple(u1: Point, u2: Point) -> tuple[Fraction, Fraction, Fractio
     g, s, t = _xgcd(a1, a2)
     y2 = abs(a1 // g * b2 - a2 // g * b1) if g else 0
     if y2 == 0:
-        raise ValueError("singular basis: ({}, {}), ({}, {})".format(
-            *map(format_rational, coords)))
+        raise ValueError(f"singular basis: {u1}, {u2}")
     return (Fraction(g, den), Fraction((s * b1 + t * b2) % y2, den),
             Fraction(y2, den))
 

@@ -23,6 +23,13 @@ den.  The faces of closed or interior stairs and triangles are sampled by
 one sampler, ``_faces``, at 4*den, where the midpoints of midpoints that
 place them are still integers.  Only the two witnesses of an extremum
 become ``Point``s again.
+
+The count kernel ``_exact_counts`` is a line sweep.  Samples are grouped
+into lines along the axis with fewer distinct sample values (x and y swap
+roles when that axis is y).  On one line each translate that can reach it
+covers a closed interval of the line, so the line's interval starts and
+ends are sorted once and every sample on it is counted by two bisections.
+Half open stair grids put their many samples on a few vertical lines.
 """
 
 from __future__ import annotations
@@ -181,16 +188,6 @@ def _atoms(region: Region, den: int) -> list[tuple[int, int, int, int, int]]:
     return atoms
 
 
-def _y_first(wx: list[int], wy: list[int],
-             atoms: list[tuple[int, int, int, int, int]]) -> bool:
-    """Whether the atoms' y-windows hold fewer of the translates than their
-    x-windows, judged by each window's share of the translates' spread."""
-    x_share = sum(x_hi - x_lo + 1 for x_lo, x_hi, _, _, _ in atoms)
-    y_share = sum(y_hi - y_lo + 1 for _, _, y_lo, y_hi, _ in atoms)
-    return (y_share * (wx[-1] - wx[0] + 1)
-            < x_share * (max(wy) - min(wy) + 1))
-
-
 def _exact_counts(lat: Lattice, region: Region,
                   samples: list[tuple[int, int]], den: int) -> list[int]:
     """Multiplicity at each sample, in sample order.
@@ -198,10 +195,16 @@ def _exact_counts(lat: Lattice, region: Region,
     A sample (x, y) stands for the point (x/den, y/den), where den is a
     multiple of ``_den(lat, region.shape)``, so that the translates that
     can reach the samples and the shape are integers too and the region is
-    the atoms of ``_atoms``.  For each sample and atom, bisection finds the
-    translates in the atom's x-window, and only those are tested against
-    its y and diagonal bounds; where y-windows hold fewer translates, as
-    on a tall, thin fundamental rectangle, x and y swap roles.
+    the atoms of ``_atoms``.
+
+    The count is a line sweep.  Samples that share an x lie on one vertical
+    line, and on the line x = px each translate (x, y) in an atom's
+    x-window (found by bisection) covers one closed interval of py, from
+    y + y_lo to y + min(y_hi, x + diag - px), unless that is empty.  The
+    line's interval starts and ends are sorted once, and the count at py is
+    the number of starts <= py less the number of ends < py.  Samples are
+    grouped along the axis with fewer distinct sample values; when that
+    axis is y, x and y swap roles.
     """
     bb = region.shape.bbox()
     sx = [x for x, _ in samples]
@@ -212,26 +215,41 @@ def _exact_counts(lat: Lattice, region: Region,
     wx = [as_int(w.x, den) for w in translates]
     wy = [as_int(w.y, den) for w in translates]
     atoms = _atoms(region, den)
-    if translates and _y_first(wx, wy, atoms):
+    if translates and len(set(sy)) < len(set(sx)):
         # the kernel is symmetric in x and y: transpose everything
         wx, wy = map(list, zip(*sorted(zip(wy, wx))))
-        samples = ((y, x) for x, y in samples)
+        sx, sy = sy, sx
         atoms = [(y_lo, y_hi, x_lo, x_hi, diag)
                  for x_lo, x_hi, y_lo, y_hi, diag in atoms]
+    # an atom with y_lo > y_hi is empty, and its translates would give
+    # empty intervals, which the counts below must not see
+    atoms = [a for a in atoms if a[2] <= a[3]]
     # wx is sorted: points_in_box sorts by x, and a transpose re-sorts
     ws = [x + y for x, y in zip(wx, wy)]
-    counts = []
-    for px, py in samples:
-        n = 0
+    lines: dict[int, list[int]] = {}
+    for i, px in enumerate(sx):
+        lines.setdefault(px, []).append(i)
+    counts = [0] * len(samples)
+    for px, line in lines.items():
+        starts: list[int] = []
+        ends: list[int] = []
         for x_lo, x_hi, y_lo, y_hi, diag in atoms:
-            # x_lo <= px - wx <= x_hi, y_lo <= py - wy <= y_hi and
-            # (px - wx) + (py - wy) <= diag
-            lo = bisect_left(wx, px - x_hi)
+            # the translate (x, y) covers py in [y + y_lo, y + top], where
+            # top = min(y_hi, x + c); sorted x splits the atom's x-window
+            # into empty intervals (x + c < y_lo), a diagonal part
+            # (x + c <= y_hi) and a part where the diagonal does not bind
+            c = diag - px
+            lo = bisect_left(wx, max(px - x_hi, y_lo - c))
             hi = bisect_right(wx, px - x_lo, lo)
-            y_min, y_max, s_min = py - y_hi, py - y_lo, px + py - diag
-            n += len([1 for y, s in zip(wy[lo:hi], ws[lo:hi])
-                      if y_min <= y <= y_max and s >= s_min])
-        counts.append(n)
+            mid = bisect_right(wx, y_hi - c, lo, hi)
+            starts += [y + y_lo for y in wy[lo:hi]]
+            ends += [s + c for s in ws[lo:mid]]
+            ends += [y + y_hi for y in wy[mid:hi]]
+        starts.sort()
+        ends.sort()
+        for i in line:
+            py = sy[i]
+            counts[i] = bisect_right(starts, py) - bisect_left(ends, py)
     return counts
 
 

@@ -95,6 +95,17 @@ def test_singular_lattice_spec_is_a_readable_usage_error(capsys):
     assert "singular basis: (1/2, 1), (-1, -2)" in capsys.readouterr().err
 
 
+def test_collinear_triangle_is_a_readable_usage_error(capsys):
+    assert run(["density", "--j", "1", "--kind", "packing",
+                "--triangle", "0,0,1,1,2,2"]) == 2
+    assert ("collinear triangle vertices: (0, 0), (1, 1), (2, 2)"
+            in capsys.readouterr().err)
+    assert run(["density", "--j", "1", "--kind", "covering",
+                "--triangle", "1/2,0,1,-1/3,0,1/3"]) == 2
+    assert ("collinear triangle vertices: (1/2, 0), (1, -1/3), (0, 1/3)"
+            in capsys.readouterr().err)
+
+
 def test_lattice_spec_needs_two_coordinates_per_vector(capsys):
     for spec in ("1,0;0,1,5", "1,0,3;0,1", "1;0,1", "1,0;0,1;1,1"):
         assert run(["lambda", "--j", "1", "--which", "lower",

@@ -61,11 +61,14 @@ def test_prec_negative_matches_order(v):
 
 
 def test_stair_validation_rejects_degenerate():
-    with pytest.raises(ValueError):
+    # the messages print rationals as a/b, not as Fraction reprs
+    with pytest.raises(ValueError, match=r"increasing: \(0, 0, 1\)$"):
         stair([0, 0, 1], [2, 1])  # zero-width column
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"decreasing: \(1, 1\)$"):
         stair([0, 1, 2], [1, 1])  # non-decreasing heights
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"decreasing: \(1, 1/2, 1/2\)$"):
+        stair([0, 1, 2, 3], [1, F(1, 2), F(1, 2)])
+    with pytest.raises(ValueError, match=r"positive: \(0\)$"):
         stair([0, 1], [0])  # non-positive height
     with pytest.raises(ValueError):
         stair([0, 1, 2], [1])  # length mismatch

@@ -344,6 +344,36 @@ def test_counts_and_extrema_match_point_oracle(lat, region, ts, shifts):
     assert max(expected) <= rep.max_mult
 
 
+@hyp.composite
+def line_lattices(draw):
+    """Random lattices and near-rotations (1, 1/N), (-1/N, 1), whose
+    canonical rectangle is 1/N wide and about N tall."""
+    if draw(hyp.booleans()):
+        n = draw(hyp.integers(2, 200))
+        return Lattice(Point(1, F(1, n)), Point(F(-1, n), 1))
+    return draw(rational_lattices())
+
+
+@settings(max_examples=80, deadline=None)
+@given(line_lattices(), regions(), hyp.data())
+def test_counts_on_shared_lines_match_point_oracle(lat, region, data):
+    # a whole sub-grid of cell corners: each sample shares its line with
+    # others along both axes, and either axis may have fewer values
+    shape = region.shape
+    if isinstance(shape, ScaledTriangle):
+        shape = stair([0, shape.side], [shape.side])
+    den = 4 * _common_den(lat, shape)
+    xs, ys = _halfopen_grid(lat, [shape], den)
+    sub_xs = data.draw(hyp.lists(hyp.sampled_from(xs[:-1]), min_size=1,
+                                 max_size=5, unique=True))
+    sub_ys = data.draw(hyp.lists(hyp.sampled_from(ys[:-1]), min_size=1,
+                                 max_size=5, unique=True))
+    samples = [(x, y) for x in sub_xs for y in sub_ys]
+    counts = _exact_counts(lat, region, samples, den)
+    assert counts == [count_at(lat, region, _at(u, den)) for u in samples]
+    assert _exact_counts(lat, region, samples[::-1], den) == counts[::-1]
+
+
 def _scaled_magnitude(lat, shape, samples, den):
     values = [lat.u1.x, lat.u1.y, lat.u2.x, lat.u2.y] + _shape_values(shape)
     return max([abs(v * den) for v in values]
@@ -464,3 +494,25 @@ def test_stair_witnesses_are_frozen():
                 digest.update(json.dumps(rep.to_json()).encode())
     assert digest.hexdigest() == ("20fceced437b3a5e03e1d61e16a4e673"
                                   "94ae7fc2b2d057b9c1f9b1c9a7598577")
+
+
+def test_halfopen_reports_are_frozen():
+    # the half open path counts cell corners; the digest was taken from
+    # the per-sample, per-atom kernel before it became a line sweep
+    lats = [integer_lattice()]
+    lats += [shift_lattice(m, j) for j in (1, 2) for m in range(1, 2 * j + 2)]
+    lats += [Lattice(Point(*u1), Point(*u2)) for u1, u2 in GENERIC_BASES]
+    shapes = [canonical_stair(1), canonical_stair(2),
+              stair([0, F(1, 2), 2], [1, F(2, 3)])]
+    digest = hashlib.sha256()
+    for lat in lats:
+        for shape in shapes:
+            region = stair_region(shape)
+            rep = multiplicity_extrema(lat, region)
+            digest.update(json.dumps(rep.to_json()).encode())
+            digest.update(str(mean_multiplicity(lat, region)).encode())
+    rep = layer_extrema(shift_lattice(1, 1), canonical_stair(2),
+                        stair([0, 1, 3], [3, 2]))
+    digest.update(json.dumps(rep.to_json()).encode())
+    assert digest.hexdigest() == ("c302d1337534536551c8d71054c58015"
+                                  "b64e67a84935220e370f8559467dbc6f")
