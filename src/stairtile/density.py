@@ -9,10 +9,10 @@ j-fold predicate and every density value is invariant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .geometry import Point, ScaledTriangle, format_rational, frac
+from .geometry import (Frozen, Point, RationalLike, ScaledTriangle,
+                       format_rational, frac)
 from .lattice import Lattice
 from .multiplicity import (COVERING, KIND_MODE, PACKING, Region,
                            jfold_violation)
@@ -29,8 +29,7 @@ class DensityPredicateError(ValueError):
         self.multiplicity = multiplicity
 
 
-@dataclass(frozen=True)
-class AffineMap:
+class AffineMap(Frozen):
     """Exact invertible affine map p -> M p + t with a rational 2x2 M."""
 
     m11: Fraction
@@ -39,11 +38,12 @@ class AffineMap:
     m22: Fraction
     t: Point
 
-    def __post_init__(self) -> None:
-        for field in ("m11", "m12", "m21", "m22"):
-            object.__setattr__(self, field, frac(getattr(self, field)))
-        if self.det == 0:
+    def __init__(self, m11: RationalLike, m12: RationalLike,
+                 m21: RationalLike, m22: RationalLike, t: Point) -> None:
+        m11, m12, m21, m22 = frac(m11), frac(m12), frac(m21), frac(m22)
+        if m11 * m22 - m12 * m21 == 0:
             raise ValueError("affine map must be non-singular")
+        super().__init__(m11, m12, m21, m22, t)
 
     @property
     def det(self) -> Fraction:
@@ -93,8 +93,7 @@ def normalize_triangle(a: Point, b: Point, c: Point) -> AffineMap:
     return AffineMap(m11, m12, m21, m22, t)
 
 
-@dataclass(frozen=True)
-class DensityResult:
+class DensityResult(Frozen):
     """A density value with the lattices that witness it."""
 
     value: Fraction

@@ -11,11 +11,10 @@ basis is not singular.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor, lcm
 
-from .geometry import Box, Point, RationalLike, as_int, frac
+from .geometry import Box, Frozen, Point, RationalLike, as_int, frac
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -54,15 +53,16 @@ def _canonical_triple(u1: Point, u2: Point) -> tuple[Fraction, Fraction, Fractio
             Fraction(y2, den))
 
 
-@dataclass(frozen=True, eq=False)
-class Lattice:
+class Lattice(Frozen):
     """Rank-2 lattice given by two basis vectors with nonzero determinant."""
 
     u1: Point
     u2: Point
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_key", _canonical_triple(self.u1, self.u2))
+    def __init__(self, u1: Point, u2: Point) -> None:
+        object.__setattr__(self, "u1", u1)
+        object.__setattr__(self, "u2", u2)
+        object.__setattr__(self, "_key", _canonical_triple(u1, u2))
 
     @property
     def det(self) -> Fraction:

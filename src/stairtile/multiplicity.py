@@ -35,13 +35,12 @@ Half open stair grids put their many samples on a few vertical lines.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import lcm
 
-from .geometry import (Box, Point, ScaledTriangle, StairPolygon, as_int,
-                       frac)
+from .geometry import (Box, Frozen, Point, ScaledTriangle, StairPolygon,
+                       as_int, frac)
 from .lattice import Lattice, fundamental_rect, points_in_box, scaled_points
 
 
@@ -58,8 +57,7 @@ COVERING = "covering"
 KIND_MODE = {PACKING: Mode.INTERIOR, COVERING: Mode.CLOSED}
 
 
-@dataclass(frozen=True)
-class Region:
+class Region(Frozen):
     """A bounded region together with its membership mode.
 
     Half open membership only makes sense for stair polygons; triangles use
@@ -70,10 +68,11 @@ class Region:
     shape: StairPolygon | ScaledTriangle
     mode: Mode
 
-    def __post_init__(self) -> None:
-        if self.mode is Mode.HALF_OPEN and not isinstance(self.shape,
-                                                          StairPolygon):
+    def __init__(self, shape: StairPolygon | ScaledTriangle,
+                 mode: Mode) -> None:
+        if mode is Mode.HALF_OPEN and not isinstance(shape, StairPolygon):
             raise ValueError("half open membership requires a stair polygon")
+        super().__init__(shape, mode)
 
     def contains(self, p: Point) -> bool:
         if isinstance(self.shape, StairPolygon):
@@ -101,14 +100,20 @@ def triangle_region(side, mode: Mode = Mode.CLOSED) -> Region:
     return Region(ScaledTriangle(frac(side)), mode)
 
 
-@dataclass(frozen=True)
-class MultiplicityReport:
+class MultiplicityReport(Frozen):
     """Exact multiplicity extrema with witness points that reproduce them."""
 
     min_mult: int
     max_mult: int
     min_witness: Point
     max_witness: Point
+
+    def __init__(self, min_mult: int, max_mult: int, min_witness: Point,
+                 max_witness: Point) -> None:
+        object.__setattr__(self, "min_mult", min_mult)
+        object.__setattr__(self, "max_mult", max_mult)
+        object.__setattr__(self, "min_witness", min_witness)
+        object.__setattr__(self, "max_witness", max_witness)
 
     def to_json(self) -> dict:
         return {

@@ -34,11 +34,10 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
 from collections.abc import Iterable
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .geometry import as_int, format_rational, frac
+from .geometry import Frozen, as_int, format_rational, frac
 from .lattice import Lattice, scaled_points
 from .multiplicity import (COVERING, PACKING, Mode, Region, ScaledTriangle,
                            is_jfold_covering, is_jfold_packing)
@@ -50,8 +49,7 @@ class CandidateGapError(RuntimeError):
     at the neighbouring candidate."""
 
 
-@dataclass(frozen=True)
-class ScaleCertificate:
+class ScaleCertificate(Frozen):
     """A critical scale plus the predicate probes that certify it.
 
     The predicate holds at ``value`` and flips across it: the recorded

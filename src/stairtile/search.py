@@ -15,18 +15,16 @@ small-denominator rationals and its area re-evaluated exactly.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .geometry import Point, ScaledTriangle, format_rational
+from .geometry import Frozen, Point, ScaledTriangle, format_rational
 from .lattice import Lattice
 from .multiplicity import (COVERING, KIND_MODE, PACKING, Region,
                            is_jfold_covering, is_jfold_packing)
 
 
-@dataclass(frozen=True)
-class SearchReport:
+class SearchReport(Frozen):
     """Outcome of a brute-force lattice sweep."""
 
     best_value: Fraction | None
@@ -117,8 +115,7 @@ def search_covering(j: int, denominator_bound: int,
     return _search(j, denominator_bound, coefficient_bound, COVERING)
 
 
-@dataclass(frozen=True)
-class AreaOptimum:
+class AreaOptimum(Frozen):
     """Result of a numeric stair-area optimization run.
 
     value is the best area found (floating point), corner_layout the

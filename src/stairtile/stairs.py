@@ -23,11 +23,11 @@ those fail.
 from __future__ import annotations
 
 from bisect import insort
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .geometry import (Box, Point, StairPolygon, format_rational, frac,
+from .geometry import (Box, Frozen, Point, RationalLike, StairPolygon,
+                       format_rational, format_rationals, frac,
                        prec_negative)
 from .lattice import (Lattice, enumerate_integer_sublattices, shift_lattice,
                       points_in_box)
@@ -41,8 +41,7 @@ class SelectionStairError(RuntimeError):
     """The swept stair failed validation; the candidate set has a gap."""
 
 
-@dataclass(frozen=True)
-class HalfOpenBox:
+class HalfOpenBox(Frozen):
     """[x_min, x_max) x [y_min, y_max)."""
 
     x_min: Fraction
@@ -50,13 +49,15 @@ class HalfOpenBox:
     y_min: Fraction
     y_max: Fraction
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "x_min", frac(self.x_min))
-        object.__setattr__(self, "x_max", frac(self.x_max))
-        object.__setattr__(self, "y_min", frac(self.y_min))
-        object.__setattr__(self, "y_max", frac(self.y_max))
-        if self.x_min >= self.x_max or self.y_min >= self.y_max:
-            raise ValueError(f"empty half open box: {self}")
+    def __init__(self, x_min: RationalLike, x_max: RationalLike,
+                 y_min: RationalLike, y_max: RationalLike) -> None:
+        x_min, x_max, y_min, y_max = (frac(x_min), frac(x_max),
+                                      frac(y_min), frac(y_max))
+        if x_min >= x_max or y_min >= y_max:
+            raise ValueError(
+                "empty half open box (x_min, x_max, y_min, y_max) = "
+                + format_rationals((x_min, x_max, y_min, y_max)))
+        super().__init__(x_min, x_max, y_min, y_max)
 
     def contains(self, p: Point) -> bool:
         return (self.x_min <= p.x < self.x_max
@@ -78,8 +79,7 @@ def canonical_stair(j: int) -> StairPolygon:
                         tuple(Fraction(2 * j - i) for i in range(2 * j)))
 
 
-@dataclass(frozen=True)
-class CanonicalRegions:
+class CanonicalRegions(Frozen):
     """The unit-cell regions that drive the gcd counting rules.
 
     stair (S), upper_stair (S*), and diagonal (D) are mutually disjoint and
@@ -211,8 +211,7 @@ def selection_member(lat: Lattice, j: int, p: Point, scale) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class SelectionStair:
+class SelectionStair(Frozen):
     """The first-j selection stair of a lattice, with its corner data.
 
     corners lists the inner step corners (x_i, y_i), i = 1..r; the extreme
@@ -273,8 +272,8 @@ def selection_stair(lat: Lattice, j: int) -> SelectionStair:
     col_heights.pop()  # the height 0 at x = lam
     if not col_heights or any(h <= 0 for h in col_heights):
         raise SelectionStairError(
-            f"degenerate column heights {col_heights} for lattice "
-            f"{lat.to_json()}")
+            f"degenerate column heights {format_rationals(col_heights)} "
+            f"for lattice {lat.to_json()}")
     stair = StairPolygon(tuple(breaks), tuple(col_heights))
 
     if stair.area() != j * lat.d:

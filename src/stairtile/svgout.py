@@ -8,10 +8,9 @@ byte-identical documents.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .geometry import Box, Point, ScaledTriangle, StairPolygon
+from .geometry import Box, Frozen, Point, ScaledTriangle, StairPolygon
 from .lattice import Lattice
 from .multiplicity import Region
 
@@ -23,8 +22,7 @@ _PALETTE = (
 )
 
 
-@dataclass(frozen=True)
-class RenderSpec:
+class RenderSpec(Frozen):
     """What to draw: a region, its lattice, and a viewport.
 
     copies bounds the basis-coefficient range of the enumerated translates
@@ -38,11 +36,13 @@ class RenderSpec:
     viewport: Box
     copies: int
 
-    def __post_init__(self) -> None:
-        if self.viewport.width == 0 or self.viewport.height == 0:
+    def __init__(self, region: Region, lattice: Lattice, j: int,
+                 viewport: Box, copies: int) -> None:
+        if viewport.width == 0 or viewport.height == 0:
             raise ValueError("viewport must be two-dimensional")
-        if self.copies < 0:
-            raise ValueError(f"copies must be non-negative: {self.copies}")
+        if copies < 0:
+            raise ValueError(f"copies must be non-negative: {copies}")
+        super().__init__(region, lattice, j, viewport, copies)
 
 
 def _dec12(value: Fraction) -> str:

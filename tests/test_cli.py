@@ -113,14 +113,36 @@ def test_lattice_spec_needs_two_coordinates_per_vector(capsys):
         assert "cannot parse lattice spec" in capsys.readouterr().err
 
 
-def test_import_does_not_load_numpy():
+def _fresh_interpreter(code: str) -> str:
+    """Standard output of ``code`` run by a new interpreter on src."""
     src = os.path.join(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=src)
-    code = "import sys, stairtile; print('numpy' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip()
+
+
+def test_import_does_not_load_numpy():
+    code = "import sys, stairtile; print('numpy' in sys.modules)"
+    assert _fresh_interpreter(code) == "False"
+
+
+def test_import_does_not_load_dataclass_machinery():
+    # compared against the interpreter's own start-up modules, which may
+    # already hold some of these (site hooks import typing on some hosts)
+    code = ("import sys; bare = set(sys.modules); import stairtile.cli; "
+            "print(sorted({'dataclasses', 'inspect', 'typing'} "
+            "& (set(sys.modules) - bare)))")
+    assert _fresh_interpreter(code) == "[]"
+
+
+def test_degenerate_viewport_is_a_readable_usage_error(capsys):
+    assert run(["render", "--region", "stair", "--j", "1",
+                "--viewport=1,0,0,1"]) == 2
+    err = capsys.readouterr().err
+    assert "degenerate box (x_min, x_max, y_min, y_max) = (1, 0, 0, 1)" in err
+    assert "Fraction(" not in err
 
 
 def test_lambda_subcommand(capsys):
