@@ -11,14 +11,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
-from .density import (COVERING, PACKING, DensityResult, covering_lattice,
-                      density_result, normalize_triangle, packing_lattice)
+from .density import (COVERING, PACKING, DensityResult, density_result,
+                      family_lattice, normalize_triangle)
 from .geometry import Box, Point, format_rational, parse_rational
 from .lattice import (Lattice, enumerate_integer_sublattices, integer_lattice,
                       shift_lattice)
-from .multiplicity import Mode, Region, ScaledTriangle, is_exact_jfold_tiling
+from .multiplicity import is_exact_jfold_tiling, stair_region, triangle_region
 from .arith import phi_k, phi_k_bruteforce
 from .scales import lambda_lower, lambda_upper
 from .search import (optimize_circumscribed_stair, optimize_inscribed_stair,
@@ -45,9 +44,7 @@ def _parse_lattice(spec: str, j: int | None) -> Lattice:
             m = int(s.split(":", 1)[1])
             if prefix == "shift":
                 return shift_lattice(m, j)
-            if prefix == "packing":
-                return packing_lattice(j, m)
-            return covering_lattice(j, m)
+            return family_lattice(j, m, prefix)
     try:
         u1, u2 = ([parse_rational(v) for v in part.split(",")]
                   for part in s.split(";"))
@@ -106,7 +103,7 @@ def _cmd_sj(args) -> int:
         pad = max(bb.width, bb.height)
         viewport = Box(bb.x_min - pad, bb.x_max + pad,
                        bb.y_min - pad, bb.y_max + pad)
-        spec = RenderSpec(Region(result.stair, Mode.HALF_OPEN), lat,
+        spec = RenderSpec(stair_region(result.stair), lat,
                           args.j, viewport, copies=8)
         with open(args.svg, "w", encoding="utf-8") as handle:
             handle.write(render(spec))
@@ -198,11 +195,10 @@ def _cmd_render(args) -> int:
     if args.region == "stair":
         shape = canonical_stair(args.j)
         if args.scale is not None:
-            shape = shape.scaled(parse_rational(args.scale))
-        region = Region(shape, Mode.HALF_OPEN)
+            shape = shape.scaled(args.scale)
+        region = stair_region(shape)
     else:
-        side = parse_rational(args.scale) if args.scale else Fraction(1)
-        region = Region(ScaledTriangle(side), Mode.CLOSED)
+        region = triangle_region(args.scale or 1)
     spec = RenderSpec(region, lat, args.j, _parse_viewport(args.viewport),
                       args.copies)
     document = render(spec)

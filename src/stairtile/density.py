@@ -1,21 +1,22 @@
 """Closed-form j-fold densities of the triangle and their optimal lattices.
 
 The closed forms are 2j^2/(2j+1) for packing and (2j+1)/2 for covering, and
-the lattices attaining them come in a single family per kind, indexed by the
-shifts m with gcd(m, 2j+1) = gcd(m+1, 2j+1) = 1.  Arbitrary triangles reduce
-to the standard one through an exact affine normalization, under which every
-j-fold predicate and every density value is invariant.
+the lattices attaining them are one family for both kinds: the stair
+lattices (1, m), (0, 2j+1) of ``shift_lattice`` with gcd(m, 2j+1) =
+gcd(m+1, 2j+1) = 1, scaled by 1/(2j) for packing and by 1/(2j+1) for
+covering (``family_lattice``).  Arbitrary triangles reduce to the standard
+one through an exact affine normalization, under which every j-fold
+predicate and every density value is invariant.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .geometry import (Frozen, Point, RationalLike, ScaledTriangle,
-                       format_rational, frac)
-from .lattice import Lattice
+from .geometry import Frozen, Point, RationalLike, fields_json, frac
+from .lattice import Lattice, shift_lattice
 from .multiplicity import (COVERING, KIND_MODE, PACKING, Region,
-                           jfold_violation)
+                           jfold_violation, triangle_region)
 from .stairs import admissible_shifts
 
 
@@ -101,14 +102,7 @@ class DensityResult(Frozen):
     j: int
     witness_lattices: tuple[Lattice, ...]
 
-    def to_json(self) -> dict:
-        return {
-            "value": format_rational(self.value),
-            "kind": self.kind,
-            "j": self.j,
-            "witness_lattices": [lat.to_json()
-                                 for lat in self.witness_lattices],
-        }
+    to_json = fields_json
 
 
 def packing_density(j: int) -> Fraction:
@@ -132,31 +126,20 @@ def _unit_triangle(kind: str) -> Region:
     """The standard triangle in the mode that decides the kind's predicate."""
     if kind not in KIND_MODE:
         raise ValueError(f"kind must be {PACKING!r} or {COVERING!r}: {kind}")
-    return Region(ScaledTriangle(Fraction(1)), KIND_MODE[kind])
+    return triangle_region(1, KIND_MODE[kind])
 
 
-def packing_lattice(j: int, m: int) -> Lattice:
-    """The lattice generated by (1/(2j), m/(2j)) and (0, (2j+1)/(2j))."""
-    if j < 1:
-        raise ValueError(f"need j >= 1: {j}")
-    den = 2 * j
-    return Lattice(Point(Fraction(1, den), Fraction(m, den)),
-                   Point(Fraction(0), Fraction(2 * j + 1, den)))
-
-
-def covering_lattice(j: int, m: int) -> Lattice:
-    """The lattice generated by (1/(2j+1), m/(2j+1)) and (0, 1)."""
-    if j < 1:
-        raise ValueError(f"need j >= 1: {j}")
-    den = 2 * j + 1
-    return Lattice(Point(Fraction(1, den), Fraction(m, den)),
-                   Point(Fraction(0), Fraction(1)))
+def family_lattice(j: int, m: int, kind: str) -> Lattice:
+    """``shift_lattice(m, j)`` scaled by 1/(2j) for packing and by
+    1/(2j+1) for covering: for an admissible m, a lattice attaining the
+    kind's closed form."""
+    return shift_lattice(m, j).scaled(
+        Fraction(1, 2 * j if kind == PACKING else 2 * j + 1))
 
 
 def _optimal_lattices(j: int, kind: str, verify: bool) -> list[Lattice]:
     region = _unit_triangle(kind)
-    build = packing_lattice if kind == PACKING else covering_lattice
-    lats = [build(j, m) for m in admissible_shifts(j)]
+    lats = [family_lattice(j, m, kind) for m in admissible_shifts(j)]
     if verify:
         for lat in lats:
             if jfold_violation(region, lat, j, kind) is not None:
@@ -170,14 +153,16 @@ def _optimal_lattices(j: int, kind: str, verify: bool) -> list[Lattice]:
 
 
 def optimal_packing_lattices(j: int, verify: bool = True) -> list[Lattice]:
-    """``packing_lattice(j, m)`` for the admissible shifts m; each is checked
-    to pack j-fold at the closed form density when verify is set."""
+    """``family_lattice(j, m, PACKING)`` for the admissible shifts m; each
+    is checked to pack j-fold at the closed form density when verify is
+    set."""
     return _optimal_lattices(j, PACKING, verify)
 
 
 def optimal_covering_lattices(j: int, verify: bool = True) -> list[Lattice]:
-    """``covering_lattice(j, m)`` for the admissible shifts m; each is
-    checked to cover j-fold at the closed form density when verify is set."""
+    """``family_lattice(j, m, COVERING)`` for the admissible shifts m; each
+    is checked to cover j-fold at the closed form density when verify is
+    set."""
     return _optimal_lattices(j, COVERING, verify)
 
 

@@ -14,7 +14,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import ceil, floor, lcm
 
-from .geometry import Box, Frozen, Point, RationalLike, as_int, frac
+from .geometry import (Box, Frozen, Point, RationalLike, as_int, fields_json,
+                       frac)
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -110,8 +111,7 @@ class Lattice(Frozen):
             raise ValueError("scale factor must be nonzero")
         return Lattice(self.u1.scaled(c), self.u2.scaled(c))
 
-    def to_json(self) -> dict:
-        return {"u1": self.u1.to_json(), "u2": self.u2.to_json()}
+    to_json = fields_json
 
     @staticmethod
     def from_json(data: dict) -> "Lattice":

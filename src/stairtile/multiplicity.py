@@ -40,7 +40,7 @@ from fractions import Fraction
 from math import lcm
 
 from .geometry import (Box, Frozen, Point, ScaledTriangle, StairPolygon,
-                       as_int, frac)
+                       as_int, fields_json)
 from .lattice import Lattice, fundamental_rect, points_in_box, scaled_points
 
 
@@ -75,12 +75,8 @@ class Region(Frozen):
         super().__init__(shape, mode)
 
     def contains(self, p: Point) -> bool:
-        if isinstance(self.shape, StairPolygon):
-            if self.mode is Mode.HALF_OPEN:
-                return self.shape.contains(p)
-            if self.mode is Mode.CLOSED:
-                return self.shape.contains_closed(p)
-            return self.shape.contains_interior(p)
+        if self.mode is Mode.HALF_OPEN:
+            return self.shape.contains(p)
         if self.mode is Mode.CLOSED:
             return self.shape.contains_closed(p)
         return self.shape.contains_interior(p)
@@ -97,7 +93,7 @@ def stair_region(shape: StairPolygon, mode: Mode = Mode.HALF_OPEN) -> Region:
 
 
 def triangle_region(side, mode: Mode = Mode.CLOSED) -> Region:
-    return Region(ScaledTriangle(frac(side)), mode)
+    return Region(ScaledTriangle(side), mode)
 
 
 class MultiplicityReport(Frozen):
@@ -115,13 +111,7 @@ class MultiplicityReport(Frozen):
         object.__setattr__(self, "min_witness", min_witness)
         object.__setattr__(self, "max_witness", max_witness)
 
-    def to_json(self) -> dict:
-        return {
-            "min_mult": self.min_mult,
-            "max_mult": self.max_mult,
-            "min_witness": self.min_witness.to_json(),
-            "max_witness": self.max_witness.to_json(),
-        }
+    to_json = fields_json
 
 
 def count_at(lat: Lattice, region: Region, u: Point) -> int:

@@ -37,10 +37,10 @@ from collections.abc import Iterable
 from fractions import Fraction
 from math import lcm
 
-from .geometry import Frozen, as_int, format_rational, frac
+from .geometry import Frozen, as_int, fields_json, frac
 from .lattice import Lattice, scaled_points
-from .multiplicity import (COVERING, PACKING, Mode, Region, ScaledTriangle,
-                           is_jfold_covering, is_jfold_packing)
+from .multiplicity import (COVERING, PACKING, Mode, is_jfold_covering,
+                           is_jfold_packing, triangle_region)
 
 
 class CandidateGapError(RuntimeError):
@@ -64,27 +64,17 @@ class ScaleCertificate(Frozen):
     above_scale: Fraction
     predicate_above: bool
 
-    def to_json(self) -> dict:
-        return {
-            "value": format_rational(self.value),
-            "predicate_at_value": self.predicate_at_value,
-            "below_scale": format_rational(self.below_scale),
-            "predicate_below": self.predicate_below,
-            "above_scale": format_rational(self.above_scale),
-            "predicate_above": self.predicate_above,
-        }
+    to_json = fields_json
 
 
 def covering_predicate(lat: Lattice, j: int, scale) -> bool:
     """True iff closed scale*T translates cover every point >= j deep."""
-    return is_jfold_covering(Region(ScaledTriangle(frac(scale)), Mode.CLOSED),
-                             lat, j)
+    return is_jfold_covering(triangle_region(scale, Mode.CLOSED), lat, j)
 
 
 def packing_predicate(lat: Lattice, j: int, scale) -> bool:
     """True iff open scale*T translates overlap at most j deep."""
-    return is_jfold_packing(Region(ScaledTriangle(frac(scale)),
-                                   Mode.INTERIOR), lat, j)
+    return is_jfold_packing(triangle_region(scale, Mode.INTERIOR), lat, j)
 
 
 # A set of ints costs some 60 bytes per element; a bitmask is filled

@@ -18,10 +18,10 @@ import random
 from fractions import Fraction
 from math import gcd
 
-from .geometry import Frozen, Point, ScaledTriangle, format_rational
+from .geometry import Frozen, Point, fields_json
 from .lattice import Lattice
-from .multiplicity import (COVERING, KIND_MODE, PACKING, Region,
-                           is_jfold_covering, is_jfold_packing)
+from .multiplicity import (COVERING, KIND_MODE, PACKING, is_jfold_covering,
+                           is_jfold_packing, triangle_region)
 
 
 class SearchReport(Frozen):
@@ -30,16 +30,10 @@ class SearchReport(Frozen):
     best_value: Fraction | None
     best_lattices: tuple[Lattice, ...]
     space_size: int
-    parameters: dict
+    parameters: tuple[tuple[str, object], ...]  # (name, value) pairs
 
     def to_json(self) -> dict:
-        return {
-            "best_value": (None if self.best_value is None
-                           else format_rational(self.best_value)),
-            "best_lattices": [lat.to_json() for lat in self.best_lattices],
-            "space_size": self.space_size,
-            "parameters": self.parameters,
-        }
+        return {**fields_json(self), "parameters": dict(self.parameters)}
 
 
 def lattice_search_space(denominator_bound: int,
@@ -74,7 +68,7 @@ def _search(j: int, denominator_bound: int, coefficient_bound: int,
     if j < 1:
         raise ValueError(f"need j >= 1: {j}")
     space = lattice_search_space(denominator_bound, coefficient_bound)
-    region = Region(ScaledTriangle(Fraction(1)), KIND_MODE[kind])
+    region = triangle_region(1, KIND_MODE[kind])
     passes = is_jfold_packing if kind == PACKING else is_jfold_covering
     sign = 1 if kind == PACKING else -1  # packings maximize the density
     best_value: Fraction | None = None
@@ -87,8 +81,8 @@ def _search(j: int, denominator_bound: int, coefficient_bound: int,
             best_value = value
             best.append(lat)
     best.sort(key=Lattice.canonical_key)
-    params = {"j": j, "denominator_bound": denominator_bound,
-              "coefficient_bound": coefficient_bound, "kind": kind}
+    params = (("j", j), ("denominator_bound", denominator_bound),
+              ("coefficient_bound", coefficient_bound), ("kind", kind))
     return SearchReport(best_value, tuple(best), len(space), params)
 
 
@@ -132,15 +126,7 @@ class AreaOptimum(Frozen):
     max_bound_violation: float
     snapped_area: Fraction
 
-    def to_json(self) -> dict:
-        return {
-            "value": self.value,
-            "corner_layout": list(self.corner_layout),
-            "target": format_rational(self.target),
-            "gap": self.gap,
-            "max_bound_violation": self.max_bound_violation,
-            "snapped_area": format_rational(self.snapped_area),
-        }
+    to_json = fields_json
 
 
 def _inscribed_area(xs: list) -> float | Fraction:

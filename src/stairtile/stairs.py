@@ -27,8 +27,7 @@ from fractions import Fraction
 from math import gcd
 
 from .geometry import (Box, Frozen, Point, RationalLike, StairPolygon,
-                       format_rational, format_rationals, frac,
-                       prec_negative)
+                       fields_json, format_rationals, frac, prec_negative)
 from .lattice import (Lattice, enumerate_integer_sublattices, shift_lattice,
                       points_in_box)
 from .multiplicity import is_exact_jfold_tiling
@@ -224,13 +223,7 @@ class SelectionStair(Frozen):
     extreme_corners: tuple[Point, Point]
     scale: Fraction
 
-    def to_json(self) -> dict:
-        return {
-            "stair": self.stair.to_json(),
-            "corners": [c.to_json() for c in self.corners],
-            "extreme_corners": [c.to_json() for c in self.extreme_corners],
-            "scale": format_rational(self.scale),
-        }
+    to_json = fields_json
 
 
 def selection_stair(lat: Lattice, j: int) -> SelectionStair:

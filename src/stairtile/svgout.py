@@ -101,7 +101,7 @@ def render(spec: RenderSpec) -> str:
 
     # anchor slightly inside the lower-left corner; layer = how many
     # earlier translates already cover that anchor
-    inset = Point(Fraction(1, 97), Fraction(1, 89))
+    corner = Point(bb.x_min + Fraction(1, 97), bb.y_min + Fraction(1, 89))
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -119,10 +119,7 @@ def render(spec: RenderSpec) -> str:
                      f'x2="{_CANVAS}" y2="{sy(Fraction(0))}" '
                      f'stroke="#888888" stroke-width="1"/>')
     for idx, w in enumerate(translates):
-        if isinstance(shape, ScaledTriangle):
-            anchor = Point(inset.x, inset.y) + w
-        else:
-            anchor = Point(shape.x_breaks[0] + inset.x, inset.y) + w
+        anchor = corner + w
         layer = 0
         for earlier in translates[:idx]:
             if spec.region.contains(anchor - earlier):

@@ -75,6 +75,10 @@ def test_usage_errors_exit_2(capsys, tmp_path):
                 "--lattice", "Z2", "--viewport", "0,2/0,0,2"]) == 2
     assert run(["lambda", "--j", "0", "--which", "lower",
                 "--lattice", "packing:1"]) == 2
+    # the family specs need M >= 1, as shift:M does
+    for spec in ("packing:0", "covering:0"):
+        assert run(["lambda", "--j", "1", "--which", "lower",
+                    "--lattice", spec]) == 2
     capsys.readouterr()
     # files that cannot be written
     missing = str(tmp_path / "missing" / "x.svg")

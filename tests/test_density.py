@@ -10,6 +10,7 @@ from stairtile import (AffineMap, DensityPredicateError, Lattice, Mode, Point,
                        optimal_covering_lattices, optimal_packing_lattices,
                        packing_density, triangle_jfold_predicate,
                        triangle_region)
+from stairtile.density import family_lattice
 
 
 def test_density_formulas():
@@ -35,6 +36,23 @@ def test_optimal_covering_lattices_examples():
     assert len(lats2) == 3
     assert all(lat.d == F(1, 5) for lat in lats2)
     assert len(optimal_covering_lattices(3)) == 5
+
+
+def test_family_lattice_bases():
+    # the basis itself, not only the lattice: to_json prints the basis
+    for j in range(1, 9):
+        for m in range(1, 2 * j + 2):
+            lat = family_lattice(j, m, "packing")
+            assert (lat.u1, lat.u2) == (
+                Point(F(1, 2 * j), F(m, 2 * j)),
+                Point(0, F(2 * j + 1, 2 * j)))
+            lat = family_lattice(j, m, "covering")
+            assert (lat.u1, lat.u2) == (
+                Point(F(1, 2 * j + 1), F(m, 2 * j + 1)), Point(0, 1))
+    for j, m in ((0, 1), (1, 0)):
+        for kind in ("packing", "covering"):
+            with pytest.raises(ValueError):
+                family_lattice(j, m, kind)
 
 
 def test_optimal_family_sizes_match_phi2():
