@@ -113,6 +113,8 @@ def _cmd_sj(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.expect and args.m is None:
+        raise UsageError("--expect needs --m")
     if args.forward:
         table = verify_stair_tiling_forward(args.j)
         payload = {"j": args.j,
@@ -133,7 +135,7 @@ def _cmd_verify(args) -> int:
         raise UsageError(f"only the canonical stair 'Sj' is supported: "
                          f"{args.stair!r}")
     if args.m is None:
-        raise UsageError("verify --stair needs --m")
+        raise UsageError("verify needs --m, --forward or --converse")
     tiles = is_exact_jfold_tiling(canonical_stair(args.j),
                                   shift_lattice(args.m, args.j), args.j)
     payload = {"j": args.j, "m": args.m, "tiles": tiles}
@@ -241,12 +243,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="exact tiling checks")
     p.add_argument("--j", type=int, required=True)
     p.add_argument("--stair", default="Sj")
-    p.add_argument("--m", type=int)
     p.add_argument("--expect", choices=["tiling", "no-tiling"])
-    p.add_argument("--forward", action="store_true",
-                   help="tabulate all m in 1..2j+1")
-    p.add_argument("--converse", action="store_true",
-                   help="exhaust the bounded rational space")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--m", type=int)
+    mode.add_argument("--forward", action="store_true",
+                      help="tabulate all m in 1..2j+1")
+    mode.add_argument("--converse", action="store_true",
+                      help="exhaust the bounded rational space")
     p.add_argument("--qmax", type=int, default=2)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_verify)

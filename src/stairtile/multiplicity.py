@@ -104,13 +104,6 @@ class MultiplicityReport(Frozen):
     min_witness: Point
     max_witness: Point
 
-    def __init__(self, min_mult: int, max_mult: int, min_witness: Point,
-                 max_witness: Point) -> None:
-        object.__setattr__(self, "min_mult", min_mult)
-        object.__setattr__(self, "max_mult", max_mult)
-        object.__setattr__(self, "min_witness", min_witness)
-        object.__setattr__(self, "max_witness", max_witness)
-
     to_json = fields_json
 
 
@@ -440,8 +433,8 @@ def mean_multiplicity(lat: Lattice, region: Region) -> Fraction:
     counts = iter(_exact_counts(lat, region, _cell_corners(xs, ys), den))
     total = sum(next(counts) * (x1 - x0) * (y1 - y0)
                 for x0, x1 in zip(xs, xs[1:]) for y0, y1 in zip(ys, ys[1:]))
-    w, h = fundamental_rect(lat)
-    return Fraction(total, den * den) / (w * h)
+    # the grid spans the fundamental rectangle, (w * den) x (h * den)
+    return Fraction(total, xs[-1] * ys[-1])
 
 
 def layer_extrema(lat: Lattice, outer: StairPolygon,
@@ -467,52 +460,27 @@ def layer_extrema(lat: Lattice, outer: StairPolygon,
     return _extrema([a - b for a, b in zip(c_out, c_in)], samples, den)
 
 
-_LCG_MULTIPLIER = 6364136223846793005
-_LCG_INCREMENT = 1442695040888963407
-_LCG_MODULUS = 1 << 64
-
-
-class _Lcg:
-    """Fixed 64-bit linear congruential generator (Knuth's constants).
-
-    Deterministic across platforms and implementations: successive states
-    are s -> (s * 6364136223846793005 + 1442695040888963407) mod 2**64 and
-    each draw is state / 2**64 as an exact rational in [0, 1).
-    """
-
-    def __init__(self, seed: int) -> None:
-        self.state = seed % _LCG_MODULUS
-        self.step()
-        self.step()
-
-    def step(self) -> int:
-        self.state = (self.state * _LCG_MULTIPLIER
-                      + _LCG_INCREMENT) % _LCG_MODULUS
-        return self.state
-
-    def next_fraction(self) -> Fraction:
-        return Fraction(self.step(), _LCG_MODULUS)
-
-
 def random_sampling_oracle(lat: Lattice, region: Region, n: int,
                            seed: int) -> MultiplicityReport:
-    """Sampled multiplicity range over n pseudo-random fundamental-domain
-    points; a lower bound on the true max and an upper bound on the true min.
+    """Sampled multiplicity range over n points u1*a + u2*b of the
+    fundamental parallelogram; a lower bound on the true max and an upper
+    bound on the true min.
+
+    a and b are the exact rationals of two successive draws of
+    ``random.Random(seed).random()``, a first, so a seed gives the same
+    samples on every Python version.  The witnesses are the first samples
+    that reach the min and the max.
     """
+    # imported here, not at the top: only this oracle draws, and no CLI
+    # subcommand calls it
+    from random import Random
+
     if n < 1:
         raise ValueError(f"need at least one sample: {n}")
-    rng = _Lcg(seed)
-    best_min: tuple[int, Point] | None = None
-    best_max: tuple[int, Point] | None = None
-    for _ in range(n):
-        a = rng.next_fraction()
-        b = rng.next_fraction()
-        u = lat.u1.scaled(a) + lat.u2.scaled(b)
-        c = count_at(lat, region, u)
-        if best_min is None or c < best_min[0]:
-            best_min = (c, u)
-        if best_max is None or c > best_max[0]:
-            best_max = (c, u)
-    assert best_min is not None and best_max is not None
-    return MultiplicityReport(best_min[0], best_max[0],
-                              best_min[1], best_max[1])
+    rng = Random(seed)
+    points = [lat.u1.scaled(Fraction(rng.random()))
+              + lat.u2.scaled(Fraction(rng.random())) for _ in range(n)]
+    counts = [count_at(lat, region, u) for u in points]
+    lo, hi = min(counts), max(counts)
+    return MultiplicityReport(lo, hi, points[counts.index(lo)],
+                              points[counts.index(hi)])

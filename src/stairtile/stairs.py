@@ -26,8 +26,9 @@ from bisect import insort
 from fractions import Fraction
 from math import gcd
 
-from .geometry import (Box, Frozen, Point, RationalLike, StairPolygon,
-                       fields_json, format_rationals, frac, prec_negative)
+from .geometry import (Box, Frozen, Point, RationalLike, ScaledTriangle,
+                       StairPolygon, fields_json, format_rationals, frac,
+                       prec_negative)
 from .lattice import (Lattice, enumerate_integer_sublattices, shift_lattice,
                       points_in_box)
 from .multiplicity import is_exact_jfold_tiling
@@ -192,22 +193,15 @@ def selection_member(lat: Lattice, j: int, p: Point, scale) -> bool:
     True iff p lies in the closed triangle and fewer than j lattice
     translates of p both precede it and stay inside the triangle.  Preceding
     is a property of the lattice vector alone, since the order is
-    translation invariant.
+    translation invariant.  A scale <= 0 raises ValueError, as
+    ``ScaledTriangle`` does.
     """
-    scale = frac(scale)
-    if p.x < 0 or p.y < 0 or p.x + p.y > scale:
+    tri = ScaledTriangle(scale)
+    if not tri.contains_closed(p):
         return False
-    vbox = Box(-p.x, scale - p.x, -p.y, scale - p.y)
-    competitors = 0
-    for v in points_in_box(lat, vbox):
-        if not prec_negative(v):
-            continue
-        q = p + v
-        if q.x >= 0 and q.y >= 0 and q.x + q.y <= scale:
-            competitors += 1
-            if competitors >= j:
-                return False
-    return True
+    vbox = Box(-p.x, tri.side - p.x, -p.y, tri.side - p.y)
+    return sum(1 for v in points_in_box(lat, vbox)
+               if prec_negative(v) and tri.contains_closed(p + v)) < j
 
 
 class SelectionStair(Frozen):

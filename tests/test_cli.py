@@ -53,6 +53,15 @@ def test_verify_expect_exit_codes(capsys):
         [1, 2, 3]
 
 
+def test_verify_modes_exclude_one_another(capsys):
+    # --expect asserts on --m alone, and the three modes do not combine
+    for argv in (["--forward", "--j", "1", "--expect", "no-tiling"],
+                 ["--forward", "--m", "2", "--j", "1"],
+                 ["--forward", "--converse", "--j", "1"]):
+        assert run(["verify", *argv]) == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_phi_subcommand(capsys):
     assert run(["phi", "--k", "2", "--n", "15"]) == 0
     assert capsys.readouterr().out.strip() == "3"

@@ -214,6 +214,18 @@ def test_random_sampling_oracle_examples():
                                triangle_region(1, Mode.CLOSED), 0, 1)
 
 
+def test_random_sampling_oracle_draws_from_random():
+    lat = Lattice(Point(F(2, 3), F(1, 5)), Point(F(-1, 4), F(3, 2)))
+    region = triangle_region(1, Mode.CLOSED)
+    for seed in (0, 1, 99):
+        rng = random.Random(seed)
+        a, b = F(rng.random()), F(rng.random())
+        u = lat.u1.scaled(a) + lat.u2.scaled(b)
+        rep = random_sampling_oracle(lat, region, 1, seed)
+        assert rep.min_witness == rep.max_witness == u
+        assert rep.min_mult == rep.max_mult == count_at(lat, region, u)
+
+
 def test_oracle_is_reproducible():
     lat = covering_optimal(2)
     region = triangle_region(1, Mode.CLOSED)
@@ -346,11 +358,16 @@ def test_counts_and_extrema_match_point_oracle(lat, region, ts, shifts):
 
 @hyp.composite
 def line_lattices(draw):
-    """Random lattices and near-rotations (1, 1/N), (-1/N, 1), whose
-    canonical rectangle is 1/N wide and about N tall."""
-    if draw(hyp.booleans()):
+    """Random lattices, near-rotations (1, 1/N), (-1/N, 1), whose canonical
+    rectangle is 1/N wide and about N tall, and wide lattices (N, 1/3),
+    (0, 1/N), whose canonical rectangle is N wide and 1/N tall."""
+    kind = draw(hyp.sampled_from(["random", "tall", "wide"]))
+    if kind == "tall":
         n = draw(hyp.integers(2, 200))
         return Lattice(Point(1, F(1, n)), Point(F(-1, n), 1))
+    if kind == "wide":
+        n = draw(hyp.integers(2, 50))
+        return Lattice(Point(n, F(1, 3)), Point(0, F(1, n)))
     return draw(rational_lattices())
 
 

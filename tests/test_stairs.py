@@ -110,6 +110,10 @@ def test_selection_member_examples():
     assert not selection_member(z2, 1, Point(F(3, 2), F(1, 2)), 2)
     best_cover = Lattice(Point(F(1, 3), F(1, 3)), Point(0, 1))
     assert selection_member(best_cover, 1, Point(0, 0), 1)
+    # a degenerate triangle is refused, as ScaledTriangle refuses it
+    for scale in (0, -1):
+        with pytest.raises(ValueError, match="must be positive"):
+            selection_member(z2, 1, Point(0, 0), scale)
 
 
 def test_selection_stair_z2():
