@@ -33,9 +33,8 @@ from .scales import (CandidateGapError, ScaleCertificate, candidate_scales,
 from .search import (AreaOptimum, SearchReport, lattice_search_space,
                      optimize_circumscribed_stair, optimize_inscribed_stair,
                      search_covering, search_packing)
-from .stairs import (CanonicalRegions, HalfOpenBox, SelectionStairError,
-                     SelectionStair, admissible_shifts, canonical_regions,
-                     canonical_stair, selection_stair, count_in_halfopen_boxes,
+from .stairs import (SelectionStairError, SelectionStair, admissible_shifts,
+                     canonical_regions, canonical_stair, selection_stair,
                      count_region, selection_member, verify_stair_tiling_converse,
                      verify_stair_tiling_forward)
 from .svgout import RenderSpec, render
@@ -44,13 +43,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AffineMap", "AreaOptimum", "Box", "COVERING", "CandidateGapError",
-    "CanonicalRegions", "DensityPredicateError", "DensityResult",
-    "HalfOpenBox", "Lattice", "Mode",
+    "DensityPredicateError", "DensityResult", "Lattice", "Mode",
     "MultiplicityReport", "PACKING", "Point", "Region",
     "RenderSpec", "ScaleCertificate", "ScaledTriangle", "SearchReport",
     "SelectionStairError", "SelectionStair", "StairPolygon", "admissible_shifts",
     "canonical_regions", "canonical_stair", "candidate_scales",
-    "selection_stair", "count_at", "count_in_halfopen_boxes",
+    "selection_stair", "count_at",
     "count_optimal_lattices", "count_region", "covering_density",
     "covering_predicate", "density_of", "density_result",
     "enumerate_integer_sublattices", "factorize", "format_rational", "frac",

@@ -115,6 +115,9 @@ def _cmd_sj(args) -> int:
 def _cmd_verify(args) -> int:
     if args.expect and args.m is None:
         raise UsageError("--expect needs --m")
+    if args.stair != "Sj":
+        raise UsageError(f"only the canonical stair 'Sj' is supported: "
+                         f"{args.stair!r}")
     if args.forward:
         table = verify_stair_tiling_forward(args.j)
         payload = {"j": args.j,
@@ -131,9 +134,6 @@ def _cmd_verify(args) -> int:
               "\n".join(json.dumps(lat.to_json(), sort_keys=True)
                         for lat in found))
         return 0
-    if args.stair != "Sj":
-        raise UsageError(f"only the canonical stair 'Sj' is supported: "
-                         f"{args.stair!r}")
     if args.m is None:
         raise UsageError("verify needs --m, --forward or --converse")
     tiles = is_exact_jfold_tiling(canonical_stair(args.j),
@@ -192,8 +192,8 @@ def _cmd_stair_opt(args) -> int:
 
 
 def _cmd_render(args) -> int:
-    lat = _parse_lattice(args.lattice, args.j) if args.lattice else (
-        shift_lattice(args.m, args.j))
+    lat = (shift_lattice(1 if args.m is None else args.m, args.j)
+           if args.lattice is None else _parse_lattice(args.lattice, args.j))
     if args.region == "stair":
         shape = canonical_stair(args.j)
         if args.scale is not None:
@@ -286,8 +286,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("render", help="deterministic SVG of a tiling")
     p.add_argument("--region", choices=["stair", "triangle"], required=True)
     p.add_argument("--j", type=int, required=True)
-    p.add_argument("--m", type=int, default=1)
-    p.add_argument("--lattice")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--m", type=int,
+                        help="shift of the lattice (1, m), (0, 2j+1); "
+                             "default 1")
+    source.add_argument("--lattice")
     p.add_argument("--scale", help="rational scale factor for the region")
     p.add_argument("--viewport", required=True,
                    help="xmin,xmax,ymin,ymax in rationals")

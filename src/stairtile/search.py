@@ -134,7 +134,10 @@ def _inscribed_area(xs: list) -> float | Fraction:
     1 - x_{i+1} allowed inside the closed unit triangle; exact when the
     breakpoints are Fractions."""
     pts = [0] + xs
-    return sum((b - a) * (1 - b) for a, b in zip(pts, pts[1:]))
+    total = 0  # left to right: sum() compensates float sums from 3.12 on
+    for a, b in zip(pts, pts[1:]):
+        total += (b - a) * (1 - b)
+    return total
 
 
 def _circumscribed_area(xs: list) -> float | Fraction:
@@ -142,7 +145,10 @@ def _circumscribed_area(xs: list) -> float | Fraction:
     heights 1 - x_i needed to contain the open unit triangle; exact when the
     breakpoints are Fractions."""
     pts = [0] + xs + [1]
-    return sum((b - a) * (1 - a) for a, b in zip(pts, pts[1:]))
+    total = 0  # left to right: sum() compensates float sums from 3.12 on
+    for a, b in zip(pts, pts[1:]):
+        total += (b - a) * (1 - a)
+    return total
 
 
 def _optimize_stair(j: int, iterations: int, seed: int,

@@ -5,7 +5,9 @@ and area j(2j+1).  The lattice generated by (1, m) and (0, 2j+1) tiles the
 plane exactly j-fold with that stair precisely when gcd(m, 2j+1) and
 gcd(m+1, 2j+1) are both 1; both directions of that statement are exercised
 here, the forward one by direct multiplicity checks and the converse one by
-exhausting a bounded rational search space.
+exhausting a bounded rational search space.  The gcd rules count
+shift_lattice(m, j) points in regions made of integer unit cells of the
+square [0, 2j+1)^2 (``canonical_regions``, ``count_region``).
 
 ``selection_stair`` builds, for any lattice L, the half open stair formed by
 keeping the j first points (in the coordinate-sum order) of every residue
@@ -26,9 +28,8 @@ from bisect import insort
 from fractions import Fraction
 from math import gcd
 
-from .geometry import (Box, Frozen, Point, RationalLike, ScaledTriangle,
-                       StairPolygon, fields_json, format_rationals, frac,
-                       prec_negative)
+from .geometry import (Box, Frozen, Point, ScaledTriangle, StairPolygon,
+                       fields_json, format_rationals, frac, prec_negative)
 from .lattice import (Lattice, enumerate_integer_sublattices, shift_lattice,
                       points_in_box)
 from .multiplicity import is_exact_jfold_tiling
@@ -38,37 +39,8 @@ _F0 = Fraction(0)
 
 
 class SelectionStairError(RuntimeError):
-    """The swept stair failed validation; the candidate set has a gap."""
-
-
-class HalfOpenBox(Frozen):
-    """[x_min, x_max) x [y_min, y_max)."""
-
-    x_min: Fraction
-    x_max: Fraction
-    y_min: Fraction
-    y_max: Fraction
-
-    def __init__(self, x_min: RationalLike, x_max: RationalLike,
-                 y_min: RationalLike, y_max: RationalLike) -> None:
-        x_min, x_max, y_min, y_max = (frac(x_min), frac(x_max),
-                                      frac(y_min), frac(y_max))
-        if x_min >= x_max or y_min >= y_max:
-            raise ValueError(
-                "empty half open box (x_min, x_max, y_min, y_max) = "
-                + format_rationals((x_min, x_max, y_min, y_max)))
-        super().__init__(x_min, x_max, y_min, y_max)
-
-    def contains(self, p: Point) -> bool:
-        return (self.x_min <= p.x < self.x_max
-                and self.y_min <= p.y < self.y_max)
-
-    def translated(self, w: Point) -> "HalfOpenBox":
-        return HalfOpenBox(self.x_min + w.x, self.x_max + w.x,
-                           self.y_min + w.y, self.y_max + w.y)
-
-    def area(self) -> Fraction:
-        return (self.x_max - self.x_min) * (self.y_max - self.y_min)
+    """The swept stair failed validation: degenerate columns, an area other
+    than j * d(L), no exact j-fold tiling, or more than 2j-1 steps."""
 
 
 def canonical_stair(j: int) -> StairPolygon:
@@ -79,69 +51,47 @@ def canonical_stair(j: int) -> StairPolygon:
                         tuple(Fraction(2 * j - i) for i in range(2 * j)))
 
 
-class CanonicalRegions(Frozen):
+def canonical_regions(j: int) -> dict[str, tuple[tuple[int, int], ...]]:
     """The unit-cell regions that drive the gcd counting rules.
 
-    stair (S), upper_stair (S*), and diagonal (D) are mutually disjoint and
-    partition the square U = [0, 2j+1)^2; strip_b (B) and strip_c (C) are
-    the left column and bottom row of U.
+    Each region maps to its cells (i, k), the lower-left corners of
+    [i, i+1) x [k, k+1) in the square U = [0, 2j+1)^2.  The stair S, the
+    diagonal D and the upper stair S* hold the cells with i + k below,
+    equal to and above 2j, so the three partition U; the strips B and C
+    are the left column (i = 0) and the bottom row (k = 0) of U.
     """
-
-    j: int
-    stair: StairPolygon
-    upper_stair: tuple[HalfOpenBox, ...]
-    diagonal: tuple[HalfOpenBox, ...]
-    strip_b: tuple[HalfOpenBox, ...]
-    strip_c: tuple[HalfOpenBox, ...]
-    square: tuple[HalfOpenBox, ...]
-
-    def stair_boxes(self) -> tuple[HalfOpenBox, ...]:
-        return tuple(HalfOpenBox(lo, hi, _F0, h)
-                     for lo, hi, h in self.stair.columns())
-
-
-def canonical_regions(j: int) -> CanonicalRegions:
     if j < 1:
         raise ValueError(f"need j >= 1: {j}")
     n = 2 * j + 1
-    upper = tuple(HalfOpenBox(i, i + 1, n - i, n) for i in range(1, n))
-    diag = tuple(HalfOpenBox(i, i + 1, n - 1 - i, n - i) for i in range(n))
-    strip_b = (HalfOpenBox(0, 1, 0, n),)
-    strip_c = (HalfOpenBox(0, n, 0, 1),)
-    square = (HalfOpenBox(0, n, 0, n),)
-    return CanonicalRegions(j, canonical_stair(j), upper, diag,
-                            strip_b, strip_c, square)
-
-
-def count_in_halfopen_boxes(lat: Lattice, boxes: tuple[HalfOpenBox, ...],
-                            offset: Point) -> int:
-    """card{lat intersect (offset + union of boxes)}; boxes must be
-    pairwise disjoint."""
-    total = 0
-    for b in boxes:
-        shifted = b.translated(offset)
-        closed = Box(shifted.x_min, shifted.x_max,
-                     shifted.y_min, shifted.y_max)
-        total += sum(1 for p in points_in_box(lat, closed)
-                     if shifted.contains(p))
-    return total
+    cells = [(i, k) for i in range(n) for k in range(n)]
+    return {"B": tuple((i, k) for i, k in cells if i == 0),
+            "C": tuple((i, k) for i, k in cells if k == 0),
+            "D": tuple((i, k) for i, k in cells if i + k == 2 * j),
+            "S": tuple((i, k) for i, k in cells if i + k < 2 * j),
+            "S*": tuple((i, k) for i, k in cells if i + k > 2 * j)}
 
 
 _REGION_NAMES = ("B", "C", "D", "S")
 
 
 def count_region(m: int, j: int, region: str, s: int, t: int) -> int:
-    """Number of shift_lattice(m, j) points in the translated region.
+    """Number of shift_lattice(m, j) points in the region shifted by (s, t).
 
     region is one of "B", "C", "D", "S" (left strip, bottom strip, diagonal,
-    stair), all half open as defined.
+    stair) of ``canonical_regions``.  The lattice lies in Z^2 and the shift
+    is integral, so each shifted unit cell holds exactly one integer point,
+    its lower-left corner, and the count is that of the corners in the
+    lattice.  A non-integral shift raises ValueError.
     """
     if region not in _REGION_NAMES:
         raise ValueError(f"region must be one of {_REGION_NAMES}: {region}")
-    regs = canonical_regions(j)
-    boxes = {"B": regs.strip_b, "C": regs.strip_c, "D": regs.diagonal,
-             "S": regs.stair_boxes()}[region]
-    return count_in_halfopen_boxes(shift_lattice(m, j), boxes, Point(s, t))
+    s, t = frac(s), frac(t)
+    if s.denominator != 1 or t.denominator != 1:
+        raise ValueError(
+            f"shift must be integral: {format_rationals((s, t))}")
+    lat = shift_lattice(m, j)
+    return sum(lat.contains(Point(s + i, t + k))
+               for i, k in canonical_regions(j)[region])
 
 
 def admissible_shifts(j: int) -> list[int]:
@@ -265,7 +215,7 @@ def selection_stair(lat: Lattice, j: int) -> SelectionStair:
 
     if stair.area() != j * lat.d:
         raise SelectionStairError(
-            f"area {stair.area()} != j*d = {j * lat.d}; candidate gap")
+            f"area {stair.area()} != j*d = {j * lat.d}; area identity fails")
     if not is_exact_jfold_tiling(stair, lat, j):
         raise SelectionStairError(
             f"swept stair is not an exact {j}-fold tile for lattice "

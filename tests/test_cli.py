@@ -62,6 +62,23 @@ def test_verify_modes_exclude_one_another(capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_options_that_would_go_unused_are_refused(capsys):
+    # --stair is checked in every verify mode; render takes --m or
+    # --lattice, not both, whatever the value of --m, and an empty
+    # --lattice is a bad spec, not a request for the default
+    for argv in (["verify", "--forward", "--j", "1", "--stair", "Sx"],
+                 ["verify", "--converse", "--j", "1", "--qmax", "1",
+                  "--stair", "Sx"],
+                 ["render", "--region", "stair", "--j", "1", "--m", "2",
+                  "--lattice", "Z2", "--viewport=0,1,0,1"],
+                 ["render", "--region", "stair", "--j", "1", "--m", "1",
+                  "--lattice", "Z2", "--viewport=0,1,0,1"],
+                 ["render", "--region", "stair", "--j", "1", "--lattice=",
+                  "--viewport=0,1,0,1"]):
+        assert run(argv) == 2
+        assert capsys.readouterr().out == ""
+
+
 def test_phi_subcommand(capsys):
     assert run(["phi", "--k", "2", "--n", "15"]) == 0
     assert capsys.readouterr().out.strip() == "3"

@@ -10,9 +10,8 @@ from hypothesis import strategies as hyp
 
 from stairtile import (Lattice, Point, admissible_shifts,
                        canonical_regions, canonical_stair, selection_stair,
-                       count_in_halfopen_boxes, count_region,
-                       integer_lattice, is_exact_jfold_tiling, shift_lattice,
-                       layer_extrema, optimal_covering_lattices,
+                       count_region, integer_lattice, is_exact_jfold_tiling,
+                       shift_lattice, layer_extrema, optimal_covering_lattices,
                        optimal_packing_lattices, selection_member,
                        verify_stair_tiling_converse,
                        verify_stair_tiling_forward)
@@ -35,20 +34,25 @@ def test_canonical_regions_areas_and_partition():
     for j in (1, 2, 3):
         regs = canonical_regions(j)
         n = 2 * j + 1
-        assert regs.stair.area() == j * n
-        assert sum(b.area() for b in regs.diagonal) == n
-        assert sum(b.area() for b in regs.square) == n * n
-        assert sum(b.area() for b in regs.strip_b) == n
-        assert sum(b.area() for b in regs.strip_c) == n
-        # pointwise partition on unit-cell representatives
-        stair_boxes = regs.stair_boxes()
-        for i in range(n):
-            for k in range(n):
-                p = Point(F(2 * i + 1, 2), F(2 * k + 1, 2))
-                hits = (sum(b.contains(p) for b in stair_boxes)
-                        + sum(b.contains(p) for b in regs.diagonal)
-                        + sum(b.contains(p) for b in regs.upper_stair))
-                assert hits == 1
+        square = {(i, k) for i in range(n) for k in range(n)}
+        lower, diag, upper = (set(regs[r]) for r in ("S", "D", "S*"))
+        assert not (lower & diag or lower & upper or diag & upper)
+        assert lower | diag | upper == square
+        assert all(len(regs[r]) == n for r in "BCD")
+        assert len(regs["S"]) == j * n
+        assert all(set(cells) <= square for cells in regs.values())
+    with pytest.raises(ValueError):
+        canonical_regions(0)
+
+
+def test_count_region_digest():
+    # taken from the half-open box counter that unit cells replace
+    counts = [count_region(m, j, r, s, t)
+              for j in (1, 2, 3) for m in range(1, 2 * j + 3)
+              for r in "BCDS" for s in range(-3, 4) for t in range(-3, 4)]
+    assert len(counts) == 3528
+    assert hashlib.sha256(json.dumps(counts).encode()).hexdigest() == (
+        "17f2e73b92446b1cabb4fde6b93fc9d6fabbb03c1991cbdd568e3c21b0dbf3e7")
 
 
 def test_count_region_examples():
@@ -60,6 +64,11 @@ def test_count_region_examples():
     assert count_region(4, 2, "S", 0, 0) == 1
     with pytest.raises(ValueError):
         count_region(1, 1, "X", 0, 0)
+    with pytest.raises(ValueError):
+        count_region(1, 1, "S*", 0, 0)
+    with pytest.raises(ValueError, match="integral"):
+        count_region(1, 1, "B", F(1, 2), 0)
+    assert count_region(3, 1, "C", F(2), F(-3)) == 3
 
 
 def test_count_region_left_strip_always_one():
@@ -253,10 +262,3 @@ def test_verify_stair_tiling_converse():
     assert verify_stair_tiling_converse(1, 2) == [shift_lattice(1, 1)]
     got = set(verify_stair_tiling_converse(2, 2))
     assert got == {shift_lattice(m, 2) for m in (1, 2, 3)}
-
-
-def test_count_in_halfopen_boxes_respects_half_openness():
-    from stairtile import HalfOpenBox
-    lat = integer_lattice()
-    box = (HalfOpenBox(0, 2, 0, 2),)
-    assert count_in_halfopen_boxes(lat, box, Point(0, 0)) == 4
