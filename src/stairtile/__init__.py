@@ -10,11 +10,11 @@ is (2j+1)/2, and the number of lattices attaining either is
 
 from .arith import (count_optimal_lattices, factorize,
                     is_multiplicative_check, phi_k, phi_k_bruteforce)
-from .density import (COVERING, PACKING, AffineMap, DensityPredicateError,
+from .density import (COVERING, PACKING, DensityPredicateError,
                       DensityResult, covering_density, density_of,
-                      density_result, normalize_triangle,
-                      optimal_covering_lattices, optimal_packing_lattices,
-                      packing_density, triangle_jfold_predicate)
+                      density_result, optimal_covering_lattices,
+                      optimal_packing_lattices, packing_density,
+                      triangle_jfold_predicate, triangle_lattice)
 from .geometry import (Box, Point, ScaledTriangle, StairPolygon,
                        format_rational, frac, parse_rational, prec,
                        prec_negative, stair)
@@ -42,7 +42,7 @@ from .svgout import RenderSpec, render
 __version__ = "0.1.0"
 
 __all__ = [
-    "AffineMap", "AreaOptimum", "Box", "COVERING", "CandidateGapError",
+    "AreaOptimum", "Box", "COVERING", "CandidateGapError",
     "DensityPredicateError", "DensityResult", "Lattice", "Mode",
     "MultiplicityReport", "PACKING", "Point", "Region",
     "RenderSpec", "ScaleCertificate", "ScaledTriangle", "SearchReport",
@@ -55,14 +55,14 @@ __all__ = [
     "fundamental_rect", "integer_lattice", "is_exact_jfold_tiling",
     "is_jfold_covering", "is_jfold_packing", "is_multiplicative_check",
     "lambda_lower", "shift_lattice", "lambda_upper", "lattice_search_space",
-    "layer_extrema", "mean_multiplicity",
-    "multiplicity_extrema", "normalize_triangle",
+    "layer_extrema", "mean_multiplicity", "multiplicity_extrema",
     "optimal_covering_lattices", "optimal_packing_lattices",
     "optimize_circumscribed_stair", "optimize_inscribed_stair",
     "packing_density", "packing_predicate", "parse_rational",
     "phi_k", "phi_k_bruteforce", "points_in_box", "prec", "prec_negative",
     "random_sampling_oracle", "render",
     "search_covering", "search_packing", "selection_member", "stair",
-    "stair_region", "triangle_jfold_predicate", "triangle_region",
+    "stair_region", "triangle_jfold_predicate", "triangle_lattice",
+    "triangle_region",
     "verify_stair_tiling_converse", "verify_stair_tiling_forward",
 ]

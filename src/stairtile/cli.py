@@ -13,7 +13,7 @@ import json
 import sys
 
 from .density import (COVERING, PACKING, DensityResult, density_result,
-                      family_lattice, normalize_triangle)
+                      family_lattice, triangle_lattice)
 from .geometry import Box, Point, format_rational, parse_rational
 from .lattice import (Lattice, enumerate_integer_sublattices, integer_lattice,
                       shift_lattice)
@@ -37,14 +37,17 @@ def _parse_lattice(spec: str, j: int | None) -> Lattice:
     s = spec.strip()
     if s in ("Z2", "z2"):
         return integer_lattice()
-    for prefix in ("shift", "packing", "covering"):
-        if s.startswith(prefix + ":"):
-            if j is None:
-                raise UsageError(f"lattice spec {spec!r} needs --j")
-            m = int(s.split(":", 1)[1])
-            if prefix == "shift":
-                return shift_lattice(m, j)
-            return family_lattice(j, m, prefix)
+    prefix, _, token = s.partition(":")
+    if prefix in ("shift", "packing", "covering"):
+        if j is None:
+            raise UsageError(f"lattice spec {spec!r} needs --j")
+        try:
+            m = int(token)
+        except ValueError:
+            raise UsageError(f"lattice spec {spec!r} needs an integer M: "
+                             f"{token!r}") from None
+        return (shift_lattice(m, j) if prefix == "shift"
+                else family_lattice(j, m, prefix))
     try:
         u1, u2 = ([parse_rational(v) for v in part.split(",")]
                   for part in s.split(";"))
@@ -71,18 +74,18 @@ def _emit(payload: dict, as_json: bool, plain: str) -> None:
 
 
 def _cmd_density(args) -> int:
-    result = density_result(args.j, args.kind)
+    vertices = [Point(0, 0), Point(1, 0), Point(0, 1)]
     if args.triangle:
         coords = [parse_rational(v) for v in args.triangle.split(",")]
         if len(coords) != 6:
             raise UsageError("--triangle needs ax,ay,bx,by,cx,cy")
-        nmap = normalize_triangle(Point(coords[0], coords[1]),
-                                  Point(coords[2], coords[3]),
-                                  Point(coords[4], coords[5]))
-        back = nmap.inverse()
-        result = DensityResult(result.value, result.kind, result.j,
-                               tuple(back.apply_lattice(lat)
-                                     for lat in result.witness_lattices))
+        vertices = [Point(*coords[i:i + 2]) for i in (0, 2, 4)]
+    # collinear vertices are refused before any witness is computed
+    triangle_lattice(*vertices, integer_lattice())
+    result = density_result(args.j, args.kind)
+    result = DensityResult(result.value, result.kind, result.j,
+                           tuple(triangle_lattice(*vertices, lat)
+                                 for lat in result.witness_lattices))
     _emit(result.to_json(), args.json, format_rational(result.value))
     return 0
 
@@ -118,6 +121,8 @@ def _cmd_verify(args) -> int:
     if args.stair != "Sj":
         raise UsageError(f"only the canonical stair 'Sj' is supported: "
                          f"{args.stair!r}")
+    if args.qmax is not None and not args.converse:
+        raise UsageError("--qmax needs --converse")
     if args.forward:
         table = verify_stair_tiling_forward(args.j)
         payload = {"j": args.j,
@@ -127,8 +132,9 @@ def _cmd_verify(args) -> int:
         _emit(payload, args.json, plain)
         return 0
     if args.converse:
-        found = verify_stair_tiling_converse(args.j, args.qmax)
-        payload = {"j": args.j, "qmax": args.qmax,
+        qmax = 2 if args.qmax is None else args.qmax
+        found = verify_stair_tiling_converse(args.j, qmax)
+        payload = {"j": args.j, "qmax": qmax,
                    "tilers": [lat.to_json() for lat in found]}
         _emit(payload, args.json,
               "\n".join(json.dumps(lat.to_json(), sort_keys=True)
@@ -200,7 +206,7 @@ def _cmd_render(args) -> int:
             shape = shape.scaled(args.scale)
         region = stair_region(shape)
     else:
-        region = triangle_region(args.scale or 1)
+        region = triangle_region(1 if args.scale is None else args.scale)
     spec = RenderSpec(region, lat, args.j, _parse_viewport(args.viewport),
                       args.copies)
     document = render(spec)
@@ -250,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="tabulate all m in 1..2j+1")
     mode.add_argument("--converse", action="store_true",
                       help="exhaust the bounded rational space")
-    p.add_argument("--qmax", type=int, default=2)
+    p.add_argument("--qmax", type=int, help="--converse bound, default 2")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_verify)
 

@@ -4,16 +4,16 @@ The closed forms are 2j^2/(2j+1) for packing and (2j+1)/2 for covering, and
 the lattices attaining them are one family for both kinds: the stair
 lattices (1, m), (0, 2j+1) of ``shift_lattice`` with gcd(m, 2j+1) =
 gcd(m+1, 2j+1) = 1, scaled by 1/(2j) for packing and by 1/(2j+1) for
-covering (``family_lattice``).  Arbitrary triangles reduce to the standard
-one through an exact affine normalization, under which every j-fold
-predicate and every density value is invariant.
+covering (``family_lattice``).  A triangle a, b, c carries lattices
+through its edge basis b - a, c - a (``triangle_lattice``), and every
+j-fold predicate and density value is invariant under that linear map.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .geometry import Frozen, Point, RationalLike, fields_json, frac
+from .geometry import Frozen, Point, fields_json
 from .lattice import Lattice, shift_lattice
 from .multiplicity import (COVERING, KIND_MODE, PACKING, Region,
                            jfold_violation, triangle_region)
@@ -28,70 +28,6 @@ class DensityPredicateError(ValueError):
         super().__init__(message)
         self.witness = witness
         self.multiplicity = multiplicity
-
-
-class AffineMap(Frozen):
-    """Exact invertible affine map p -> M p + t with a rational 2x2 M."""
-
-    m11: Fraction
-    m12: Fraction
-    m21: Fraction
-    m22: Fraction
-    t: Point
-
-    def __init__(self, m11: RationalLike, m12: RationalLike,
-                 m21: RationalLike, m22: RationalLike, t: Point) -> None:
-        m11, m12, m21, m22 = frac(m11), frac(m12), frac(m21), frac(m22)
-        if m11 * m22 - m12 * m21 == 0:
-            raise ValueError("affine map must be non-singular")
-        super().__init__(m11, m12, m21, m22, t)
-
-    @property
-    def det(self) -> Fraction:
-        return self.m11 * self.m22 - self.m12 * self.m21
-
-    def apply(self, p: Point) -> Point:
-        return Point(self.m11 * p.x + self.m12 * p.y + self.t.x,
-                     self.m21 * p.x + self.m22 * p.y + self.t.y)
-
-    def apply_linear(self, p: Point) -> Point:
-        return Point(self.m11 * p.x + self.m12 * p.y,
-                     self.m21 * p.x + self.m22 * p.y)
-
-    def apply_lattice(self, lat: Lattice) -> Lattice:
-        return Lattice(self.apply_linear(lat.u1), self.apply_linear(lat.u2))
-
-    def inverse(self) -> "AffineMap":
-        det = self.det
-        inv = AffineMap(self.m22 / det, -self.m12 / det,
-                        -self.m21 / det, self.m11 / det,
-                        Point(Fraction(0), Fraction(0)))
-        return AffineMap(inv.m11, inv.m12, inv.m21, inv.m22,
-                         -inv.apply_linear(self.t))
-
-    @staticmethod
-    def identity() -> "AffineMap":
-        return AffineMap(Fraction(1), Fraction(0), Fraction(0), Fraction(1),
-                         Point(Fraction(0), Fraction(0)))
-
-
-def normalize_triangle(a: Point, b: Point, c: Point) -> AffineMap:
-    """The affine map sending a to (0,0), b to (1,0), c to (0,1).
-
-    Applying it to a lattice preserves every j-fold predicate and density
-    value; collinear vertices are rejected.
-    """
-    e1 = b - a
-    e2 = c - a
-    det = e1.x * e2.y - e1.y * e2.x
-    if det == 0:
-        raise ValueError(f"collinear triangle vertices: {a}, {b}, {c}")
-    m11 = e2.y / det
-    m12 = -e2.x / det
-    m21 = -e1.y / det
-    m22 = e1.x / det
-    t = Point(-(m11 * a.x + m12 * a.y), -(m21 * a.x + m22 * a.y))
-    return AffineMap(m11, m12, m21, m22, t)
 
 
 class DensityResult(Frozen):
@@ -186,10 +122,28 @@ def density_result(j: int, kind: str) -> DensityResult:
     return DensityResult(_CLOSED_FORMS[kind](j), kind, j, lats)
 
 
+def _edges(a: Point, b: Point, c: Point) -> Lattice:
+    """The edge basis b - a, c - a; collinear vertices raise ValueError."""
+    e1, e2 = b - a, c - a
+    if e1.x * e2.y == e1.y * e2.x:
+        raise ValueError(f"collinear triangle vertices: {a}, {b}, {c}")
+    return Lattice(e1, e2)
+
+
+def triangle_lattice(a: Point, b: Point, c: Point, lat: Lattice) -> Lattice:
+    """``lat`` carried from the standard triangle to a, b, c: each basis
+    vector (x, y) goes to x (b - a) + y (c - a)."""
+    edges = _edges(a, b, c)
+    return Lattice(edges.point(lat.u1.x, lat.u1.y),
+                   edges.point(lat.u2.x, lat.u2.y))
+
+
 def triangle_jfold_predicate(a: Point, b: Point, c: Point, lat: Lattice,
                              j: int, kind: str) -> bool:
     """j-fold packing/covering predicate for an arbitrary triangle, decided
-    by normalizing the triangle to the standard one and transporting the
-    lattice through the same map."""
-    moved = normalize_triangle(a, b, c).apply_lattice(lat)
+    on the standard triangle with the lattice written in the triangle's
+    edge basis."""
+    edges = _edges(a, b, c)
+    moved = Lattice(Point(*edges.coefficients(lat.u1)),
+                    Point(*edges.coefficients(lat.u2)))
     return jfold_violation(_unit_triangle(kind), moved, j, kind) is None

@@ -46,12 +46,14 @@ def parse_rational(text: str) -> Fraction:
     s = text.strip()
     if "." in s or "e" in s.lower():
         raise ValueError(f"decimal notation rejected, use a/b: {text!r}")
-    if "/" in s:
-        num, den = s.split("/", 1)
-        if int(den) == 0:
-            raise ValueError(f"zero denominator: {text!r}")
-        return Fraction(int(num), int(den))
-    return Fraction(int(s))
+    num, slash, den = s.partition("/")
+    try:
+        num, den = int(num), int(den) if slash else 1
+    except ValueError:
+        raise ValueError(f"not an integer or a/b: {text!r}") from None
+    if den == 0:
+        raise ValueError(f"zero denominator: {text!r}")
+    return Fraction(num, den)
 
 
 def as_int(value: Fraction, den: int) -> int:
@@ -158,9 +160,6 @@ class Point(Frozen):
 
     def __sub__(self, other: "Point") -> "Point":
         return Point(self.x - other.x, self.y - other.y)
-
-    def __neg__(self) -> "Point":
-        return Point(-self.x, -self.y)
 
     def scaled(self, c: RationalLike) -> "Point":
         c = frac(c)

@@ -102,7 +102,7 @@ class Lattice(Frozen):
         a, b = self.coefficients(p)
         return a.denominator == 1 and b.denominator == 1
 
-    def point(self, a: int, b: int) -> Point:
+    def point(self, a: RationalLike, b: RationalLike) -> Point:
         return self.u1.scaled(a) + self.u2.scaled(b)
 
     def scaled(self, c: RationalLike) -> "Lattice":

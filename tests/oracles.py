@@ -114,7 +114,7 @@ def canonical_key_reference(u1: Point, u2: Point
     v1 = u1.scaled(s) + u2.scaled(t)
     v2 = u1.scaled(-(n2 // g)) + u2.scaled(n1 // g)
     if v2.y < 0:
-        v2 = -v2
+        v2 = v2.scaled(-1)
     if v2.y == 0:
         raise ValueError("basis is singular")
     v1 = v1 - v2.scaled(floor(v1.y / v2.y))

@@ -37,6 +37,17 @@ def test_density_for_transported_triangle(capsys):
     assert lat == Lattice(Point(F(2, 3), F(2, 3)), Point(0, 2))
 
 
+def test_density_json_for_a_skew_triangle(capsys):
+    # witnesses carried by the edge basis (2, 1), (1, 3), basis by basis
+    assert run(["density", "--j", "2", "--kind", "packing",
+                "--triangle", "1,1,3,2,2,4", "--json"]) == 0
+    assert capsys.readouterr().out == (
+        '{"j": 2, "kind": "packing", "value": "8/5", "witness_lattices": '
+        '[{"u1": ["3/4", "1"], "u2": ["5/4", "15/4"]}, '
+        '{"u1": ["1", "7/4"], "u2": ["5/4", "15/4"]}, '
+        '{"u1": ["5/4", "5/2"], "u2": ["5/4", "15/4"]}]}\n')
+
+
 def test_verify_expect_exit_codes(capsys):
     assert run(["verify", "--stair", "Sj", "--m", "4", "--j", "2",
                 "--expect", "tiling"]) == 1
@@ -77,6 +88,37 @@ def test_options_that_would_go_unused_are_refused(capsys):
                   "--viewport=0,1,0,1"]):
         assert run(argv) == 2
         assert capsys.readouterr().out == ""
+
+
+def test_qmax_without_converse_and_empty_scale_are_refused(capsys):
+    # --qmax bounds --converse only; an empty --scale is a bad rational in
+    # both regions, not a request for scale 1
+    for argv in (["render", "--region", "triangle", "--scale=", "--j", "1",
+                  "--viewport=0,1,0,1"],
+                 ["render", "--region", "stair", "--scale=", "--j", "1",
+                  "--viewport=0,1,0,1"],
+                 ["verify", "--m", "1", "--j", "1", "--qmax", "5"],
+                 ["verify", "--forward", "--j", "1", "--qmax", "0"]):
+        assert run(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ")
+    assert run(["verify", "--converse", "--j", "1", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["qmax"] == 2
+
+
+def test_bad_tokens_are_named(capsys):
+    for spec, message in (
+            ("shift:x", "lattice spec 'shift:x' needs an integer M: 'x'"),
+            ("packing:1/2",
+             "lattice spec 'packing:1/2' needs an integer M: '1/2'"),
+            ("1/x,0;0,1", "not an integer or a/b: '1/x'")):
+        assert run(["lambda", "--j", "1", "--which", "lower",
+                    "--lattice", spec]) == 2
+        assert message in capsys.readouterr().err
+    assert run(["density", "--j", "1", "--kind", "packing",
+                "--triangle", "0,0,1,0,x,1"]) == 2
+    assert capsys.readouterr().err == (
+        "error: not an integer or a/b: 'x'\n")
 
 
 def test_phi_subcommand(capsys):

@@ -3,13 +3,13 @@ from fractions import Fraction as F
 
 import pytest
 
-from stairtile import (AffineMap, DensityPredicateError, Lattice, Mode, Point,
+from stairtile import (DensityPredicateError, Lattice, Mode, Point,
                        canonical_stair, selection_stair, count_at,
                        count_optimal_lattices, covering_density, density_of,
-                       density_result, integer_lattice, normalize_triangle,
+                       density_result, integer_lattice,
                        optimal_covering_lattices, optimal_packing_lattices,
                        packing_density, triangle_jfold_predicate,
-                       triangle_region)
+                       triangle_lattice, triangle_region)
 from stairtile.density import family_lattice
 
 
@@ -93,59 +93,61 @@ def test_density_result_payload():
         assert F(1, 2) / lat.d == res.value
 
 
-def test_normalize_triangle_examples():
-    ident = normalize_triangle(Point(0, 0), Point(1, 0), Point(0, 1))
-    assert ident == AffineMap.identity()
-    half = normalize_triangle(Point(0, 0), Point(2, 0), Point(0, 2))
-    assert half.apply(Point(2, 0)) == Point(1, 0)
-    assert half.det == F(1, 4)
-    skew = normalize_triangle(Point(1, 1), Point(3, 2), Point(2, 4))
-    assert skew.apply(Point(1, 1)) == Point(0, 0)
-    assert skew.apply(Point(3, 2)) == Point(1, 0)
-    assert skew.apply(Point(2, 4)) == Point(0, 1)
-    assert skew.det == F(1, 5)
-    with pytest.raises(ValueError):
-        normalize_triangle(Point(0, 0), Point(1, 1), Point(2, 2))
+def _random_triangle(rng):
+    """Seeded rational vertices a, b, c, not collinear, of either
+    orientation and away from the origin."""
+    while True:
+        a, b, c = (Point(F(rng.randint(-9, 9), rng.randint(1, 4)),
+                         F(rng.randint(-9, 9), rng.randint(1, 4)))
+                   for _ in range(3))
+        e1, e2 = b - a, c - a
+        if e1.x * e2.y != e1.y * e2.x:
+            return a, b, c
 
 
-def test_affine_map_algebra():
-    rng = random.Random(77)
-    for _ in range(20):
-        entries = [F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(6)]
-        try:
-            amap = AffineMap(entries[0], entries[1], entries[2], entries[3],
-                             Point(entries[4], entries[5]))
-        except ValueError:
-            continue
-        inv = amap.inverse()
-        p = Point(F(rng.randint(-9, 9), 2), F(rng.randint(-9, 9), 2))
-        assert inv.apply(amap.apply(p)) == p
+def test_triangle_lattice_examples():
+    lat = Lattice(Point(F(1, 3), F(1, 3)), Point(0, 1))
+    unit = (Point(0, 0), Point(1, 0), Point(0, 1))
+    assert triangle_lattice(*unit, lat) == lat
+    # the basis itself is carried, not only the point set
+    moved = triangle_lattice(Point(1, 1), Point(3, 2), Point(2, 4), lat)
+    assert (moved.u1, moved.u2) == (Point(1, F(4, 3)), Point(1, 3))
+    doubled = triangle_lattice(Point(5, 5), Point(7, 5), Point(5, 7), lat)
+    assert doubled == lat.scaled(2)
 
 
-def test_affine_transport_of_predicates():
+def test_triangle_transport_of_predicates():
     rng = random.Random(13)
     cover_lat = Lattice(Point(F(1, 3), F(1, 3)), Point(0, 1))
-    base_vertices = (Point(0, 0), Point(1, 0), Point(0, 1))
-    for _ in range(6):
-        while True:
-            entries = [F(rng.randint(-3, 3), rng.randint(1, 2))
-                       for _ in range(6)]
-            m11, m12, m21, m22, tx, ty = entries
-            if m11 * m22 - m12 * m21 != 0:
-                break
-        amap = AffineMap(m11, m12, m21, m22, Point(tx, ty))
-        moved_vertices = tuple(amap.apply(v) for v in base_vertices)
-        for lat, j, kind, expected in (
-                (cover_lat, 1, "covering", True),
-                (integer_lattice(), 1, "covering", False),
-                (integer_lattice(), 1, "packing", True)):
-            got = triangle_jfold_predicate(*moved_vertices,
-                                           amap.apply_lattice(lat), j, kind)
-            assert got == expected
-        # density ratio is affinely invariant
-        img = amap.apply_lattice(cover_lat)
-        area_img = abs(amap.det) * F(1, 2)
-        assert area_img / img.d == F(1, 2) / cover_lat.d
+    pack_lat = Lattice(Point(F(1, 2), F(1, 2)), Point(0, F(3, 2)))
+    orientations = set()
+    for _ in range(8):
+        a, b, c = _random_triangle(rng)
+        area = abs((b - a).x * (c - a).y - (b - a).y * (c - a).x) / 2
+        orientations.add(triangle_lattice(a, b, c, integer_lattice()).det > 0)
+        for lat in (cover_lat, pack_lat, integer_lattice()):
+            moved = triangle_lattice(a, b, c, lat)
+            for j, kind in ((1, "covering"), (1, "packing"),
+                            (2, "covering"), (2, "packing")):
+                expected = triangle_jfold_predicate(
+                    Point(0, 0), Point(1, 0), Point(0, 1), lat, j, kind)
+                assert triangle_jfold_predicate(a, b, c, moved, j,
+                                                kind) == expected
+            # the density ratio |T| / d is invariant
+            assert area / moved.d == F(1, 2) / lat.d
+    assert orientations == {True, False}
+
+
+def test_collinear_triangle_vertices_raise():
+    lat = integer_lattice()
+    for a, b, c in ((Point(0, 0), Point(1, 1), Point(2, 2)),
+                    (Point(F(1, 2), 0), Point(1, F(-1, 3)),
+                     Point(0, F(1, 3))),
+                    (Point(1, 2), Point(1, 2), Point(3, 4))):
+        with pytest.raises(ValueError, match="collinear triangle vertices"):
+            triangle_lattice(a, b, c, lat)
+        with pytest.raises(ValueError, match="collinear triangle vertices"):
+            triangle_jfold_predicate(a, b, c, lat, 1, "packing")
 
 
 def test_chain_inequalities():

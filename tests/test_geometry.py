@@ -27,6 +27,11 @@ def test_parse_and_format_rational():
         parse_rational("1e3")
     with pytest.raises(ValueError):
         parse_rational("1/0")
+    # a malformed token is named, not reported as an int() literal
+    for text in ("", "x", "1/x", "1/", "/2", "1/2/3"):
+        with pytest.raises(ValueError) as err:
+            parse_rational(text)
+        assert str(err.value) == f"not an integer or a/b: {text!r}"
 
 
 def test_prec_examples():

@@ -7,7 +7,7 @@ from fractions import Fraction as F
 import pytest
 
 import stairtile
-from stairtile import (AffineMap, AreaOptimum, Box, DensityResult, Lattice,
+from stairtile import (AreaOptimum, Box, DensityResult, Lattice,
                        Mode, MultiplicityReport, Point, Region, RenderSpec,
                        ScaleCertificate, ScaledTriangle, SearchReport,
                        SelectionStair, StairPolygon, canonical_stair,
@@ -27,7 +27,6 @@ CASES = {
     StairPolygon: ((F(0), F(1), F(2)), (F(2), F(1))),
     ScaledTriangle: (F(3, 2),),
     Lattice: (Point(1, 1), Point(0, 3)),
-    AffineMap: (F(1), F(0), F(0), F(2), Point(0, 0)),
     DensityResult: (F(2, 3), "packing", 1, (_LAT,)),
     ScaleCertificate: (F(2), True, F(3, 2), False, F(5, 2), True),
     SearchReport: (F(2, 3), (_LAT,), 10, (("j", 1),)),
