@@ -10,7 +10,10 @@ one lattice y-coordinate.  The covering scale is the largest distance
 v_x + w_y - (z_x + z_y) from a corner to its j-th nearest lattice point z
 strictly south-west of it; the packing scale is the smallest distance to
 the (j+1)-th nearest point weakly south-west.  ``_corner_scale`` computes
-both in integers with one sliding window over the canonical columns.
+both in integers with one sliding window over the canonical columns, and
+returns the corner that attains the extremum: just south-west of it
+(covering) or north-east (packing), a point proves the predicate false
+on the far side of the scale.
 
 The formula gives the value; the predicates certify it.  Both predicates
 are monotone in l and can only flip where a translate vertex meets a
@@ -37,7 +40,7 @@ from collections.abc import Iterable
 from fractions import Fraction
 from math import lcm
 
-from .geometry import Frozen, as_int, fields_json, frac
+from .geometry import Frozen, Point, as_int, fields_json, frac
 from .lattice import Lattice, scaled_points
 from .multiplicity import (COVERING, PACKING, Mode, is_jfold_covering,
                            is_jfold_packing, triangle_region)
@@ -46,7 +49,9 @@ from .multiplicity import (COVERING, PACKING, Mode, is_jfold_covering,
 class CandidateGapError(RuntimeError):
     """The corner formula's scale failed its certificate: it is not a
     candidate, the predicate fails there, or the predicate does not flip
-    at the neighbouring candidate."""
+    at the neighbouring candidate.  A lattice search raises it when the
+    formula's verdict at scale 1 is not confirmed by the predicate or by
+    the corner's witness point."""
 
 
 class ScaleCertificate(Frozen):
@@ -163,8 +168,10 @@ def candidate_scales(lat: Lattice, l_max) -> list[Fraction]:
     return [Fraction(v, den) for v in values]
 
 
-def _corner_scale(lat: Lattice, j: int, kind: str) -> Fraction:
-    """The kind's critical scale by the corner formula.
+def _corner_scale(lat: Lattice, j: int, kind: str) -> tuple[Fraction,
+                                                             Point]:
+    """The kind's critical scale by the corner formula, and a corner
+    (0, b) that attains it.
 
     With the canonical basis (x1, y1), (0, y2) at one common denominator,
     a lattice vector moves a corner to (0, b), b the height of a point k0
@@ -186,6 +193,9 @@ def _corner_scale(lat: Lattice, j: int, kind: str) -> Fraction:
     than the maximum (else raising the corner's y would raise its value);
     were k0* > size, the corner size columns right of that point would
     read at least the maximum less (k0* - size)*x1, more than size*x1.
+
+    The corner is returned at the origin's column: b = (-k0*y1) mod y2 for
+    the k0 that attains the extremum.
     """
     key = lat.canonical_key()
     den = lcm(*(v.denominator for v in key))
@@ -193,7 +203,7 @@ def _corner_scale(lat: Lattice, j: int, kind: str) -> Fraction:
     strict = int(kind == COVERING)
     # the n-th nearest point, from column `strict` on; a column holds at
     # most n of the n nearest
-    n, pick = j + 1 - strict, max if strict else min
+    n = j + 1 - strict
 
     def dist(d: int) -> int:
         return d * x1 + (d * y1 - strict) % y2 + strict
@@ -203,15 +213,18 @@ def _corner_scale(lat: Lattice, j: int, kind: str) -> Fraction:
         # corner k0 sees the column offsets d in [strict - k0, size - k0]
         window = sorted(dist(d) + t * y2 for d in range(size - strict + 1)
                         for t in range(n))
-        found = strict * x1 + window[n - 1]
+        found, at = strict * x1 + window[n - 1], strict
         for k0 in range(strict + 1, size + 1):
             new, old = dist(strict - k0), dist(size + 1 - k0)
             for t in range(n):
                 insort(window, new + t * y2)
                 del window[bisect_left(window, old + t * y2)]
-            found = pick(found, k0 * x1 + window[n - 1])
+            value = k0 * x1 + window[n - 1]
+            if value > found if strict else value < found:
+                found, at = value, k0
         if size * x1 >= found:
-            return Fraction(found, den)
+            return (Fraction(found, den),
+                    Point(0, Fraction(-at * y1 % y2, den)))
         size *= 2
 
 
@@ -232,7 +245,7 @@ def _critical_scale(lat: Lattice, j: int, kind: str) -> ScaleCertificate:
         raise ValueError(f"need j >= 1: {j}")
     covering = kind == COVERING
     pred = covering_predicate if covering else packing_predicate
-    value = _corner_scale(lat, j, kind)
+    value, _ = _corner_scale(lat, j, kind)
     l_max = Fraction(1)
     while l_max < value or (not covering and l_max == value):
         l_max *= 2

@@ -7,6 +7,12 @@ space, and a floating-point coordinate-ascent optimizer for the largest
 stair polygon inside the triangle (resp. smallest stair containing its
 interior), whose optima must approach j/(2j+1) and (2j+1)/(4j).
 
+The sweep decides each lattice by the corner formula of
+``scales._corner_scale`` and proves each verdict exactly: a lattice that
+passes is confirmed by the full arrangement predicate, and one that fails
+by a single point next to the formula's corner, whose translates are
+counted in integers.  A disagreement raises ``CandidateGapError``.
+
 The stair optimizers are the only place in the package where inexact
 numbers appear; the best layout found is afterwards snapped to nearby
 small-denominator rationals and its area re-evaluated exactly.
@@ -16,12 +22,13 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
-from .geometry import Frozen, Point, fields_json
-from .lattice import Lattice
+from .geometry import Frozen, Point, as_int, fields_json
+from .lattice import Lattice, scaled_points
 from .multiplicity import (COVERING, KIND_MODE, PACKING, is_jfold_covering,
                            is_jfold_packing, triangle_region)
+from .scales import CandidateGapError, _corner_scale
 
 
 class SearchReport(Frozen):
@@ -57,29 +64,72 @@ def lattice_search_space(denominator_bound: int,
             for b in range(c) if gcd(q, a, b, c) == 1]
 
 
+def _witness_refutes(lat: Lattice, j: int, kind: str,
+                     corner: Point) -> bool:
+    """Whether the point next to a corner from ``_corner_scale`` proves
+    that the unit triangle's translates are no j-fold packing (covering).
+
+    With e = 1/(8*den), den the canonical basis's common denominator, the
+    point is p = corner + (e, e) for packing and corner - (e, e) for
+    covering.  The translates v + T holding p are counted in integers at
+    8*den: v lies in the side-1 window below p, v_x <= p_x, v_y <= p_y and
+    v_x + v_y >= p_x + p_y - 1, each bound strict for the open translates
+    of packing.  More than j of them refute a packing, fewer than j a
+    covering.
+    """
+    den = 8 * lcm(*(v.denominator for v in lat.canonical_key()))
+    covering = kind == COVERING
+    step = -1 if covering else 1
+    px, py = as_int(corner.x, den) + step, as_int(corner.y, den) + step
+    strict = 1 - covering
+    low = px + py - den + strict
+    count = sum(x + y >= low for x, y in scaled_points(
+        lat, den, px - den, px - strict, py - den, py - strict))
+    return count < j if covering else count > j
+
+
 def _search(j: int, denominator_bound: int, coefficient_bound: int,
             kind: str) -> SearchReport:
     """Best-first sweep of the bounded space: lattices are visited from the
-    best density down (a stable sort), the exact predicate decides each
-    one, and the sweep stops at the first lattice whose density differs
-    from one that has already passed.  Every lattice at the best level is
-    tested, so the result is the same as a full scan's; space_size still
-    counts the whole space."""
+    best density down (a stable sort), and the sweep stops at the first
+    lattice whose density differs from one that has already passed.  Every
+    lattice at the best level is decided, so the result is the same as a
+    full scan's; space_size still counts the whole space.
+
+    The corner formula decides each lattice: the unit triangle passes iff
+    its critical scale is >= 1 (packing) or <= 1 (covering).  The exact
+    predicate must confirm each pass, and the point next to the formula's
+    corner (``_witness_refutes``) each failure.  That point is sound as a
+    witness because the scale and 1 both lie on the lattice's 1/den grid,
+    and it sits 1/(8*den) off the corner in each coordinate.  Either
+    disagreement raises ``CandidateGapError``."""
     if j < 1:
         raise ValueError(f"need j >= 1: {j}")
     space = lattice_search_space(denominator_bound, coefficient_bound)
     region = triangle_region(1, KIND_MODE[kind])
-    passes = is_jfold_packing if kind == PACKING else is_jfold_covering
-    sign = 1 if kind == PACKING else -1  # packings maximize the density
+    packing = kind == PACKING
+    predicate = is_jfold_packing if packing else is_jfold_covering
+    sign = 1 if packing else -1  # packings maximize the density
     best_value: Fraction | None = None
     best: list[Lattice] = []
     for lat in sorted(space, key=lambda lat: sign * lat.d):
         value = Fraction(1, 2) / lat.d
         if best_value is not None and value != best_value:
             break
-        if passes(region, lat, j):
+        scale, corner = _corner_scale(lat, j, kind)
+        if scale >= 1 if packing else scale <= 1:
+            if not predicate(region, lat, j):
+                raise CandidateGapError(
+                    f"{j}-fold {kind} predicate fails at scale 1 on "
+                    f"{lat.to_json()}, though its scale {scale} from the "
+                    f"corner formula admits it")
             best_value = value
             best.append(lat)
+        elif not _witness_refutes(lat, j, kind, corner):
+            raise CandidateGapError(
+                f"the witness at corner {corner} does not refute the "
+                f"{j}-fold {kind} predicate at scale 1 on {lat.to_json()}, "
+                f"as its scale {scale} from the corner formula says")
     best.sort(key=Lattice.canonical_key)
     params = (("j", j), ("denominator_bound", denominator_bound),
               ("coefficient_bound", coefficient_bound), ("kind", kind))
@@ -92,9 +142,11 @@ def search_packing(j: int, denominator_bound: int,
     triangle translates form a j-fold packing; never exceeds the closed
     form, and reaches it once the optimal lattices are inside the bounds.
 
-    The sweep is best-first: lattices are tested from the smallest
+    The sweep is best-first: lattices are decided from the smallest
     determinant up, and it stops below the first density that passes;
-    space_size still counts the whole space."""
+    space_size still counts the whole space.  The corner formula decides
+    each lattice; the packing predicate confirms each pass, and one point
+    in more than j open translates proves each failure."""
     return _search(j, denominator_bound, coefficient_bound, PACKING)
 
 
@@ -103,9 +155,11 @@ def search_covering(j: int, denominator_bound: int,
     """Minimal density over j-fold covering lattices in the bounded space;
     never below the closed form.
 
-    The sweep is best-first: lattices are tested from the largest
+    The sweep is best-first: lattices are decided from the largest
     determinant down, and it stops above the first density that passes;
-    space_size still counts the whole space."""
+    space_size still counts the whole space.  The corner formula decides
+    each lattice; the covering predicate confirms each pass, and one point
+    in fewer than j closed translates proves each failure."""
     return _search(j, denominator_bound, coefficient_bound, COVERING)
 
 

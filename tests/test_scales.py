@@ -2,6 +2,7 @@ import hashlib
 import json
 import tracemalloc
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -9,10 +10,12 @@ from hypothesis import strategies as hyp
 
 from stairtile import scales
 from stairtile import (COVERING, PACKING, CandidateGapError, Lattice, Point,
-                       candidate_scales, covering_predicate,
+                       candidate_scales, count_at, covering_predicate,
                        integer_lattice, lambda_lower, shift_lattice,
                        lambda_upper, optimal_covering_lattices,
-                       optimal_packing_lattices, packing_predicate)
+                       optimal_packing_lattices, packing_predicate,
+                       triangle_region)
+from stairtile.multiplicity import KIND_MODE
 
 from oracles import (candidate_scales_reference, covering_scale_oracle,
                      packing_scale_oracle)
@@ -171,11 +174,11 @@ def test_scales_match_the_oracles(lat, j):
     assume(y2 <= 4 * x1 and x1 <= 4 * y2)
     # [0, x1) x [0, j*y2) covers j-fold and lies in the triangle of side
     # x1 + j*y2, which is thus a window past the covering scale
-    lower = scales._corner_scale(lat, j, COVERING)
+    lower, _ = scales._corner_scale(lat, j, COVERING)
     assert lower == covering_scale_oracle(lat, j, window=x1 + j * y2)
     # a window narrower than the packing scale can only raise the oracle's
     # minimum, so a wrong value of either sign fails this
-    upper = scales._corner_scale(lat, j, PACKING)
+    upper, _ = scales._corner_scale(lat, j, PACKING)
     assert upper == packing_scale_oracle(lat, j, window=upper)
     if j <= 2:
         assert lambda_lower(lat, j).value == lower
@@ -285,11 +288,28 @@ def test_a_wrong_corner_scale_fails_its_certificate(monkeypatch, lat, fn):
     # the neighbouring candidates, and a scale between two candidates
     wrong = cands[max(i - 1, 0):i] + [cands[i + 1],
                                       (value + cands[i + 1]) / 2]
+    corner = Point(0, 0)  # unused by the certificate
     for scale in wrong:
         monkeypatch.setattr(scales, "_corner_scale",
-                            lambda lat, j, kind: scale)
+                            lambda lat, j, kind: (scale, corner))
         with pytest.raises(CandidateGapError):
             fn(lat, 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(hyp.one_of(skewed_lattices(), hyp.integers(2, 300).map(near_rotation)),
+       hyp.sampled_from([1, 2, 3]), hyp.sampled_from([COVERING, PACKING]))
+def test_the_corner_proves_the_probe_across_the_flip(lat, j, kind):
+    # at the probe value -+ 1/(2 den) the point next to the corner lies in
+    # fewer than j closed (more than j open) translates, by count_at
+    value, corner = scales._corner_scale(lat, j, kind)
+    den = lcm(*(v.denominator for v in lat.canonical_key()))
+    step = -1 if kind == COVERING else 1
+    probe = value + F(step, 2 * den)
+    e = F(step, 8 * den)
+    count = count_at(lat, triangle_region(probe, KIND_MODE[kind]),
+                     corner + Point(e, e))
+    assert count < j if kind == COVERING else count > j
 
 
 @pytest.mark.parametrize("n", [10, 100, 1000])

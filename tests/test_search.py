@@ -2,14 +2,18 @@ import hashlib
 import json
 from fractions import Fraction as F
 from itertools import product
+from math import lcm
 
 import pytest
 
 import stairtile.search
-from stairtile import (Lattice, Point, covering_density,
-                       lattice_search_space, optimize_circumscribed_stair,
-                       optimize_inscribed_stair, packing_density,
-                       search_covering, search_packing)
+from stairtile import (COVERING, PACKING, CandidateGapError, Lattice, Point,
+                       count_at, covering_density, is_jfold_covering,
+                       is_jfold_packing, lattice_search_space,
+                       optimize_circumscribed_stair, optimize_inscribed_stair,
+                       packing_density, scales, search_covering,
+                       search_packing, triangle_region)
+from stairtile.multiplicity import KIND_MODE
 
 
 def test_search_space_is_deduplicated():
@@ -56,13 +60,19 @@ def test_search_never_beats_closed_forms():
 ])
 def test_search_tests_only_lattices_at_least_as_good(monkeypatch, search,
                                                      j, q, c, best_value):
-    calls = []
+    # the corner formula decides each visited lattice: the predicate runs
+    # on each pass, the witness on each failure
+    calls, witnesses = [], []
     for name in ("is_jfold_packing", "is_jfold_covering"):
         predicate = getattr(stairtile.search, name)
         monkeypatch.setattr(
             stairtile.search, name,
             lambda *args, predicate=predicate:
                 calls.append(args) or predicate(*args))
+    refutes = stairtile.search._witness_refutes
+    monkeypatch.setattr(
+        stairtile.search, "_witness_refutes",
+        lambda *args: witnesses.append(args) or refutes(*args))
     report = search(j, q, c)
     assert report.best_value == best_value
     space = lattice_search_space(q, c)
@@ -70,10 +80,50 @@ def test_search_tests_only_lattices_at_least_as_good(monkeypatch, search,
     sign = 1 if search is search_packing else -1
     expected = len(space) if best_value is None else sum(
         sign * F(1, 2) / abs(lat.det) >= sign * best_value for lat in space)
-    assert len(calls) == expected
+    assert len(calls) == len(report.best_lattices)
+    assert len(calls) + len(witnesses) == expected
     # the packing sweep stops early; in these covering spaces only the
-    # densest lattice passes, or none does, so every lattice is tested
+    # densest lattice passes, or none does, so every lattice is visited
     assert (expected < len(space)) == (search is search_packing)
+
+
+@pytest.mark.parametrize("kind", [PACKING, COVERING])
+def test_corner_formula_agrees_with_the_predicate(kind):
+    # every lattice of a small space, j = 1..4: the formula's verdict at
+    # scale 1 is the predicate's, and each refuting witness is confirmed by
+    # the independent point oracle
+    region = triangle_region(1, KIND_MODE[kind])
+    predicate = is_jfold_packing if kind == PACKING else is_jfold_covering
+    step = 1 if kind == PACKING else -1
+    for lat in lattice_search_space(4, 5):
+        den = lcm(*(v.denominator for v in lat.canonical_key()))
+        e = F(step, 8 * den)
+        for j in range(1, 5):
+            scale, corner = scales._corner_scale(lat, j, kind)
+            passes = scale >= 1 if kind == PACKING else scale <= 1
+            assert passes == predicate(region, lat, j), (lat, j)
+            if passes:
+                continue
+            count = count_at(lat, region, corner + Point(e, e))
+            assert count > j if kind == PACKING else count < j, (lat, j)
+            assert stairtile.search._witness_refutes(lat, j, kind, corner)
+
+
+@pytest.mark.parametrize("j, q, c", [(1, 2, 3), (2, 3, 4)])
+@pytest.mark.parametrize("columns", [1, -1])
+@pytest.mark.parametrize("search", [search_packing, search_covering])
+def test_a_corner_one_column_over_is_caught(monkeypatch, search, columns,
+                                            j, q, c):
+    real = scales._corner_scale
+
+    def moved(lat, j, kind):
+        scale, corner = real(lat, j, kind)
+        x1 = lat.canonical_key()[0]
+        return scale, corner + Point(columns * x1, 0)
+
+    monkeypatch.setattr(stairtile.search, "_corner_scale", moved)
+    with pytest.raises(CandidateGapError, match="witness"):
+        search(j, q, c)
 
 
 def test_optimize_inscribed_examples():
