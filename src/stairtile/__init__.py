@@ -35,7 +35,7 @@ from .search import (AreaOptimum, SearchReport, lattice_search_space,
                      search_covering, search_packing)
 from .stairs import (SelectionStairError, SelectionStair, admissible_shifts,
                      canonical_regions, canonical_stair, selection_stair,
-                     count_region, selection_member, verify_stair_tiling_converse,
+                     count_region, verify_stair_tiling_converse,
                      verify_stair_tiling_forward)
 from .svgout import RenderSpec, render
 
@@ -61,7 +61,7 @@ __all__ = [
     "packing_density", "packing_predicate", "parse_rational",
     "phi_k", "phi_k_bruteforce", "points_in_box", "prec", "prec_negative",
     "random_sampling_oracle", "render",
-    "search_covering", "search_packing", "selection_member", "stair",
+    "search_covering", "search_packing", "stair",
     "stair_region", "triangle_jfold_predicate", "triangle_lattice",
     "triangle_region",
     "verify_stair_tiling_converse", "verify_stair_tiling_forward",

@@ -5,15 +5,11 @@ translates of l*T never overlap more than j deep (the j-fold packing scale),
 and ``lambda_lower`` the smallest l such that the closed translates cover
 every point at least j deep (the j-fold covering scale).
 
-Both scales are read off corners (v_x, w_y) built from one lattice x- and
-one lattice y-coordinate.  The covering scale is the largest distance
-v_x + w_y - (z_x + z_y) from a corner to its j-th nearest lattice point z
-strictly south-west of it; the packing scale is the smallest distance to
-the (j+1)-th nearest point weakly south-west.  ``_corner_scale`` computes
-both in integers with one sliding window over the canonical columns, and
-returns the corner that attains the extremum: just south-west of it
-(covering) or north-east (packing), a point proves the predicate false
-on the far side of the scale.
+Both scales are read off the quadrant stair P(L, j) (``quadrant_stair``):
+covering at l holds iff P lies in l*T, and packing iff the open l*T lies
+in P, so each scale is an extreme coordinate sum over P's corners
+(``_corner_scale``).  Next to that corner, one point counted in integers
+proves the predicate false beyond the scale (``_witness_refutes``).
 
 The formula gives the value; the predicates certify it.  Both predicates
 are monotone in l and can only flip where a translate vertex meets a
@@ -35,7 +31,7 @@ Only the value and its two probes become Fractions.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, bisect_right
 from collections.abc import Iterable
 from fractions import Fraction
 from math import lcm
@@ -168,64 +164,112 @@ def candidate_scales(lat: Lattice, l_max) -> list[Fraction]:
     return [Fraction(v, den) for v in values]
 
 
-def _corner_scale(lat: Lattice, j: int, kind: str) -> tuple[Fraction,
-                                                             Point]:
-    """The kind's critical scale by the corner formula, and a corner
-    (0, b) that attains it.
+def quadrant_stair(lat: Lattice, j: int) -> tuple[int, list[int],
+                                                  list[int]]:
+    """The quadrant stair P(L, j) as (den, breaks, heights): the columns
+    [breaks[i], breaks[i+1]) x [0, heights[i]) in units of 1/den, which
+    makes the canonical basis (x1, y1), (0, y2) integral.
 
-    With the canonical basis (x1, y1), (0, y2) at one common denominator,
-    a lattice vector moves a corner to (0, b), b the height of a point k0
-    columns to its left.  The highest point of column k (x = -k*x1) below
-    b then lies k0*x1 + S(k - k0) away, and t rows lower t*y2 further,
-    where S(d) = d*x1 + ((d*y1 - s) mod y2) + s, with s = 1 for strict
-    dominance and s = 0 for weak.  Covering is the largest over k0 >= 1 of
-    the j-th smallest distance to columns k >= 1, strictly south-west;
-    packing the smallest over k0 >= 0 of the (j+1)-th smallest to columns
-    k >= 0, weakly south-west.
+    P holds the j first points, by ``prec``, of each coset in the closed
+    quadrant Q (well ordered: finitely many lie below any coordinate sum),
+    so it tiles exactly j-fold.  p in Q is one of them iff fewer than j
+    vectors v with ``prec_negative(v)`` keep p + v in Q, i.e. iff p lies in
+    fewer than j quadrants above the blocks (max(0, -v.x), max(0, -v.y)).
 
-    Corners and columns are cut at k0, k <= size, and the distances of one
-    corner sit in a sorted window that slides as k0 steps.  A point past
-    column size is more than size*x1 away, so once size*x1 reaches the
-    result, no left-out point is among the nearest ones.  No left-out
-    corner is the extremum either.  The packing minimum's own points lie
-    within size*x1 of its corner, so that corner is in.  The covering
-    maximum sits at a corner whose point k0* columns to the left is nearer
-    than the maximum (else raising the corner's y would raise its value);
-    were k0* > size, the corner size columns right of that point would
-    read at least the maximum less (k0* - size)*x1, more than size*x1.
+    The blocks, per column k of v = (k*x1, k*y1 + t*y2), which precedes
+    the origin iff v.x + v.y < 0, or = 0 with v.x < 0:
+      k = 0: the heights t*y2, t >= 1, at x = 0;
+      k >= 1: at x = 0, -v.y >= k*x1 + 1 with -v.y = -k*y1 (mod y2), so
+        from h = k*x1 + 1 + ((-k*x1 - 1 - k*y1) mod y2) up;
+      k = -m: at x = m*x1, v.y <= m*x1 (the tie counts).  v.y lies in
+        r + y2*Z, r = (-m*y1) mod y2: the (m*x1 - r) // y2 + 1 (or none)
+        in [0, m*x1] give height 0, the rest y2 - r, 2*y2 - r, ...
+    A column's heights step by y2, so its j lowest are its first j.
 
-    The corner is returned at the origin's column: b = (-k0*y1) mod y2 for
-    the k0 that attains the extremum.
+    Column k >= 1 has no height below k*x1 + 1: the columns at x = 0 stop
+    once that exceeds the j-th lowest so far (column 0 gives j), and each
+    one taken has k*x1 < h_0.  P's height at x, the j-th lowest of the
+    blocks at or left of x, only falls: a column starts where it drops,
+    and P ends at 0.  P lies in the covering triangle, so both loops take
+    at most scale/x1 columns, of O(j) work each.
     """
     key = lat.canonical_key()
     den = lcm(*(v.denominator for v in key))
     x1, y1, y2 = (as_int(v, den) for v in key)
-    strict = int(kind == COVERING)
-    # the n-th nearest point, from column `strict` on; a column holds at
-    # most n of the n nearest
-    n = j + 1 - strict
+    low = [t * y2 for t in range(1, j + 1)]  # the j lowest heights
+    k = 1
+    while k * x1 + 1 <= low[-1]:
+        h = k * x1 + 1 + (-k * x1 - 1 - k * y1) % y2
+        low = sorted(low + [h + t * y2 for t in range(j)])[:j]
+        k += 1
+    breaks, heights = [0], [low[-1]]
+    m = 0
+    while low[-1]:
+        m += 1
+        x = m * x1
+        r = -m * y1 % y2
+        zeros = min(j, (x - r) // y2 + 1)
+        low = sorted(low + [0] * zeros
+                     + [t * y2 - r for t in range(1, j + 1 - zeros)])[:j]
+        if low[-1] < heights[-1]:
+            breaks.append(x)
+            heights.append(low[-1])
+    heights.pop()  # the height 0 where P ends
+    return den, breaks, heights
 
-    def dist(d: int) -> int:
-        return d * x1 + (d * y1 - strict) % y2 + strict
 
-    size = 1
-    while True:
-        # corner k0 sees the column offsets d in [strict - k0, size - k0]
-        window = sorted(dist(d) + t * y2 for d in range(size - strict + 1)
-                        for t in range(n))
-        found, at = strict * x1 + window[n - 1], strict
-        for k0 in range(strict + 1, size + 1):
-            new, old = dist(strict - k0), dist(size + 1 - k0)
-            for t in range(n):
-                insort(window, new + t * y2)
-                del window[bisect_left(window, old + t * y2)]
-            value = k0 * x1 + window[n - 1]
-            if value > found if strict else value < found:
-                found, at = value, k0
-        if size * x1 >= found:
-            return (Fraction(found, den),
-                    Point(0, Fraction(-at * y1 % y2, den)))
-        size *= 2
+def _corner_scale(lat: Lattice, j: int, kind: str) -> tuple[Fraction,
+                                                             Point]:
+    """The kind's critical scale and the corner of the quadrant stair P,
+    the columns [x_i, x_{i+1}) x [0, h_i) for i = 0..r, that attains it.
+
+    Covering.  The closed l*T translates hold p once per point of its coset
+    in l*T: the coset's points of Q with sum <= l, a prefix of its
+    ``prec`` order, which compares sums first (a tie is wholly in or out).
+    So covering holds iff each coset's points in P lie in l*T, iff P does.
+    Over column i, x + y tends to x_{i+1} + h_i, so the covering scale is
+    the largest sum over the outer corners (x_{i+1}, h_i).
+
+    Packing.  If the open l*T lies in P, it holds at most j points of a
+    coset.  Else some p in it lies outside P, after j points of its coset
+    in Q with sums <= that of p (a tie goes by x); shifted by a small
+    (e, e), the coset has those j and p in the open l*T.  So packing holds
+    iff the open l*T lies in P, which it leaves iff l > x_{r+1}, l > h_0
+    (as x -> 0) or l > x_i + h_i for some i >= 1: the packing scale is the
+    smallest sum over the inner corners (0, h_0), (x_i, h_i), (x_{r+1}, 0).
+    """
+    den, breaks, heights = quadrant_stair(lat, j)
+    if kind == COVERING:
+        x, y = max(zip(breaks[1:], heights), key=sum)
+    else:
+        x, y = min([(0, heights[0]), *zip(breaks[1:-1], heights[1:]),
+                    (breaks[-1], 0)], key=sum)
+    return Fraction(x + y, den), Point(Fraction(x, den), Fraction(y, den))
+
+
+def _witness_refutes(lat: Lattice, j: int, kind: str, corner: Point,
+                     scale: Fraction | int = 1) -> bool:
+    """Whether the point p = corner + (e, e) (packing) or corner - (e, e)
+    (covering), e = 1/(8*den), proves that the translates of scale*T are
+    no j-fold packing (covering): it lies in more (fewer) than j of them,
+    counted in integers at 8*den as the v with v_x <= p_x, v_y <= p_y and
+    v_x + v_y >= p_x + p_y - scale, strict for the open translates.
+
+    At a corner of P from ``_corner_scale`` (a multiple of 1/den), this is
+    a proof at each scale more than 2e past the corner's sum.  Covering: p
+    lies in P, so the fewer than j points of its coset that precede it
+    hold all those in scale*T.  Packing: p lies in Q outside P and off the
+    1/den grid, so with its j predecessors in Q, off the axes, it lies in
+    the open scale*T.
+    """
+    den = 8 * lcm(*(v.denominator for v in lat.canonical_key()))
+    strict = int(kind != COVERING)  # packing: p = corner + (e, e)
+    px, py = (as_int(c, den) + 2 * strict - 1 for c in (corner.x, corner.y))
+    side = as_int(scale, den)
+    low = px + py - side + strict
+    count = sum(x + y >= low for x, y in scaled_points(
+        lat, den, px - side, px - strict, py - side, py - strict))
+    return count > j if strict else count < j
 
 
 def _critical_scale(lat: Lattice, j: int, kind: str) -> ScaleCertificate:

@@ -8,10 +8,13 @@ stair polygon inside the triangle (resp. smallest stair containing its
 interior), whose optima must approach j/(2j+1) and (2j+1)/(4j).
 
 The sweep decides each lattice by the corner formula of
-``scales._corner_scale`` and proves each verdict exactly: a lattice that
-passes is confirmed by the full arrangement predicate, and one that fails
-by a single point next to the formula's corner, whose translates are
-counted in integers.  A disagreement raises ``CandidateGapError``.
+``scales._corner_scale``, which reads both critical scales off the corners
+of the lattice's quadrant stair, and proves each verdict exactly: a
+lattice that passes is confirmed by the full arrangement predicate, and
+one that fails by a single point next to the stair corner that sets the
+scale, whose translates are counted in integers
+(``scales._witness_refutes``).  A disagreement raises
+``CandidateGapError``.
 
 The stair optimizers are the only place in the package where inexact
 numbers appear; the best layout found is afterwards snapped to nearby
@@ -22,13 +25,13 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
-from .geometry import Frozen, Point, as_int, fields_json
-from .lattice import Lattice, scaled_points
+from .geometry import Frozen, Point, fields_json
+from .lattice import Lattice
 from .multiplicity import (COVERING, KIND_MODE, PACKING, is_jfold_covering,
                            is_jfold_packing, triangle_region)
-from .scales import CandidateGapError, _corner_scale
+from .scales import CandidateGapError, _corner_scale, _witness_refutes
 
 
 class SearchReport(Frozen):
@@ -62,30 +65,6 @@ def lattice_search_space(denominator_bound: int,
             for a in range(1, coefficient_bound + 1)
             for c in range(1, coefficient_bound + 1)
             for b in range(c) if gcd(q, a, b, c) == 1]
-
-
-def _witness_refutes(lat: Lattice, j: int, kind: str,
-                     corner: Point) -> bool:
-    """Whether the point next to a corner from ``_corner_scale`` proves
-    that the unit triangle's translates are no j-fold packing (covering).
-
-    With e = 1/(8*den), den the canonical basis's common denominator, the
-    point is p = corner + (e, e) for packing and corner - (e, e) for
-    covering.  The translates v + T holding p are counted in integers at
-    8*den: v lies in the side-1 window below p, v_x <= p_x, v_y <= p_y and
-    v_x + v_y >= p_x + p_y - 1, each bound strict for the open translates
-    of packing.  More than j of them refute a packing, fewer than j a
-    covering.
-    """
-    den = 8 * lcm(*(v.denominator for v in lat.canonical_key()))
-    covering = kind == COVERING
-    step = -1 if covering else 1
-    px, py = as_int(corner.x, den) + step, as_int(corner.y, den) + step
-    strict = 1 - covering
-    low = px + py - den + strict
-    count = sum(x + y >= low for x, y in scaled_points(
-        lat, den, px - den, px - strict, py - den, py - strict))
-    return count < j if covering else count > j
 
 
 def _search(j: int, denominator_bound: int, coefficient_bound: int,

@@ -9,38 +9,28 @@ exhausting a bounded rational search space.  The gcd rules count
 shift_lattice(m, j) points in regions made of integer unit cells of the
 square [0, 2j+1)^2 (``canonical_regions``, ``count_region``).
 
-``selection_stair`` builds, for any lattice L, the half open stair formed by
-keeping the j first points (in the coordinate-sum order) of every residue
-class inside the critical covering triangle lam*T.  A competitor, a lattice
-vector v preceding the origin, has v.x + v.y <= 0, so it moves a point of
-lam*T out of the triangle only across an axis, never across the
-hypotenuse: each competitor blocks the quadrant above the corner
-(max(0, -v.x), max(0, -v.y)), a point is kept while fewer than j blocked
-quadrants hold it, and one sweep over the corners sorted by x yields the
-column heights.  The construction then validates shape, exact j-fold
-tiling, and the area identity area = j * d(L), and aborts loudly if any of
-those fail.
+``selection_stair`` returns, for any lattice L, the half open stair that
+keeps the j first points (in the coordinate-sum order) of every residue
+class in the closed quadrant, ``scales.quadrant_stair``, validated and
+proven at its covering scale.
 """
 
 from __future__ import annotations
 
-from bisect import insort
 from fractions import Fraction
 from math import gcd
 
-from .geometry import (Box, Frozen, Point, ScaledTriangle, StairPolygon,
-                       fields_json, format_rationals, frac, prec_negative)
-from .lattice import (Lattice, enumerate_integer_sublattices, shift_lattice,
-                      points_in_box)
-from .multiplicity import is_exact_jfold_tiling
-from .scales import lambda_lower
-
-_F0 = Fraction(0)
+from .geometry import (Frozen, Point, StairPolygon, fields_json,
+                       format_rational, format_rationals, frac)
+from .lattice import Lattice, enumerate_integer_sublattices, shift_lattice
+from .multiplicity import COVERING, is_exact_jfold_tiling
+from .scales import _witness_refutes, quadrant_stair
 
 
 class SelectionStairError(RuntimeError):
-    """The swept stair failed validation: degenerate columns, an area other
-    than j * d(L), no exact j-fold tiling, or more than 2j-1 steps."""
+    """The quadrant stair failed validation: degenerate columns, an area
+    other than j * d(L), no exact j-fold tiling, more than 2j-1 steps, or a
+    witness that does not refute covering below its scale."""
 
 
 def canonical_stair(j: int) -> StairPolygon:
@@ -136,30 +126,12 @@ def verify_stair_tiling_converse(j: int, denominator_bound: int) -> list[Lattice
     return found
 
 
-def selection_member(lat: Lattice, j: int, p: Point, scale) -> bool:
-    """Is p kept when each residue class retains its j first points (in the
-    coordinate-sum order) inside the closed triangle scale*T?
-
-    True iff p lies in the closed triangle and fewer than j lattice
-    translates of p both precede it and stay inside the triangle.  Preceding
-    is a property of the lattice vector alone, since the order is
-    translation invariant.  A scale <= 0 raises ValueError, as
-    ``ScaledTriangle`` does.
-    """
-    tri = ScaledTriangle(scale)
-    if not tri.contains_closed(p):
-        return False
-    vbox = Box(-p.x, tri.side - p.x, -p.y, tri.side - p.y)
-    return sum(1 for v in points_in_box(lat, vbox)
-               if prec_negative(v) and tri.contains_closed(p + v)) < j
-
-
 class SelectionStair(Frozen):
     """The first-j selection stair of a lattice, with its corner data.
 
     corners lists the inner step corners (x_i, y_i), i = 1..r; the extreme
     corners are (0, y_0) and (x_{r+1}, 0); scale is the critical covering
-    scale of the triangle for this lattice.
+    scale of the triangle for this lattice, the largest x_{i+1} + y_i.
     """
 
     stair: StairPolygon
@@ -171,60 +143,43 @@ class SelectionStair(Frozen):
 
 
 def selection_stair(lat: Lattice, j: int) -> SelectionStair:
-    """Build the exact first-j selection stair of the lattice.
+    """The quadrant stair P(L, j) (``scales.quadrant_stair``) with its
+    covering scale, the largest coordinate sum over its outer corners.
 
-    A competitor v precedes the origin, so v.x + v.y <= 0, and for p in
-    the critical triangle lam*T the translate p + v stays in it exactly
-    when p.x >= -v.x and p.y >= -v.y: the competitor's hypotenuse never
-    binds.  Each competitor thus blocks the quadrant above its corner
-    (max(0, -v.x), max(0, -v.y)), and the column at x ends at the j-th
-    lowest corner among those at or left of x, or at the hypotenuse.  One
-    sweep over the corners sorted by x keeps the j lowest corner heights
-    and opens a column wherever the height drops; the heights never rise,
-    and at x = lam the hypotenuse closes the stair.  The result is
-    validated as a strict stair that tiles exactly j-fold with area
-    j * d(lat), any failure aborting with diagnostics.
+    P lies in scale*T, so its exact j-fold tiling proves covering there.
+    One point inside the outer corner, counted in integers, proves that
+    covering fails at scale - 1/(2*den), and so below the scale: covering
+    is monotone, and constant between candidate scales, which lie on the
+    1/den grid.  Any failed check, these or the area j * d(lat) and at most
+    2j-1 steps, raises ``SelectionStairError``.
     """
     if j < 1:
         raise ValueError(f"need j >= 1: {j}")
-    lam = lambda_lower(lat, j).value
-    window = points_in_box(lat, Box(-lam, lam, -lam, lam))
-    blocks = sorted((max(_F0, -v.x), max(_F0, -v.y))
-                    for v in window if prec_negative(v))
-    xs = sorted({_F0, lam} | {x for x, _ in blocks if x < lam})
-    lowest: list[Fraction] = []  # the j lowest corner heights so far
-    breaks: list[Fraction] = []
-    col_heights: list[Fraction] = []
-    k = 0
-    for x in xs:
-        while k < len(blocks) and blocks[k][0] <= x:
-            insort(lowest, blocks[k][1])
-            del lowest[j:]
-            k += 1
-        # the hypotenuse, or the j-th lowest corner once there are j
-        h = min([lam - x] + lowest[j - 1:])
-        if not col_heights or h < col_heights[-1]:
-            breaks.append(x)
-            col_heights.append(h)
-    col_heights.pop()  # the height 0 at x = lam
-    if not col_heights or any(h <= 0 for h in col_heights):
+    den, breaks, heights = quadrant_stair(lat, j)
+    xs = [Fraction(x, den) for x in breaks]
+    hs = [Fraction(h, den) for h in heights]
+    try:
+        stair = StairPolygon(xs, hs)
+    except ValueError as err:
         raise SelectionStairError(
-            f"degenerate column heights {format_rationals(col_heights)} "
-            f"for lattice {lat.to_json()}")
-    stair = StairPolygon(tuple(breaks), tuple(col_heights))
-
+            f"no stair for lattice {lat.to_json()}: {err}") from err
+    outer = max(zip(xs[1:], hs), key=sum)
+    scale = sum(outer)
+    below = scale - Fraction(1, 2 * den)
     if stair.area() != j * lat.d:
         raise SelectionStairError(
             f"area {stair.area()} != j*d = {j * lat.d}; area identity fails")
     if not is_exact_jfold_tiling(stair, lat, j):
         raise SelectionStairError(
-            f"swept stair is not an exact {j}-fold tile for lattice "
+            f"quadrant stair is not an exact {j}-fold tile for lattice "
             f"{lat.to_json()}")
     if stair.r > 2 * j - 1:
         raise SelectionStairError(
             f"stair has {stair.r} steps, exceeding the 2j-1 bound")
-
-    corners = tuple(Point(breaks[i], col_heights[i])
-                    for i in range(1, len(col_heights)))
-    extremes = (Point(_F0, col_heights[0]), Point(breaks[-1], _F0))
-    return SelectionStair(stair, corners, extremes, lam)
+    if not _witness_refutes(lat, j, COVERING, Point(*outer), below):
+        raise SelectionStairError(
+            f"the point inside corner {format_rationals(outer)} is still "
+            f"covered {j}-fold at scale {format_rational(below)}")
+    return SelectionStair(
+        stair, tuple(Point(x, h) for x, h in zip(xs[1:-1], hs[1:])),
+        (Point(0, hs[0]), Point(xs[-1], 0)), scale)

@@ -12,7 +12,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import floor, lcm
 
-from stairtile import Box, Lattice, Point, points_in_box
+from stairtile import Box, Lattice, Point, points_in_box, prec_negative
 
 
 def covering_scale_oracle(lat: Lattice, j: int, window: int) -> Fraction:
@@ -87,6 +87,24 @@ def candidate_scales_reference(lat: Lattice, l_max) -> list[Fraction]:
     values |= {a - b for a in ys for b in ys}
     values |= {x + y - s for x in xs for y in ys for s in sums}
     return sorted(v for v in values if 0 < v <= l_max)
+
+
+def selection_member(lat: Lattice, j: int, p: Point) -> bool:
+    """Is p among the j first points, in the coordinate-sum order, of its
+    coset in the closed quadrant x, y >= 0?  That is membership in the
+    quadrant stair P(L, j).
+
+    True iff p lies in the quadrant and fewer than j lattice vectors v with
+    ``prec_negative(v)`` keep p + v in it.  Such a v has v.x >= -p.x,
+    v.y >= -p.y and v.x + v.y <= 0, so it lies in the box
+    [-p.x, p.y] x [-p.y, p.x].
+    """
+    if p.x < 0 or p.y < 0:
+        return False
+    box = Box(-p.x, p.y, -p.y, p.x)
+    return sum(1 for v in points_in_box(lat, box)
+               if prec_negative(v) and p.x + v.x >= 0
+               and p.y + v.y >= 0) < j
 
 
 def _bezout(a: int, b: int) -> tuple[int, int, int]:

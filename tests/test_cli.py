@@ -11,9 +11,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as hyp
 
-from stairtile import (Box, Lattice, Point, RenderSpec,
-                       ScaleCertificate, canonical_stair,
-                       count_at, shift_lattice, render, stair_region)
+from stairtile import (Box, Lattice, Mode, Point, RenderSpec,
+                       ScaleCertificate, canonical_stair, count_at,
+                       render, shift_lattice, stair_region, triangle_region)
 from stairtile.cli import _parse_lattice, run
 
 
@@ -419,3 +419,36 @@ def test_cli_fuzz_exit_codes(argv):
     if code == 1:
         assert any(a.startswith(("--expect", "--verify")) for a in argv)
     assert "Traceback" not in err.getvalue()
+
+
+@pytest.mark.parametrize("spec, den, expected", [
+    ("100,0;0,1/100", 100,
+     '{"corners": [], "extreme_corners": [["0", "1/100"], ["100", "0"]], '
+     '"scale": "10001/100", "stair": {"heights": ["1/100"], '
+     '"x_breaks": ["0", "100"]}}'),
+    ("50,1/3;0,1/50", 150,
+     '{"corners": [], "extreme_corners": [["0", "1/50"], ["50", "0"]], '
+     '"scale": "2501/50", "stair": {"heights": ["1/50"], '
+     '"x_breaks": ["0", "50"]}}'),
+], ids=["100-by-1/100", "50-by-1/50"])
+def test_sj_answers_on_wide_lattices(spec, den, expected):
+    # both lattices are 1/den tall and about 100/den wide; sj once ran
+    # lambda_lower on them and did not finish in 20 s
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    out = subprocess.run(
+        [sys.executable, "-m", "stairtile.cli", "sj", "--j", "1",
+         "--lattice", spec, "--json"], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=10)
+    assert (out.returncode, out.stdout.strip()) == (0, expected)
+    # the point just inside the outer corner: covered once at the scale and
+    # 1/(2 den) above it, not at all 1/(2 den) below
+    payload = json.loads(expected)
+    lat = _parse_lattice(spec, 1)
+    scale = F(payload["scale"])
+    corner = Point(*map(F, (payload["stair"]["x_breaks"][-1],
+                            payload["stair"]["heights"][-1])))
+    e = F(1, 8 * den)
+    for step, count in ((-1, 0), (0, 1), (1, 1)):
+        region = triangle_region(scale + F(step, 2 * den), Mode.CLOSED)
+        assert count_at(lat, region, corner - Point(e, e)) == count

@@ -2,22 +2,24 @@ import hashlib
 import json
 import random
 from fractions import Fraction as F
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as hyp
 
-from stairtile import (Lattice, Point, admissible_shifts,
-                       canonical_regions, canonical_stair, selection_stair,
+from stairtile import (Lattice, Point, SelectionStairError,
+                       admissible_shifts, canonical_regions, canonical_stair,
                        count_region, integer_lattice, is_exact_jfold_tiling,
-                       shift_lattice, layer_extrema, optimal_covering_lattices,
-                       optimal_packing_lattices, selection_member,
+                       lambda_lower, lambda_upper, layer_extrema,
+                       optimal_covering_lattices, optimal_packing_lattices,
+                       scales, selection_stair, shift_lattice, stairs,
                        verify_stair_tiling_converse,
                        verify_stair_tiling_forward)
 
+from oracles import selection_member
 from test_multiplicity import GENERIC_BASES
-from test_scales import skewed_lattices
+from test_scales import near_rotation, skewed_lattices
 
 
 def test_canonical_stair_shape_and_area():
@@ -114,15 +116,23 @@ def test_admissible_shifts_examples():
 
 
 def test_selection_member_examples():
+    # the quadrant-form oracle: p is among the j first points of its coset
+    # in the closed quadrant
     z2 = integer_lattice()
-    assert selection_member(z2, 1, Point(F(1, 2), F(1, 2)), 2)
-    assert not selection_member(z2, 1, Point(F(3, 2), F(1, 2)), 2)
+    assert selection_member(z2, 1, Point(F(1, 2), F(1, 2)))
+    assert not selection_member(z2, 1, Point(F(3, 2), F(1, 2)))
+    assert not selection_member(z2, 1, Point(F(1, 2), 1))
+    assert selection_member(z2, 2, Point(F(1, 2), 1))
     best_cover = Lattice(Point(F(1, 3), F(1, 3)), Point(0, 1))
-    assert selection_member(best_cover, 1, Point(0, 0), 1)
-    # a degenerate triangle is refused, as ScaledTriangle refuses it
-    for scale in (0, -1):
-        with pytest.raises(ValueError, match="must be positive"):
-            selection_member(z2, 1, Point(0, 0), scale)
+    assert selection_member(best_cover, 1, Point(0, 0))
+    # (1/3, 1/3) comes after the origin, and (0, 2/3), which precedes it
+    # in the tie of sums, after (1/3, 0)
+    assert not selection_member(best_cover, 1, Point(F(1, 3), F(1, 3)))
+    assert selection_member(best_cover, 2, Point(F(1, 3), F(1, 3)))
+    assert not selection_member(best_cover, 1, Point(0, F(2, 3)))
+    # no point outside the quadrant is selected
+    assert not selection_member(z2, 3, Point(F(-1, 2), 0))
+    assert not selection_member(z2, 3, Point(0, F(-1, 2)))
 
 
 def test_selection_stair_z2():
@@ -155,11 +165,22 @@ def test_selection_stair_validations_hold_generically():
             assert res.stair.area() == j * lat.d
             assert is_exact_jfold_tiling(res.stair, lat, j)
             assert len(res.corners) <= 2 * j - 1
-            # membership oracle agrees with the stair on random points
+            # the quadrant oracle agrees with the stair on random points
             for _ in range(40):
                 p = Point(F(rng.randint(0, 24), 8), F(rng.randint(0, 24), 8))
-                assert res.stair.contains(p) == selection_member(
-                    lat, j, p, res.scale)
+                assert res.stair.contains(p) == selection_member(lat, j, p)
+
+
+def _stair_probes(stair, extent, unit_points=()):
+    """Every break and height, the column midpoints, the wall and floor
+    midpoints, points 1/(4 den) past each, and scaled unit points."""
+    xb, hs = stair.x_breaks, stair.heights
+    e = F(1, 4 * lcm(*(v.denominator for v in xb + hs)))
+    xs = list(xb) + [(a + b) / 2 for a, b in zip(xb, xb[1:])]
+    ys = [F(0)] + list(hs) + [h / 2 for h in hs]
+    probes = [Point(x + d, y + d) for x in xs for y in ys for d in (0, e)]
+    probes += [Point(extent * u, extent * v) for u, v in unit_points]
+    return probes
 
 
 @settings(max_examples=60, deadline=None)
@@ -172,16 +193,64 @@ def test_selection_stair_matches_selection_member(lat, j, unit_points):
     x1, _, y2 = lat.canonical_key()
     assume(y2 <= 4 * x1 and x1 <= 4 * y2)
     res = selection_stair(lat, j)
-    xb, hs = res.stair.x_breaks, res.stair.heights
-    # every break and corner, every column midpoint, the wall and floor
-    # midpoints, and random points of the triangle's bounding square
-    xs = list(xb) + [(a + b) / 2 for a, b in zip(xb, xb[1:])]
-    ys = [F(0)] + list(hs) + [h / 2 for h in hs]
-    probes = [Point(x, y) for x in xs for y in ys]
-    probes += [Point(res.scale * u, res.scale * v) for u, v in unit_points]
-    for p in probes:
-        assert res.stair.contains(p) == selection_member(lat, j, p,
-                                                         res.scale)
+    for p in _stair_probes(res.stair, res.scale, unit_points):
+        assert res.stair.contains(p) == selection_member(lat, j, p)
+
+
+@settings(max_examples=40, deadline=None)
+@given(hyp.one_of(skewed_lattices(), hyp.integers(2, 300).map(near_rotation)),
+       hyp.sampled_from([1, 2, 3]))
+@example(near_rotation(300), 3)
+def test_quadrant_stair_against_the_oracle(lat, j):
+    den, breaks, heights = scales.quadrant_stair(lat, j)
+    xs = [F(x, den) for x in breaks]
+    hs = [F(h, den) for h in heights]
+    stair = selection_stair(lat, j).stair
+    assert (stair.x_breaks, stair.heights) == (tuple(xs), tuple(hs))
+    assert stair.area() == j * lat.d
+    assert stair.r <= 2 * j - 1
+    for p in _stair_probes(stair, 0):
+        assert stair.contains(p) == selection_member(lat, j, p)
+    # both certified critical scales sit on P's corners
+    outer = max(x + h for x, h in zip(xs[1:], hs))
+    inner = min([hs[0], xs[-1]] + [x + h for x, h in zip(xs[1:], hs[1:])])
+    assert lambda_lower(lat, j).value == outer
+    assert lambda_upper(lat, j).value == inner
+
+
+def test_selection_stair_evaluates_no_predicate(monkeypatch):
+    # the stair is built from P and proven by its tiling check and one
+    # witness point; no triangle predicate and no lambda_lower runs
+    calls = []
+    for name in ("covering_predicate", "packing_predicate", "lambda_lower"):
+        def counted(*args, real=getattr(scales, name), name=name):
+            calls.append(name)
+            return real(*args)
+        monkeypatch.setattr(scales, name, counted)
+    for lat in (integer_lattice(), near_rotation(10),
+                Lattice(Point(F(2, 5), F(1, 7)), Point(F(-1, 3), F(3, 4)))):
+        for j in (1, 2):
+            selection_stair(lat, j)
+    assert calls == []
+
+
+@pytest.mark.parametrize("lat", [integer_lattice(), near_rotation(10),
+                                 shift_lattice(2, 2).scaled(F(1, 3))],
+                         ids=["Z2", "near-rotation-10", "shift-2-2"])
+@pytest.mark.parametrize("j", [1, 2])
+def test_a_raised_outer_corner_is_refused(monkeypatch, lat, j):
+    real = scales.quadrant_stair
+
+    def raised(lat, j):
+        den, breaks, heights = real(lat, j)
+        i = max(range(len(heights)), key=lambda i: breaks[i + 1] + heights[i])
+        heights = heights.copy()
+        heights[i] += 1
+        return den, breaks, heights
+
+    monkeypatch.setattr(stairs, "quadrant_stair", raised)
+    with pytest.raises(SelectionStairError):
+        selection_stair(lat, j)
 
 
 def test_selection_stairs_are_frozen():
