@@ -8,8 +8,8 @@ is (2j+1)/2, and the number of lattices attaining either is
 (2j+1) * prod(1 - 2/p) over the primes p dividing 2j+1.
 """
 
-from .arith import (count_optimal_lattices, factorize,
-                    is_multiplicative_check, phi_k, phi_k_bruteforce)
+from .arith import (count_optimal_lattices, factorize, phi_k,
+                    phi_k_bruteforce)
 from .density import (COVERING, PACKING, DensityPredicateError,
                       DensityResult, covering_density, density_of,
                       density_result, optimal_covering_lattices,
@@ -19,8 +19,7 @@ from .geometry import (Box, Point, ScaledTriangle, StairPolygon,
                        format_rational, frac, parse_rational, prec,
                        prec_negative, stair)
 from .lattice import (Lattice, enumerate_integer_sublattices,
-                      fundamental_rect, integer_lattice, points_in_box,
-                      shift_lattice)
+                      integer_lattice, points_in_box, shift_lattice)
 from .multiplicity import (Mode, MultiplicityReport, Region, count_at,
                            is_exact_jfold_tiling, is_jfold_covering,
                            is_jfold_packing, layer_extrema,
@@ -52,8 +51,8 @@ __all__ = [
     "count_optimal_lattices", "count_region", "covering_density",
     "covering_predicate", "density_of", "density_result",
     "enumerate_integer_sublattices", "factorize", "format_rational", "frac",
-    "fundamental_rect", "integer_lattice", "is_exact_jfold_tiling",
-    "is_jfold_covering", "is_jfold_packing", "is_multiplicative_check",
+    "integer_lattice", "is_exact_jfold_tiling",
+    "is_jfold_covering", "is_jfold_packing",
     "lambda_lower", "shift_lattice", "lambda_upper", "lattice_search_space",
     "layer_extrema", "mean_multiplicity", "multiplicity_extrema",
     "optimal_covering_lattices", "optimal_packing_lattices",

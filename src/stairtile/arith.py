@@ -68,14 +68,3 @@ def count_optimal_lattices(j: int) -> int:
     if j < 1:
         raise ValueError(f"need j >= 1: {j}")
     return phi_k(2, 2 * j + 1)
-
-
-def is_multiplicative_check(k: int, pairs: list[tuple[int, int]]) -> bool:
-    """Check phi_k(m*n) = phi_k(m)*phi_k(n) on coprime pairs, using the
-    definitional count on both sides.  Non-coprime pairs are rejected."""
-    for m, n in pairs:
-        if gcd(m, n) != 1:
-            raise ValueError(f"pair not coprime: ({m}, {n})")
-    return all(phi_k_bruteforce(k, m * n)
-               == phi_k_bruteforce(k, m) * phi_k_bruteforce(k, n)
-               for m, n in pairs)

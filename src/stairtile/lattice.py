@@ -178,10 +178,3 @@ def enumerate_integer_sublattices(det_target: int) -> list[Lattice]:
         for b in range(c):
             out.append(Lattice(Point(a, b), Point(0, c)))
     return out
-
-
-def fundamental_rect(lat: Lattice) -> tuple[Fraction, Fraction]:
-    """(w, h) of the half open rectangle [0, w) x [0, h) that is a
-    fundamental domain of the lattice (read off the canonical basis)."""
-    x1, _, y2 = lat.canonical_key()
-    return x1, y2

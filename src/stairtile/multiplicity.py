@@ -41,7 +41,7 @@ from math import lcm
 
 from .geometry import (Box, Frozen, Point, ScaledTriangle, StairPolygon,
                        as_int, fields_json)
-from .lattice import Lattice, fundamental_rect, points_in_box, scaled_points
+from .lattice import Lattice, points_in_box, scaled_points
 
 
 class Mode(str, Enum):
@@ -251,14 +251,13 @@ def _halfopen_grid(lat: Lattice, stairs: list[StairPolygon],
     translates cross the rectangle at the residues of the x-breaks mod w;
     the floors and ceilings come from the translates that reach it.
     """
-    rect = fundamental_rect(lat)
-    w, h = (as_int(v, den) for v in rect)
+    x1, _, y2 = lat.canonical_key()
+    w, h = as_int(x1, den), as_int(y2, den)
     xs, ys = {0, w}, {0, h}
     for shape in stairs:
         xs.update(as_int(v, den) % w for v in shape.x_breaks)
         bb = shape.bbox()
-        box = Box(-bb.x_max, rect[0] - bb.x_min,
-                  -bb.y_max, rect[1] - bb.y_min)
+        box = Box(-bb.x_max, x1 - bb.x_min, -bb.y_max, y2 - bb.y_min)
         offsets = [0] + [as_int(v, den) for v in shape.heights]
         for ty in {as_int(t.y, den) for t in points_in_box(lat, box)}:
             ys.update(y for y in (ty + o for o in offsets) if 0 < y < h)
@@ -333,7 +332,8 @@ def _triangle_faces(lat: Lattice, tri: ScaledTriangle,
     ``_den(lat, tri)``.  Every lattice x-coordinate is a multiple of w, so
     the only verticals in the rectangle are its own sides.
     """
-    w, h = (as_int(v, den) for v in fundamental_rect(lat))
+    x1, _, y2 = lat.canonical_key()
+    w, h = as_int(x1, den), as_int(y2, den)
     side = as_int(tri.side, den)
     translates = scaled_points(lat, den, -side, w, -side, h)
     b_vals = sorted({y for _, y in translates if 0 <= y <= h} | {0, h})

@@ -5,23 +5,21 @@ translates of l*T never overlap more than j deep (the j-fold packing scale),
 and ``lambda_lower`` the smallest l such that the closed translates cover
 every point at least j deep (the j-fold covering scale).
 
-Both scales are read off the quadrant stair P(L, j) (``quadrant_stair``):
-covering at l holds iff P lies in l*T, and packing iff the open l*T lies
-in P, so each scale is an extreme coordinate sum over P's corners
-(``_corner_scale``).  Next to that corner, one point counted in integers
-proves the predicate false beyond the scale (``_witness_refutes``).
+Both scales are read off the quadrant stair P(L, j) (``quadrant_stair``),
+which tiles the plane exactly j-fold: covering at l holds iff P lies in
+the closed l*T, and packing iff the open l*T lies in P, so each scale is
+an extreme coordinate sum over P's corners (``_corner_scale``).
 
-The formula gives the value; the predicates certify it.  Both predicates
-are monotone in l and can only flip where a translate vertex meets a
-translate edge or three boundary lines concur.  For triangles whose
-boundary lines come in the three families x = c, y = c, x + y = c, every
-such degeneracy happens at a scale of one of the difference forms produced
-by ``candidate_scales``.  The value must be such a candidate; the predicate
-must hold there and fail at the midpoint to the neighbouring candidate
-across the flip, and it is recorded at the midpoint on the other side.
-That is three predicate evaluations per scale.  A value that is not a
-candidate, or a probe that disagrees, aborts loudly instead of returning a
-wrong value.
+P alone proves each verdict, and no triangle arrangement is sampled.  P's
+exact tiling and its fit in the scale's triangle give the predicate at
+the value (``_proven_stair``).  Both predicates are monotone in l and
+flip only at candidate scales (``candidate_scales``), which lie on the
+1/den grid of the canonical basis.  So the probe across the flip, the
+midpoint to the neighbouring candidate, lies at most value - 1/(2*den)
+(covering) or at least value + 1/(2*den) (packing), and one point next to
+the corner, counted in integers, proves the predicate false there
+(``_witness_refutes``).  Monotonicity gives the other side.  A failed
+check aborts loudly instead of returning a wrong value.
 
 The candidates are found on integers: the window's coordinates and l_max
 are scaled to one common denominator, and the candidate set is an integer
@@ -36,18 +34,19 @@ from collections.abc import Iterable
 from fractions import Fraction
 from math import lcm
 
-from .geometry import Frozen, Point, as_int, fields_json, frac
+from .geometry import Frozen, Point, StairPolygon, as_int, fields_json, frac
 from .lattice import Lattice, scaled_points
-from .multiplicity import (COVERING, PACKING, Mode, is_jfold_covering,
-                           is_jfold_packing, triangle_region)
+from .multiplicity import (COVERING, PACKING, Mode, is_exact_jfold_tiling,
+                           is_jfold_covering, is_jfold_packing,
+                           triangle_region)
 
 
 class CandidateGapError(RuntimeError):
-    """The corner formula's scale failed its certificate: it is not a
-    candidate, the predicate fails there, or the predicate does not flip
-    at the neighbouring candidate.  A lattice search raises it when the
-    formula's verdict at scale 1 is not confirmed by the predicate or by
-    the corner's witness point."""
+    """The corner formula's scale failed its certificate: the quadrant
+    stair does not prove the predicate there, the scale is not a candidate,
+    or the corner's witness does not refute it across the flip.  A lattice
+    search raises it when the stair or the witness does not confirm the
+    formula's verdict at scale 1."""
 
 
 class ScaleCertificate(Frozen):
@@ -218,6 +217,14 @@ def quadrant_stair(lat: Lattice, j: int) -> tuple[int, list[int],
     return den, breaks, heights
 
 
+def _corner(xs, hs, kind: str) -> tuple:
+    """The corner (x, y) of the stair with breaks xs and heights hs that
+    sets the kind's scale x + y (``_corner_scale``)."""
+    if kind == COVERING:
+        return max(zip(xs[1:], hs), key=sum)
+    return min([(0, hs[0]), *zip(xs[1:-1], hs[1:]), (xs[-1], 0)], key=sum)
+
+
 def _corner_scale(lat: Lattice, j: int, kind: str) -> tuple[Fraction,
                                                              Point]:
     """The kind's critical scale and the corner of the quadrant stair P,
@@ -239,12 +246,42 @@ def _corner_scale(lat: Lattice, j: int, kind: str) -> tuple[Fraction,
     smallest sum over the inner corners (0, h_0), (x_i, h_i), (x_{r+1}, 0).
     """
     den, breaks, heights = quadrant_stair(lat, j)
-    if kind == COVERING:
-        x, y = max(zip(breaks[1:], heights), key=sum)
-    else:
-        x, y = min([(0, heights[0]), *zip(breaks[1:-1], heights[1:]),
-                    (breaks[-1], 0)], key=sum)
+    x, y = _corner(breaks, heights, kind)
     return Fraction(x + y, den), Point(Fraction(x, den), Fraction(y, den))
+
+
+def _proven_stair(lat: Lattice, j: int, kind: str,
+                  error: type[Exception] = CandidateGapError
+                  ) -> tuple[int, StairPolygon, Point]:
+    """P(L, j) as a ``StairPolygon``, with the den of ``quadrant_stair``
+    and the corner that sets the kind's scale, proven to hold the kind's
+    predicate at that scale: P tiles exactly j-fold, with area j * d(L) and
+    at most 2j - 1 steps, and fits the scale as ``_corner_scale`` says,
+    checked over all its corners.  A failed check, or a column that
+    ``StairPolygon`` refuses, raises error.
+    """
+    if j < 1:
+        raise ValueError(f"need j >= 1: {j}")
+    den, breaks, heights = quadrant_stair(lat, j)
+    x, y = _corner(breaks, heights, kind)
+    if kind == COVERING:
+        fits = all(hi + h <= x + y for hi, h in zip(breaks[1:], heights))
+    else:
+        fits = (breaks[-1] >= x + y
+                and all(lo + h >= x + y for lo, h in zip(breaks, heights)))
+    area = sum((hi - lo) * h for lo, hi, h in zip(breaks, breaks[1:], heights))
+    corner = Point(Fraction(x, den), Fraction(y, den))
+    try:
+        stair = StairPolygon([Fraction(b, den) for b in breaks],
+                             [Fraction(h, den) for h in heights])
+    except ValueError as err:
+        raise error(f"no stair for lattice {lat.to_json()}: {err}") from err
+    if not (fits and area == j * lat.d * den * den and stair.r <= 2 * j - 1
+            and is_exact_jfold_tiling(stair, lat, j)):
+        raise error(f"the quadrant stair of {lat.to_json()} (area "
+                    f"{stair.area()}, j*d = {j * lat.d}, {stair.r} steps) does "
+                    f"not prove the {kind} scale of corner {corner.to_json()}")
+    return den, stair, corner
 
 
 def _witness_refutes(lat: Lattice, j: int, kind: str, corner: Point,
@@ -273,23 +310,21 @@ def _witness_refutes(lat: Lattice, j: int, kind: str, corner: Point,
 
 
 def _critical_scale(lat: Lattice, j: int, kind: str) -> ScaleCertificate:
-    """The kind's critical scale from ``_corner_scale``, with its
-    certificate.
+    """The kind's critical scale from ``_proven_stair``, with its
+    certificate (see the module docstring).
 
     Covering holds from its critical scale upwards, packing up to it.  The
     value is placed among the candidates up to l_max, the smallest power
     of two >= 1 where covering holds or packing fails; l_max itself is a
-    last packing candidate, as packing is known to fail there.  The
-    probes are the midpoints to the neighbouring candidates (value / 2 and
-    value + 1/2 past the ends).  The predicate is evaluated three times:
-    at the value and across the flip, where it must hold and fail, and on
-    the other side, where it is recorded.
+    last packing candidate, as packing is known to fail there.  The probes
+    are the midpoints to the neighbouring candidates (value / 2 and
+    value + 1/2 past the ends).  P proves the predicate at the value, the
+    witness next to its corner disproves it across the flip, at least
+    1/(2*den) away, and monotonicity gives it on the other side.
     """
-    if j < 1:
-        raise ValueError(f"need j >= 1: {j}")
     covering = kind == COVERING
-    pred = covering_predicate if covering else packing_predicate
-    value, _ = _corner_scale(lat, j, kind)
+    _, _, corner = _proven_stair(lat, j, kind)
+    value = corner.x + corner.y
     l_max = Fraction(1)
     while l_max < value or (not covering and l_max == value):
         l_max *= 2
@@ -306,21 +341,12 @@ def _critical_scale(lat: Lattice, j: int, kind: str) -> ScaleCertificate:
              else Fraction(cands[idx - 1] + cands[idx], 2 * den))
     above = (Fraction(cands[idx] + cands[idx + 1], 2 * den)
              if idx + 1 < len(cands) else value + Fraction(1, 2))
-    # across the flip the predicate must fail; on the other side it is
-    # recorded as found
-    across, other = (below, above) if covering else (above, below)
-    if not pred(lat, j, value):
+    across = below if covering else above
+    if not _witness_refutes(lat, j, kind, corner, across):
         raise CandidateGapError(
-            f"{kind} predicate fails at scale {value} from the corner "
-            f"formula")
-    if pred(lat, j, across):
-        raise CandidateGapError(
-            f"{kind} predicate still holds at probe {across} across "
-            f"scale {value} from the corner formula")
-    held = pred(lat, j, other)
-    if covering:
-        return ScaleCertificate(value, True, below, False, above, held)
-    return ScaleCertificate(value, True, below, held, above, False)
+            f"the witness at corner {corner.to_json()} does not refute the "
+            f"{kind} predicate at probe {across} across scale {value}")
+    return ScaleCertificate(value, True, below, not covering, above, covering)
 
 
 def lambda_lower(lat: Lattice, j: int) -> ScaleCertificate:

@@ -9,12 +9,13 @@ interior), whose optima must approach j/(2j+1) and (2j+1)/(4j).
 
 The sweep decides each lattice by the corner formula of
 ``scales._corner_scale``, which reads both critical scales off the corners
-of the lattice's quadrant stair, and proves each verdict exactly: a
-lattice that passes is confirmed by the full arrangement predicate, and
-one that fails by a single point next to the stair corner that sets the
-scale, whose translates are counted in integers
-(``scales._witness_refutes``).  A disagreement raises
-``CandidateGapError``.
+of the lattice's quadrant stair P, and proves each verdict from P, with no
+triangle arrangement sampled.  P proves each pass by its exact j-fold
+tiling and its fit in the unit triangle (``scales._proven_stair``).  One
+point next to the corner that sets the scale, whose translates are counted
+in integers, proves each failure (``scales._witness_refutes``): it is a
+witness at 1, as the scale and 1 both lie on the lattice's 1/den grid.  A
+disagreement raises ``CandidateGapError``.
 
 The stair optimizers are the only place in the package where inexact
 numbers appear; the best layout found is afterwards snapped to nearby
@@ -29,9 +30,9 @@ from math import gcd
 
 from .geometry import Frozen, Point, fields_json
 from .lattice import Lattice
-from .multiplicity import (COVERING, KIND_MODE, PACKING, is_jfold_covering,
-                           is_jfold_packing, triangle_region)
-from .scales import CandidateGapError, _corner_scale, _witness_refutes
+from .multiplicity import COVERING, PACKING
+from .scales import (CandidateGapError, _corner_scale, _proven_stair,
+                     _witness_refutes)
 
 
 class SearchReport(Frozen):
@@ -76,18 +77,11 @@ def _search(j: int, denominator_bound: int, coefficient_bound: int,
     full scan's; space_size still counts the whole space.
 
     The corner formula decides each lattice: the unit triangle passes iff
-    its critical scale is >= 1 (packing) or <= 1 (covering).  The exact
-    predicate must confirm each pass, and the point next to the formula's
-    corner (``_witness_refutes``) each failure.  That point is sound as a
-    witness because the scale and 1 both lie on the lattice's 1/den grid,
-    and it sits 1/(8*den) off the corner in each coordinate.  Either
-    disagreement raises ``CandidateGapError``."""
+    its critical scale is >= 1 (packing) or <= 1 (covering)."""
     if j < 1:
         raise ValueError(f"need j >= 1: {j}")
     space = lattice_search_space(denominator_bound, coefficient_bound)
-    region = triangle_region(1, KIND_MODE[kind])
     packing = kind == PACKING
-    predicate = is_jfold_packing if packing else is_jfold_covering
     sign = 1 if packing else -1  # packings maximize the density
     best_value: Fraction | None = None
     best: list[Lattice] = []
@@ -97,11 +91,11 @@ def _search(j: int, denominator_bound: int, coefficient_bound: int,
             break
         scale, corner = _corner_scale(lat, j, kind)
         if scale >= 1 if packing else scale <= 1:
-            if not predicate(region, lat, j):
+            proven = _proven_stair(lat, j, kind)[2]
+            if proven.x + proven.y != scale:
                 raise CandidateGapError(
-                    f"{j}-fold {kind} predicate fails at scale 1 on "
-                    f"{lat.to_json()}, though its scale {scale} from the "
-                    f"corner formula admits it")
+                    f"the quadrant stair of {lat.to_json()} does not prove "
+                    f"the {kind} scale {scale} from the corner formula")
             best_value = value
             best.append(lat)
         elif not _witness_refutes(lat, j, kind, corner):
@@ -123,9 +117,8 @@ def search_packing(j: int, denominator_bound: int,
 
     The sweep is best-first: lattices are decided from the smallest
     determinant up, and it stops below the first density that passes;
-    space_size still counts the whole space.  The corner formula decides
-    each lattice; the packing predicate confirms each pass, and one point
-    in more than j open translates proves each failure."""
+    space_size still counts the whole space.  Each verdict is proven as
+    the module docstring says."""
     return _search(j, denominator_bound, coefficient_bound, PACKING)
 
 
@@ -136,9 +129,8 @@ def search_covering(j: int, denominator_bound: int,
 
     The sweep is best-first: lattices are decided from the largest
     determinant down, and it stops above the first density that passes;
-    space_size still counts the whole space.  The corner formula decides
-    each lattice; the covering predicate confirms each pass, and one point
-    in fewer than j closed translates proves each failure."""
+    space_size still counts the whole space.  Each verdict is proven as
+    the module docstring says."""
     return _search(j, denominator_bound, coefficient_bound, COVERING)
 
 

@@ -11,8 +11,8 @@ square [0, 2j+1)^2 (``canonical_regions``, ``count_region``).
 
 ``selection_stair`` returns, for any lattice L, the half open stair that
 keeps the j first points (in the coordinate-sum order) of every residue
-class in the closed quadrant, ``scales.quadrant_stair``, validated and
-proven at its covering scale.
+class in the closed quadrant, ``scales.quadrant_stair``, proven at its
+covering scale by its exact tiling and one witness point.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .geometry import (Frozen, Point, StairPolygon, fields_json,
                        format_rational, format_rationals, frac)
 from .lattice import Lattice, enumerate_integer_sublattices, shift_lattice
 from .multiplicity import COVERING, is_exact_jfold_tiling
-from .scales import _witness_refutes, quadrant_stair
+from .scales import _proven_stair, _witness_refutes
 
 
 class SelectionStairError(RuntimeError):
@@ -146,40 +146,21 @@ def selection_stair(lat: Lattice, j: int) -> SelectionStair:
     """The quadrant stair P(L, j) (``scales.quadrant_stair``) with its
     covering scale, the largest coordinate sum over its outer corners.
 
-    P lies in scale*T, so its exact j-fold tiling proves covering there.
-    One point inside the outer corner, counted in integers, proves that
-    covering fails at scale - 1/(2*den), and so below the scale: covering
-    is monotone, and constant between candidate scales, which lie on the
-    1/den grid.  Any failed check, these or the area j * d(lat) and at most
-    2j-1 steps, raises ``SelectionStairError``.
+    P lies in scale*T, so its exact j-fold tiling proves covering there
+    (``scales._proven_stair``).  One point inside the outer corner, counted
+    in integers, proves that covering fails at scale - 1/(2*den), and so
+    below the scale: covering is monotone, and constant between candidate
+    scales, which lie on the 1/den grid.  Any failed check, these or the
+    area j * d(lat) and at most 2j-1 steps, raises ``SelectionStairError``.
     """
-    if j < 1:
-        raise ValueError(f"need j >= 1: {j}")
-    den, breaks, heights = quadrant_stair(lat, j)
-    xs = [Fraction(x, den) for x in breaks]
-    hs = [Fraction(h, den) for h in heights]
-    try:
-        stair = StairPolygon(xs, hs)
-    except ValueError as err:
-        raise SelectionStairError(
-            f"no stair for lattice {lat.to_json()}: {err}") from err
-    outer = max(zip(xs[1:], hs), key=sum)
-    scale = sum(outer)
+    den, stair, outer = _proven_stair(lat, j, COVERING, SelectionStairError)
+    xs, hs = stair.x_breaks, stair.heights
+    scale = outer.x + outer.y
     below = scale - Fraction(1, 2 * den)
-    if stair.area() != j * lat.d:
+    if not _witness_refutes(lat, j, COVERING, outer, below):
         raise SelectionStairError(
-            f"area {stair.area()} != j*d = {j * lat.d}; area identity fails")
-    if not is_exact_jfold_tiling(stair, lat, j):
-        raise SelectionStairError(
-            f"quadrant stair is not an exact {j}-fold tile for lattice "
-            f"{lat.to_json()}")
-    if stair.r > 2 * j - 1:
-        raise SelectionStairError(
-            f"stair has {stair.r} steps, exceeding the 2j-1 bound")
-    if not _witness_refutes(lat, j, COVERING, Point(*outer), below):
-        raise SelectionStairError(
-            f"the point inside corner {format_rationals(outer)} is still "
-            f"covered {j}-fold at scale {format_rational(below)}")
+            f"the point inside corner {format_rationals((outer.x, outer.y))} "
+            f"is still covered {j}-fold at scale {format_rational(below)}")
     return SelectionStair(
         stair, tuple(Point(x, h) for x, h in zip(xs[1:-1], hs[1:])),
         (Point(0, hs[0]), Point(xs[-1], 0)), scale)

@@ -1,8 +1,7 @@
 import pytest
 
 from stairtile import (admissible_shifts, count_optimal_lattices, factorize,
-                       is_multiplicative_check, phi_k, phi_k_bruteforce,
-                       verify_stair_tiling_forward)
+                       phi_k, phi_k_bruteforce, verify_stair_tiling_forward)
 
 
 def test_factorize():
@@ -36,11 +35,11 @@ def test_phi_k_vanishes_iff_small_prime():
 
 
 def test_is_multiplicative_check():
-    assert is_multiplicative_check(2, [(3, 5)])
-    assert is_multiplicative_check(1, [(4, 9)])
-    assert is_multiplicative_check(3, [(5, 7), (5, 11)])
-    with pytest.raises(ValueError):
-        is_multiplicative_check(2, [(3, 9)])
+    # phi_k(m*n) = phi_k(m)*phi_k(n) on coprime pairs, by the definitional
+    # count on both sides
+    for k, m, n in ((2, 3, 5), (1, 4, 9), (3, 5, 7), (3, 5, 11)):
+        assert phi_k_bruteforce(k, m * n) == \
+            phi_k_bruteforce(k, m) * phi_k_bruteforce(k, n)
 
 
 def test_count_optimal_lattices_examples():

@@ -7,8 +7,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as hyp
 
 from stairtile import (Box, Lattice, Point, enumerate_integer_sublattices,
-                       fundamental_rect, integer_lattice, points_in_box,
-                       shift_lattice)
+                       integer_lattice, points_in_box, shift_lattice)
 
 from oracles import canonical_key_reference, lattice_points_bruteforce
 
@@ -193,8 +192,10 @@ def test_canonical_form_shape():
 
 
 def test_fundamental_rect_is_fundamental():
+    # the canonical rectangle [0, x1) x [0, y2) of the basis (x1, y1),
+    # (0, y2)
     lat = shift_lattice(2, 1)
-    w, h = fundamental_rect(lat)
+    w, _, h = lat.canonical_key()
     assert w * h == lat.d
     rng = random.Random(9)
     for _ in range(50):

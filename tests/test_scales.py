@@ -8,12 +8,13 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as hyp
 
-from stairtile import scales
+from stairtile import multiplicity, scales, search, stairs
 from stairtile import (COVERING, PACKING, CandidateGapError, Lattice, Point,
                        candidate_scales, count_at, covering_predicate,
                        integer_lattice, lambda_lower, shift_lattice,
                        lambda_upper, optimal_covering_lattices,
                        optimal_packing_lattices, packing_predicate,
+                       search_covering, search_packing, selection_stair,
                        triangle_region)
 from stairtile.multiplicity import KIND_MODE
 
@@ -194,16 +195,21 @@ def test_lambda_upper_optimal_lattices():
     assert lambda_upper(pack2, 2).value == 1
 
 
-def test_certificate_soundness_reruns():
-    for lat, j in ((integer_lattice(), 1), (shift_lattice(1, 1), 2)):
-        lo = lambda_lower(lat, j)
-        assert covering_predicate(lat, j, lo.value) == lo.predicate_at_value
-        assert covering_predicate(lat, j, lo.below_scale) == lo.predicate_below
-        assert covering_predicate(lat, j, lo.above_scale) == lo.predicate_above
-        up = lambda_upper(lat, j)
-        assert packing_predicate(lat, j, up.value) == up.predicate_at_value
-        assert packing_predicate(lat, j, up.below_scale) == up.predicate_below
-        assert packing_predicate(lat, j, up.above_scale) == up.predicate_above
+@settings(max_examples=40, deadline=None)
+@given(hyp.one_of(skewed_lattices(), hyp.integers(2, 300).map(near_rotation)),
+       hyp.sampled_from([1, 2, 3]))
+@example(integer_lattice(), 1)
+@example(shift_lattice(1, 1), 2)
+def test_certificate_soundness_reruns(lat, j):
+    # every boolean of a certificate, proven from the quadrant stair,
+    # agrees with the triangle predicate at its scale
+    for fn, predicate in ((lambda_lower, covering_predicate),
+                          (lambda_upper, packing_predicate)):
+        cert = fn(lat, j)
+        for scale, recorded in ((cert.value, cert.predicate_at_value),
+                                (cert.below_scale, cert.predicate_below),
+                                (cert.above_scale, cert.predicate_above)):
+            assert predicate(lat, j, scale) == recorded, (fn, scale)
 
 
 def test_scaling_covariance():
@@ -263,19 +269,42 @@ def test_scale_certificates_are_frozen():
                          ids=["Z2", "theta", "roadmap-a", "sliver"])
 @pytest.mark.parametrize("j", [1, 2])
 def test_three_predicate_evaluations_per_scale(monkeypatch, lat, j):
-    # the value comes from the corner formula; the predicate only
-    # certifies it, at the value and at its two probes
+    # the three recorded booleans come from the quadrant stair, not from a
+    # triangle predicate: one proven stair at the value, one witness across
+    # the flip, and monotonicity on the other side
     calls = []
-    for name in ("covering_predicate", "packing_predicate"):
-        def counted(lat, j, scale, real=getattr(scales, name), name=name):
+    for name in ("covering_predicate", "packing_predicate", "_proven_stair",
+                 "_witness_refutes"):
+        def counted(*args, real=getattr(scales, name), name=name):
             calls.append(name)
-            return real(lat, j, scale)
+            return real(*args)
         monkeypatch.setattr(scales, name, counted)
-    lambda_lower(lat, j)
-    assert calls == ["covering_predicate"] * 3
-    calls.clear()
-    lambda_upper(lat, j)
-    assert calls == ["packing_predicate"] * 3
+    for fn in (lambda_lower, lambda_upper):
+        calls.clear()
+        fn(lat, j)
+        assert calls == ["_proven_stair", "_witness_refutes"]
+
+
+def test_no_verdict_reaches_the_triangle_predicates(monkeypatch):
+    # lambda, sj and search verdicts are all proven from the quadrant stair
+    # alone; the triangle predicates and their arrangement are never built
+    def refused(*args, **kwargs):
+        raise AssertionError("a triangle predicate was evaluated")
+
+    for module in (scales, multiplicity, search, stairs):
+        for name in ("covering_predicate", "packing_predicate",
+                     "is_jfold_packing", "is_jfold_covering",
+                     "_triangle_faces"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refused)
+    for lat in (integer_lattice(), THETA, ROADMAP_A, near_rotation(10)):
+        for j in (1, 2):
+            lambda_lower(lat, j)
+            lambda_upper(lat, j)
+            selection_stair(lat, j)
+    for j in (1, 2):
+        search_packing(j, 2 * j, 2 * j + 1)
+        search_covering(j, 2 * j + 1, 2 * j + 1)
 
 
 @pytest.mark.parametrize("lat", [integer_lattice(), ROADMAP_A],
@@ -285,15 +314,33 @@ def test_a_wrong_corner_scale_fails_its_certificate(monkeypatch, lat, fn):
     value = fn(lat, 1).value
     cands = candidate_scales(lat, 2 * value + 1)
     i = cands.index(value)
-    # the neighbouring candidates, and a scale between two candidates
+    # the neighbouring candidates, and a scale between two candidates,
+    # given as the sum of P's corner, in units of 1/den
     wrong = cands[max(i - 1, 0):i] + [cands[i + 1],
                                       (value + cands[i + 1]) / 2]
-    corner = Point(0, 0)  # unused by the certificate
+    den = lcm(*(v.denominator for v in lat.canonical_key()))
     for scale in wrong:
-        monkeypatch.setattr(scales, "_corner_scale",
-                            lambda lat, j, kind: (scale, corner))
+        monkeypatch.setattr(scales, "_corner",
+                            lambda xs, hs, kind: (0, scale * den))
         with pytest.raises(CandidateGapError):
             fn(lat, 1)
+
+
+@pytest.mark.parametrize("lat", [integer_lattice(), THETA, ROADMAP_A,
+                                 near_rotation(10)],
+                         ids=["Z2", "theta", "roadmap-a", "near-rotation-10"])
+@pytest.mark.parametrize("j", [1, 2])
+def test_a_raised_stair_height_fails_the_certificate(monkeypatch, lat, j):
+    real = scales.quadrant_stair
+
+    def raised(lat, j):
+        den, breaks, heights = real(lat, j)
+        return den, breaks, heights[:-1] + [heights[-1] + 1]
+
+    monkeypatch.setattr(scales, "quadrant_stair", raised)
+    for fn in (lambda_lower, lambda_upper):
+        with pytest.raises(CandidateGapError):
+            fn(lat, j)
 
 
 @settings(max_examples=60, deadline=None)

@@ -60,19 +60,16 @@ def test_search_never_beats_closed_forms():
 ])
 def test_search_tests_only_lattices_at_least_as_good(monkeypatch, search,
                                                      j, q, c, best_value):
-    # the corner formula decides each visited lattice: the predicate runs
-    # on each pass, the witness on each failure
-    calls, witnesses = [], []
-    for name in ("is_jfold_packing", "is_jfold_covering"):
-        predicate = getattr(stairtile.search, name)
+    # the corner formula decides each visited lattice: the quadrant stair
+    # is proven on each pass, the witness checked on each failure
+    proofs, witnesses = [], []
+    for name, calls in (("_proven_stair", proofs),
+                        ("_witness_refutes", witnesses)):
+        real = getattr(stairtile.search, name)
         monkeypatch.setattr(
             stairtile.search, name,
-            lambda *args, predicate=predicate:
-                calls.append(args) or predicate(*args))
-    refutes = stairtile.search._witness_refutes
-    monkeypatch.setattr(
-        stairtile.search, "_witness_refutes",
-        lambda *args: witnesses.append(args) or refutes(*args))
+            lambda *args, real=real, calls=calls:
+                calls.append(args) or real(*args))
     report = search(j, q, c)
     assert report.best_value == best_value
     space = lattice_search_space(q, c)
@@ -80,8 +77,8 @@ def test_search_tests_only_lattices_at_least_as_good(monkeypatch, search,
     sign = 1 if search is search_packing else -1
     expected = len(space) if best_value is None else sum(
         sign * F(1, 2) / abs(lat.det) >= sign * best_value for lat in space)
-    assert len(calls) == len(report.best_lattices)
-    assert len(calls) + len(witnesses) == expected
+    assert len(proofs) == len(report.best_lattices)
+    assert len(proofs) + len(witnesses) == expected
     # the packing sweep stops early; in these covering spaces only the
     # densest lattice passes, or none does, so every lattice is visited
     assert (expected < len(space)) == (search is search_packing)

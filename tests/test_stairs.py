@@ -13,7 +13,7 @@ from stairtile import (Lattice, Point, SelectionStairError,
                        count_region, integer_lattice, is_exact_jfold_tiling,
                        lambda_lower, lambda_upper, layer_extrema,
                        optimal_covering_lattices, optimal_packing_lattices,
-                       scales, selection_stair, shift_lattice, stairs,
+                       scales, selection_stair, shift_lattice,
                        verify_stair_tiling_converse,
                        verify_stair_tiling_forward)
 
@@ -248,7 +248,7 @@ def test_a_raised_outer_corner_is_refused(monkeypatch, lat, j):
         heights[i] += 1
         return den, breaks, heights
 
-    monkeypatch.setattr(stairs, "quadrant_stair", raised)
+    monkeypatch.setattr(scales, "quadrant_stair", raised)
     with pytest.raises(SelectionStairError):
         selection_stair(lat, j)
 
