@@ -10,22 +10,19 @@ is (2j+1)/2, and the number of lattices attaining either is
 
 from .arith import (count_optimal_lattices, factorize, phi_k,
                     phi_k_bruteforce)
-from .density import (COVERING, PACKING, DensityPredicateError,
-                      DensityResult, covering_density, density_of,
+from .density import (COVERING, PACKING, DensityResult, covering_density,
                       density_result, optimal_covering_lattices,
                       optimal_packing_lattices, packing_density,
-                      triangle_jfold_predicate, triangle_lattice)
+                      triangle_lattice)
 from .geometry import (Box, Point, ScaledTriangle, StairPolygon,
-                       format_rational, frac, parse_rational, prec,
-                       prec_negative, stair)
+                       format_rational, frac, parse_rational, prec)
 from .lattice import (Lattice, enumerate_integer_sublattices,
                       integer_lattice, points_in_box, shift_lattice)
 from .multiplicity import (Mode, MultiplicityReport, Region, count_at,
                            is_exact_jfold_tiling, is_jfold_covering,
                            is_jfold_packing, layer_extrema,
-                           mean_multiplicity, multiplicity_extrema,
-                           random_sampling_oracle, stair_region,
-                           triangle_region)
+                           multiplicity_extrema, random_sampling_oracle,
+                           stair_region, triangle_region)
 from .scales import (CandidateGapError, ScaleCertificate, candidate_scales,
                      covering_predicate, lambda_lower, lambda_upper,
                      packing_predicate)
@@ -42,26 +39,25 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AreaOptimum", "Box", "COVERING", "CandidateGapError",
-    "DensityPredicateError", "DensityResult", "Lattice", "Mode",
-    "MultiplicityReport", "PACKING", "Point", "Region",
+    "DensityResult", "Lattice", "Mode", "MultiplicityReport", "PACKING",
+    "Point", "Region",
     "RenderSpec", "ScaleCertificate", "ScaledTriangle", "SearchReport",
     "SelectionStairError", "SelectionStair", "StairPolygon", "admissible_shifts",
     "canonical_regions", "canonical_stair", "candidate_scales",
     "selection_stair", "count_at",
     "count_optimal_lattices", "count_region", "covering_density",
-    "covering_predicate", "density_of", "density_result",
+    "covering_predicate", "density_result",
     "enumerate_integer_sublattices", "factorize", "format_rational", "frac",
     "integer_lattice", "is_exact_jfold_tiling",
     "is_jfold_covering", "is_jfold_packing",
     "lambda_lower", "shift_lattice", "lambda_upper", "lattice_search_space",
-    "layer_extrema", "mean_multiplicity", "multiplicity_extrema",
+    "layer_extrema", "multiplicity_extrema",
     "optimal_covering_lattices", "optimal_packing_lattices",
     "optimize_circumscribed_stair", "optimize_inscribed_stair",
     "packing_density", "packing_predicate", "parse_rational",
-    "phi_k", "phi_k_bruteforce", "points_in_box", "prec", "prec_negative",
+    "phi_k", "phi_k_bruteforce", "points_in_box", "prec",
     "random_sampling_oracle", "render",
-    "search_covering", "search_packing", "stair",
-    "stair_region", "triangle_jfold_predicate", "triangle_lattice",
+    "search_covering", "search_packing", "stair_region", "triangle_lattice",
     "triangle_region",
     "verify_stair_tiling_converse", "verify_stair_tiling_forward",
 ]

@@ -4,9 +4,11 @@ The closed forms are 2j^2/(2j+1) for packing and (2j+1)/2 for covering, and
 the lattices attaining them are one family for both kinds: the stair
 lattices (1, m), (0, 2j+1) of ``shift_lattice`` with gcd(m, 2j+1) =
 gcd(m+1, 2j+1) = 1, scaled by 1/(2j) for packing and by 1/(2j+1) for
-covering (``family_lattice``).  A triangle a, b, c carries lattices
-through its edge basis b - a, c - a (``triangle_lattice``), and every
-j-fold predicate and density value is invariant under that linear map.
+covering (``family_lattice``), and ``optimal_*_lattices`` can check each
+with ``is_jfold_packing`` or ``is_jfold_covering``.  A triangle a, b, c
+carries lattices through its edge basis b - a, c - a
+(``triangle_lattice``), and every j-fold predicate and density value is
+invariant under that linear map.
 """
 
 from __future__ import annotations
@@ -15,19 +17,9 @@ from fractions import Fraction
 
 from .geometry import Frozen, Point, fields_json
 from .lattice import Lattice, shift_lattice
-from .multiplicity import (COVERING, KIND_MODE, PACKING, Region,
-                           jfold_violation, triangle_region)
+from .multiplicity import (COVERING, KIND_MODE, PACKING, is_jfold_covering,
+                           is_jfold_packing, triangle_region)
 from .stairs import admissible_shifts
-
-
-class DensityPredicateError(ValueError):
-    """The lattice fails the requested j-fold predicate; carries a witness
-    point whose multiplicity violates it."""
-
-    def __init__(self, message: str, witness: Point, multiplicity: int):
-        super().__init__(message)
-        self.witness = witness
-        self.multiplicity = multiplicity
 
 
 class DensityResult(Frozen):
@@ -56,13 +48,7 @@ def covering_density(j: int) -> Fraction:
 
 
 _CLOSED_FORMS = {PACKING: packing_density, COVERING: covering_density}
-
-
-def _unit_triangle(kind: str) -> Region:
-    """The standard triangle in the mode that decides the kind's predicate."""
-    if kind not in KIND_MODE:
-        raise ValueError(f"kind must be {PACKING!r} or {COVERING!r}: {kind}")
-    return triangle_region(1, KIND_MODE[kind])
+_PREDICATES = {PACKING: is_jfold_packing, COVERING: is_jfold_covering}
 
 
 def family_lattice(j: int, m: int, kind: str) -> Lattice:
@@ -74,11 +60,14 @@ def family_lattice(j: int, m: int, kind: str) -> Lattice:
 
 
 def _optimal_lattices(j: int, kind: str, verify: bool) -> list[Lattice]:
-    region = _unit_triangle(kind)
+    if kind not in KIND_MODE:
+        raise ValueError(f"kind must be {PACKING!r} or {COVERING!r}: {kind}")
+    # the standard triangle in the mode that decides the kind
+    region = triangle_region(1, KIND_MODE[kind])
     lats = [family_lattice(j, m, kind) for m in admissible_shifts(j)]
     if verify:
         for lat in lats:
-            if jfold_violation(region, lat, j, kind) is not None:
+            if not _PREDICATES[kind](region, lat, j):
                 raise AssertionError(
                     f"claimed optimal {kind} lattice fails the predicate: "
                     f"{lat.to_json()}")
@@ -102,48 +91,19 @@ def optimal_covering_lattices(j: int, verify: bool = True) -> list[Lattice]:
     return _optimal_lattices(j, COVERING, verify)
 
 
-def density_of(lat: Lattice, j: int, kind: str) -> Fraction:
-    """|T| / d(lat) if the unit triangle with this lattice satisfies the
-    requested j-fold predicate; raises DensityPredicateError with a witness
-    point otherwise."""
-    violation = jfold_violation(_unit_triangle(kind), lat, j, kind)
-    if violation is not None:
-        witness, mult = violation
-        many = f"{mult} open" if kind == PACKING else f"only {mult} closed"
-        raise DensityPredicateError(
-            f"not a {j}-fold {kind}: point {witness.to_json()} lies in "
-            f"{many} translates", witness, mult)
-    return Fraction(1, 2) / lat.d
-
-
 def density_result(j: int, kind: str) -> DensityResult:
     """Closed-form density together with its verified optimal lattices."""
     lats = tuple(_optimal_lattices(j, kind, True))
     return DensityResult(_CLOSED_FORMS[kind](j), kind, j, lats)
 
 
-def _edges(a: Point, b: Point, c: Point) -> Lattice:
-    """The edge basis b - a, c - a; collinear vertices raise ValueError."""
+def triangle_lattice(a: Point, b: Point, c: Point, lat: Lattice) -> Lattice:
+    """``lat`` carried from the standard triangle to a, b, c: each basis
+    vector (x, y) goes to x (b - a) + y (c - a).  Collinear vertices raise
+    ValueError."""
     e1, e2 = b - a, c - a
     if e1.x * e2.y == e1.y * e2.x:
         raise ValueError(f"collinear triangle vertices: {a}, {b}, {c}")
-    return Lattice(e1, e2)
-
-
-def triangle_lattice(a: Point, b: Point, c: Point, lat: Lattice) -> Lattice:
-    """``lat`` carried from the standard triangle to a, b, c: each basis
-    vector (x, y) goes to x (b - a) + y (c - a)."""
-    edges = _edges(a, b, c)
+    edges = Lattice(e1, e2)
     return Lattice(edges.point(lat.u1.x, lat.u1.y),
                    edges.point(lat.u2.x, lat.u2.y))
-
-
-def triangle_jfold_predicate(a: Point, b: Point, c: Point, lat: Lattice,
-                             j: int, kind: str) -> bool:
-    """j-fold packing/covering predicate for an arbitrary triangle, decided
-    on the standard triangle with the lattice written in the triangle's
-    edge basis."""
-    edges = _edges(a, b, c)
-    moved = Lattice(Point(*edges.coefficients(lat.u1)),
-                    Point(*edges.coefficients(lat.u2)))
-    return jfold_violation(_unit_triangle(kind), moved, j, kind) is None

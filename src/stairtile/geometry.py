@@ -192,12 +192,6 @@ def prec(p: Point, q: Point) -> bool:
     return ps < qs or (ps == qs and p.x < q.x)
 
 
-def prec_negative(v: Point) -> bool:
-    """True iff v precedes the origin, i.e. prec(u + v, u) for every u."""
-    s = v.x + v.y
-    return s < 0 or (s == 0 and v.x < 0)
-
-
 class Box(Frozen):
     """Axis-aligned closed box [x_min, x_max] x [y_min, y_max]."""
 
@@ -327,12 +321,6 @@ class StairPolygon(Frozen):
     @staticmethod
     def from_json(data: dict) -> "StairPolygon":
         return StairPolygon(data["x_breaks"], data["heights"])
-
-
-def stair(x_breaks: Sequence[RationalLike],
-          heights: Sequence[RationalLike]) -> StairPolygon:
-    """Convenience constructor accepting ints and "a/b" strings."""
-    return StairPolygon(x_breaks, heights)
 
 
 class ScaledTriangle(Frozen):

@@ -370,71 +370,33 @@ def multiplicity_extrema(lat: Lattice, region: Region) -> MultiplicityReport:
     return _extrema(_exact_counts(lat, region, samples, den), samples, den)
 
 
-def jfold_violation(region: Region, lat: Lattice, j: int,
-                    kind: str) -> tuple[Point, int] | None:
-    """A point that breaks the j-fold packing or covering named by kind,
-    with its multiplicity, or None if the translates of region pass.
-
-    A packing is decided on interiors: no point may lie in more than j.  A
-    covering is decided on closed sets: every point must lie in at least j.
-    """
+def _decided_extrema(region: Region, lat: Lattice,
+                     kind: str) -> MultiplicityReport:
+    """``multiplicity_extrema`` in the mode that decides the kind: a
+    packing is decided on interiors, a covering on closed sets."""
     if region.mode is not KIND_MODE[kind]:
         sets = "interiors" if kind == PACKING else "closed sets"
         raise ValueError(f"{kind} is decided on {sets}; "
                          f"got mode {region.mode.value}")
-    report = multiplicity_extrema(lat, region)
-    if kind == PACKING:
-        if report.max_mult > j:
-            return report.max_witness, report.max_mult
-    elif report.min_mult < j:
-        return report.min_witness, report.min_mult
-    return None
+    return multiplicity_extrema(lat, region)
 
 
 def is_jfold_packing(region: Region, lat: Lattice, j: int) -> bool:
     """True iff no point lies in more than j translate interiors."""
-    return jfold_violation(region, lat, j, PACKING) is None
+    return _decided_extrema(region, lat, PACKING).max_mult <= j
 
 
 def is_jfold_covering(region: Region, lat: Lattice, j: int) -> bool:
     """True iff every point lies in at least j closed translates."""
-    return jfold_violation(region, lat, j, COVERING) is None
+    return _decided_extrema(region, lat, COVERING).min_mult >= j
 
 
-def is_exact_jfold_tiling(region: Region | StairPolygon, lat: Lattice,
-                          j: int) -> bool:
-    """True iff every point lies in exactly j translates.
-
-    Exactness is a pointwise statement and therefore requires the half open
-    stair convention; any other region mode is rejected.
+def is_exact_jfold_tiling(stair: StairPolygon, lat: Lattice, j: int) -> bool:
+    """True iff every point lies in exactly j translates of the half open
+    stair, the convention under which exactness is a pointwise statement.
     """
-    if isinstance(region, StairPolygon):
-        region = Region(region, Mode.HALF_OPEN)
-    if region.mode is not Mode.HALF_OPEN:
-        raise ValueError("exact tilings require half open stair regions; "
-                         f"got mode {region.mode.value}")
-    report = multiplicity_extrema(lat, region)
+    report = multiplicity_extrema(lat, Region(stair, Mode.HALF_OPEN))
     return report.min_mult == j and report.max_mult == j
-
-
-def mean_multiplicity(lat: Lattice, region: Region) -> Fraction:
-    """Exact average multiplicity over the plane, area(K)/d(lat).
-
-    Computed directly as the area-weighted mean of the per-cell counts over
-    a fundamental rectangle; only defined for half open stair regions, whose
-    cells partition the rectangle exactly.
-    """
-    if not (isinstance(region.shape, StairPolygon)
-            and region.mode is Mode.HALF_OPEN):
-        raise ValueError("mean multiplicity is exact only for half open "
-                         "stair regions")
-    den = _den(lat, region.shape)
-    xs, ys = _halfopen_grid(lat, [region.shape], den)
-    counts = iter(_exact_counts(lat, region, _cell_corners(xs, ys), den))
-    total = sum(next(counts) * (x1 - x0) * (y1 - y0)
-                for x0, x1 in zip(xs, xs[1:]) for y0, y1 in zip(ys, ys[1:]))
-    # the grid spans the fundamental rectangle, (w * den) x (h * den)
-    return Fraction(total, xs[-1] * ys[-1])
 
 
 def layer_extrema(lat: Lattice, outer: StairPolygon,

@@ -172,11 +172,11 @@ def quadrant_stair(lat: Lattice, j: int) -> tuple[int, list[int],
     P holds the j first points, by ``prec``, of each coset in the closed
     quadrant Q (well ordered: finitely many lie below any coordinate sum),
     so it tiles exactly j-fold.  p in Q is one of them iff fewer than j
-    vectors v with ``prec_negative(v)`` keep p + v in Q, i.e. iff p lies in
-    fewer than j quadrants above the blocks (max(0, -v.x), max(0, -v.y)).
+    vectors v that precede the origin (v.x + v.y < 0, or = 0 with v.x < 0)
+    keep p + v in Q, i.e. iff p lies in fewer than j quadrants above the
+    blocks (max(0, -v.x), max(0, -v.y)).
 
-    The blocks, per column k of v = (k*x1, k*y1 + t*y2), which precedes
-    the origin iff v.x + v.y < 0, or = 0 with v.x < 0:
+    The blocks, per column k of v = (k*x1, k*y1 + t*y2):
       k = 0: the heights t*y2, t >= 1, at x = 0;
       k >= 1: at x = 0, -v.y >= k*x1 + 1 with -v.y = -k*y1 (mod y2), so
         from h = k*x1 + 1 + ((-k*x1 - 1 - k*y1) mod y2) up;

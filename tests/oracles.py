@@ -12,7 +12,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import floor, lcm
 
-from stairtile import Box, Lattice, Point, points_in_box, prec_negative
+from stairtile import Box, Lattice, Point, points_in_box, prec
 
 
 def covering_scale_oracle(lat: Lattice, j: int, window: int) -> Fraction:
@@ -95,16 +95,39 @@ def selection_member(lat: Lattice, j: int, p: Point) -> bool:
     quadrant stair P(L, j).
 
     True iff p lies in the quadrant and fewer than j lattice vectors v with
-    ``prec_negative(v)`` keep p + v in it.  Such a v has v.x >= -p.x,
+    ``prec(v, 0)`` keep p + v in it.  Such a v has v.x >= -p.x,
     v.y >= -p.y and v.x + v.y <= 0, so it lies in the box
     [-p.x, p.y] x [-p.y, p.x].
     """
     if p.x < 0 or p.y < 0:
         return False
-    box = Box(-p.x, p.y, -p.y, p.x)
+    box, origin = Box(-p.x, p.y, -p.y, p.x), Point(0, 0)
     return sum(1 for v in points_in_box(lat, box)
-               if prec_negative(v) and p.x + v.x >= 0
+               if prec(v, origin) and p.x + v.x >= 0
                and p.y + v.y >= 0) < j
+
+
+def triangle_count_reference(a: Point, b: Point, c: Point, lat: Lattice,
+                             u: Point, closed: bool) -> int:
+    """Number of lattice vectors v with u + v in the triangle a, b, c,
+    closed or open, for vertices of either orientation.
+
+    A point p is inside iff the three edge determinants
+    det(b - a, p - a), det(c - b, p - b) and det(a - c, p - c) all have the
+    sign of det(b - a, c - a), or are zero where the triangle is closed.
+    """
+    def det(e: Point, f: Point) -> Fraction:
+        return e.x * f.y - e.y * f.x
+
+    sign = 1 if det(b - a, c - a) > 0 else -1
+    edges = ((a, b), (b, c), (c, a))
+    xs, ys = (a.x, b.x, c.x), (a.y, b.y, c.y)
+    box = Box(min(xs) - u.x, max(xs) - u.x, min(ys) - u.y, max(ys) - u.y)
+    count = 0
+    for v in points_in_box(lat, box):
+        sides = [sign * det(q - p, u + v - p) for p, q in edges]
+        count += all(d >= 0 if closed else d > 0 for d in sides)
+    return count
 
 
 def _bezout(a: int, b: int) -> tuple[int, int, int]:

@@ -3,14 +3,14 @@ from fractions import Fraction as F
 
 import pytest
 
-from stairtile import (DensityPredicateError, Lattice, Mode, Point,
-                       canonical_stair, selection_stair, count_at,
-                       count_optimal_lattices, covering_density, density_of,
-                       density_result, integer_lattice,
+from stairtile import (Lattice, Mode, Point, canonical_stair,
+                       selection_stair, count_at, count_optimal_lattices,
+                       covering_density, density_result, integer_lattice,
                        optimal_covering_lattices, optimal_packing_lattices,
-                       packing_density, triangle_jfold_predicate,
-                       triangle_lattice, triangle_region)
+                       packing_density, triangle_lattice, triangle_region)
 from stairtile.density import family_lattice
+
+from oracles import triangle_count_reference
 
 
 def test_density_formulas():
@@ -70,27 +70,14 @@ def test_optimal_lattices_verified_through_j5():
             count_optimal_lattices(j)
 
 
-def test_density_of_examples():
-    cover_lat = Lattice(Point(F(1, 3), F(1, 3)), Point(0, 1))
-    assert density_of(cover_lat, 1, "covering") == F(3, 2)
-    pack_lat = Lattice(Point(F(1, 2), F(1, 2)), Point(0, F(3, 2)))
-    assert density_of(pack_lat, 1, "packing") == F(2, 3)
-    with pytest.raises(DensityPredicateError) as err:
-        density_of(integer_lattice(), 1, "covering")
-    witness = err.value.witness
-    assert count_at(integer_lattice(), triangle_region(1, Mode.CLOSED),
-                    witness) == err.value.multiplicity
-    assert err.value.multiplicity < 1
-    with pytest.raises(ValueError):
-        density_of(cover_lat, 1, "nonsense")
-
-
 def test_density_result_payload():
     res = density_result(2, "covering")
     assert res.value == F(5, 2)
     assert len(res.witness_lattices) == 3
     for lat in res.witness_lattices:
         assert F(1, 2) / lat.d == res.value
+    with pytest.raises(ValueError, match="kind must be"):
+        density_result(1, "nonsense")
 
 
 def _random_triangle(rng):
@@ -117,22 +104,32 @@ def test_triangle_lattice_examples():
 
 
 def test_triangle_transport_of_predicates():
+    # the translates of a, b, c by the carried lattice meet the point
+    # u = a + s (b - a) + t (c - a) as often as the translates of the unit
+    # triangle meet (s, t), closed and open, so every j-fold predicate
+    # carries over; counted by the edge-determinant oracle
     rng = random.Random(13)
     cover_lat = Lattice(Point(F(1, 3), F(1, 3)), Point(0, 1))
     pack_lat = Lattice(Point(F(1, 2), F(1, 2)), Point(0, F(3, 2)))
+    # not symmetric in x and y, unlike the three others
+    skew_lat = Lattice(Point(F(2, 3), F(1, 5)), Point(F(-1, 4), F(3, 2)))
+    # boundary points of the unit triangle and its translates, and inside
+    grid = [F(0), F(1, 3), F(1, 2), F(1)]
     orientations = set()
     for _ in range(8):
         a, b, c = _random_triangle(rng)
         area = abs((b - a).x * (c - a).y - (b - a).y * (c - a).x) / 2
         orientations.add(triangle_lattice(a, b, c, integer_lattice()).det > 0)
-        for lat in (cover_lat, pack_lat, integer_lattice()):
+        for lat in (cover_lat, pack_lat, integer_lattice(), skew_lat):
             moved = triangle_lattice(a, b, c, lat)
-            for j, kind in ((1, "covering"), (1, "packing"),
-                            (2, "covering"), (2, "packing")):
-                expected = triangle_jfold_predicate(
-                    Point(0, 0), Point(1, 0), Point(0, 1), lat, j, kind)
-                assert triangle_jfold_predicate(a, b, c, moved, j,
-                                                kind) == expected
+            for s, t in [(s, t) for s in grid for t in grid] + [
+                    (F(rng.randint(-9, 9), 7), F(rng.randint(-9, 9), 5))]:
+                u = a + (b - a).scaled(s) + (c - a).scaled(t)
+                for mode in (Mode.CLOSED, Mode.INTERIOR):
+                    expected = count_at(lat, triangle_region(1, mode),
+                                        Point(s, t))
+                    assert triangle_count_reference(
+                        a, b, c, moved, u, mode is Mode.CLOSED) == expected
             # the density ratio |T| / d is invariant
             assert area / moved.d == F(1, 2) / lat.d
     assert orientations == {True, False}
@@ -146,8 +143,6 @@ def test_collinear_triangle_vertices_raise():
                     (Point(1, 2), Point(1, 2), Point(3, 4))):
         with pytest.raises(ValueError, match="collinear triangle vertices"):
             triangle_lattice(a, b, c, lat)
-        with pytest.raises(ValueError, match="collinear triangle vertices"):
-            triangle_jfold_predicate(a, b, c, lat, 1, "packing")
 
 
 def test_chain_inequalities():

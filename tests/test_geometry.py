@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hyp
 
 from stairtile import (Point, StairPolygon, format_rational, parse_rational,
-                       prec, prec_negative, stair)
+                       prec)
 from stairtile.geometry import ScaledTriangle
 
 from oracles import stair_area_by_columns
@@ -59,28 +59,22 @@ def test_prec_translation_compatible(p, q, w):
     assert prec(p, q) == prec(p + w, q + w)
 
 
-@given(points)
-def test_prec_negative_matches_order(v):
-    origin = Point(0, 0)
-    assert prec_negative(v) == prec(v, origin)
-
-
 def test_stair_validation_rejects_degenerate():
     # the messages print rationals as a/b, not as Fraction reprs
     with pytest.raises(ValueError, match=r"increasing: \(0, 0, 1\)$"):
-        stair([0, 0, 1], [2, 1])  # zero-width column
+        StairPolygon([0, 0, 1], [2, 1])  # zero-width column
     with pytest.raises(ValueError, match=r"decreasing: \(1, 1\)$"):
-        stair([0, 1, 2], [1, 1])  # non-decreasing heights
+        StairPolygon([0, 1, 2], [1, 1])  # non-decreasing heights
     with pytest.raises(ValueError, match=r"decreasing: \(1, 1/2, 1/2\)$"):
-        stair([0, 1, 2, 3], [1, F(1, 2), F(1, 2)])
+        StairPolygon([0, 1, 2, 3], [1, F(1, 2), F(1, 2)])
     with pytest.raises(ValueError, match=r"positive: \(0\)$"):
-        stair([0, 1], [0])  # non-positive height
+        StairPolygon([0, 1], [0])  # non-positive height
     with pytest.raises(ValueError):
-        stair([0, 1, 2], [1])  # length mismatch
+        StairPolygon([0, 1, 2], [1])  # length mismatch
 
 
 def test_stair_contains_half_open():
-    s1 = stair([0, 1, 2], [2, 1])
+    s1 = StairPolygon([0, 1, 2], [2, 1])
     assert s1.contains(Point(0, 0))
     assert not s1.contains(Point(1, 1))  # second column has height 1
     assert not s1.contains(Point(0, 2))  # top edge excluded
@@ -90,7 +84,7 @@ def test_stair_contains_half_open():
 
 
 def test_stair_corner_membership_rule():
-    s = stair([0, 1, 3], [3, 1])
+    s = StairPolygon([0, 1, 3], [3, 1])
     # every corner: closed-left/open-right, closed-bottom/open-top
     assert s.contains(Point(0, 0))
     assert s.contains(Point(1, 0))
@@ -101,7 +95,7 @@ def test_stair_corner_membership_rule():
 
 
 def test_stair_closed_and_interior():
-    s = stair([0, 1, 2], [2, 1])
+    s = StairPolygon([0, 1, 2], [2, 1])
     assert s.contains_closed(Point(0, 2))
     assert s.contains_closed(Point(2, 1))
     assert s.contains_closed(Point(1, F(3, 2)))  # wall below taller column
@@ -116,16 +110,17 @@ def test_stair_area_examples():
     # oracle: sum of column heights 2j, 2j-1, ..., 1
     assert stair_area_by_columns(1) == 3
     assert stair_area_by_columns(2) == 10
-    assert stair([0, 1, 2], [2, 1]).area() == 3
-    assert stair([0, 1, 2, 3, 4], [4, 3, 2, 1]).area() == 10
-    assert stair([0, 1], [1]).area() == 1
+    assert StairPolygon([0, 1, 2], [2, 1]).area() == 3
+    assert StairPolygon([0, 1, 2, 3, 4], [4, 3, 2, 1]).area() == 10
+    assert StairPolygon([0, 1], [1]).area() == 1
 
 
 def test_scale_stair_examples():
-    s1 = stair([0, 1, 2], [2, 1])
-    assert s1.scaled(F(1, 3)) == stair([0, "1/3", "2/3"], ["2/3", "1/3"])
+    s1 = StairPolygon([0, 1, 2], [2, 1])
+    assert s1.scaled(F(1, 3)) == StairPolygon([0, "1/3", "2/3"],
+                                              ["2/3", "1/3"])
     assert s1.scaled(1) == s1
-    s2 = stair([0, 1, 2, 3, 4], [4, 3, 2, 1])
+    s2 = StairPolygon([0, 1, 2, 3, 4], [4, 3, 2, 1])
     assert s2.scaled(F(1, 4)).area() == F(5, 8)
     with pytest.raises(ValueError):
         s1.scaled(0)
@@ -139,12 +134,12 @@ def test_stair_area_scales_quadratically(c):
     rng = random.Random(7)
     xs = sorted(rng.sample(range(0, 12), 4))
     hs = sorted(rng.sample(range(1, 12), 3), reverse=True)
-    s = stair(xs, hs)
+    s = StairPolygon(xs, hs)
     assert s.scaled(c).area() == c * c * s.area()
 
 
 def test_stair_json_round_trip():
-    s = stair([0, "1/3", "2/3"], ["2/3", "1/3"])
+    s = StairPolygon([0, "1/3", "2/3"], ["2/3", "1/3"])
     blob = json.dumps(s.to_json())
     assert StairPolygon.from_json(json.loads(blob)) == s
 

@@ -9,12 +9,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as hyp
 
 from stairtile import (Lattice, Mode, Point, Region, ScaledTriangle,
-                       canonical_stair, count_at, integer_lattice,
-                       is_exact_jfold_tiling, is_jfold_covering,
-                       is_jfold_packing, layer_extrema, mean_multiplicity,
+                       StairPolygon, canonical_stair, count_at,
+                       integer_lattice, is_exact_jfold_tiling,
+                       is_jfold_covering, is_jfold_packing, layer_extrema,
                        multiplicity_extrema, optimal_covering_lattices,
                        optimal_packing_lattices, random_sampling_oracle,
-                       shift_lattice, stair, stair_region, triangle_region)
+                       shift_lattice, stair_region, triangle_region)
 from stairtile.multiplicity import (_cell_corners, _exact_counts, _faces,
                                     _halfopen_grid, _triangle_faces)
 
@@ -38,7 +38,7 @@ def test_region_mode_validation():
 def test_count_at_examples():
     assert count_at(shift_lattice(1, 1), stair_region(canonical_stair(1)),
                     Point(0, 0)) == 1
-    assert count_at(integer_lattice(), stair_region(stair([0, 1], [1])),
+    assert count_at(integer_lattice(), stair_region(StairPolygon([0, 1], [1])),
                     Point(F(7, 13), F(-22, 7))) == 1
     rng = random.Random(1)
     lat = shift_lattice(1, 2)
@@ -75,7 +75,7 @@ def test_extrema_exact_tiling_examples():
                                stair_region(canonical_stair(1)))
     assert (rep.min_mult, rep.max_mult) == (1, 1)
     rep = multiplicity_extrema(integer_lattice(),
-                               stair_region(stair([0, 1], [1])))
+                               stair_region(StairPolygon([0, 1], [1])))
     assert (rep.min_mult, rep.max_mult) == (1, 1)
 
 
@@ -93,7 +93,7 @@ def test_extrema_triangle_examples():
 def test_extrema_boundary_mode_edge_cases():
     # four closed unit squares meet at every lattice corner; interiors
     # leave the shared walls uncovered
-    z2, square = integer_lattice(), stair([0, 1], [1])
+    z2, square = integer_lattice(), StairPolygon([0, 1], [1])
     rep = multiplicity_extrema(z2, stair_region(square, Mode.CLOSED))
     assert (rep.min_mult, rep.max_mult) == (1, 4)
     rep = multiplicity_extrema(z2, stair_region(square, Mode.INTERIOR))
@@ -114,11 +114,13 @@ def test_extrema_dominate_fine_grid():
         (covering_optimal(2, 3), triangle_region(1, Mode.CLOSED)),
         (packing_optimal(2, 3), triangle_region(1, Mode.INTERIOR)),
         (Lattice(Point(F(1, 2), F(1, 3)), Point(F(1, 3), F(3, 2))),
-         stair_region(stair([0, F(1, 2), 2], [1, F(2, 3)]), Mode.CLOSED)),
+         stair_region(StairPolygon([0, F(1, 2), 2], [1, F(2, 3)]),
+                      Mode.CLOSED)),
         (Lattice(Point(F(1, 2), F(1, 3)), Point(F(1, 3), F(3, 2))),
-         stair_region(stair([0, F(1, 2), 2], [1, F(2, 3)]), Mode.INTERIOR)),
+         stair_region(StairPolygon([0, F(1, 2), 2], [1, F(2, 3)]),
+                      Mode.INTERIOR)),
         (Lattice(Point(1, 1), Point(0, 2)),
-         stair_region(stair([0, 1, 3], [2, 1]))),
+         stair_region(StairPolygon([0, 1, 3], [2, 1]))),
     ]
     for lat, region in cases:
         rep = multiplicity_extrema(lat, region)
@@ -133,7 +135,7 @@ def test_extrema_witnesses_reproduce_counts():
         (shift_lattice(2, 2), stair_region(canonical_stair(2))),
         (integer_lattice(), triangle_region(F(3, 2), Mode.INTERIOR)),
         (covering_optimal(1), triangle_region(1, Mode.CLOSED)),
-        (integer_lattice(), stair_region(stair([0, 1, 3], [2, 1]),
+        (integer_lattice(), stair_region(StairPolygon([0, 1, 3], [2, 1]),
                                          Mode.CLOSED)),
     ]
     for lat, region in cases:
@@ -180,10 +182,8 @@ def test_is_exact_jfold_tiling_examples():
     assert count_at(shift_lattice(4, 2), stair_region(canonical_stair(2)),
                     Point(0, 0)) == 1
     assert not is_exact_jfold_tiling(canonical_stair(2), shift_lattice(4, 2), 2)
-    assert is_exact_jfold_tiling(stair([0, 1], [1]), integer_lattice(), 1)
-    with pytest.raises(ValueError):
-        is_exact_jfold_tiling(stair_region(stair([0, 1], [1]), Mode.CLOSED),
-                              integer_lattice(), 1)
+    assert is_exact_jfold_tiling(StairPolygon([0, 1], [1]),
+                                 integer_lattice(), 1)
 
 
 def test_translative_invariance_of_stair_counts():
@@ -234,6 +234,18 @@ def test_oracle_is_reproducible():
     assert a == b
 
 
+def mean_multiplicity(lat, region):
+    """Average multiplicity over a fundamental rectangle of a half open
+    stair region: the per-cell counts of the kernel, weighted by cell
+    area."""
+    den = _common_den(lat, region.shape)
+    xs, ys = _halfopen_grid(lat, [region.shape], den)
+    counts = iter(_exact_counts(lat, region, _cell_corners(xs, ys), den))
+    total = sum(next(counts) * (x1 - x0) * (y1 - y0)
+                for x0, x1 in zip(xs, xs[1:]) for y0, y1 in zip(ys, ys[1:]))
+    return F(total, xs[-1] * ys[-1])
+
+
 def test_mean_multiplicity_is_area_over_determinant():
     rng = random.Random(17)
     for _ in range(8):
@@ -246,8 +258,8 @@ def test_mean_multiplicity_is_area_over_determinant():
         lat = Lattice(u1, u2)
         xs = sorted(rng.sample(range(0, 8), 3))
         hs = sorted(rng.sample(range(1, 8), 2), reverse=True)
-        region = stair_region(stair([F(x, q) for x in xs],
-                                    [F(h, q) for h in hs]))
+        region = stair_region(StairPolygon([F(x, q) for x in xs],
+                                           [F(h, q) for h in hs]))
         assert mean_multiplicity(lat, region) == region.area() / lat.d
     # for an exact tiling the mean collapses to j
     assert mean_multiplicity(shift_lattice(2, 2),
@@ -284,7 +296,7 @@ def regions(draw):
     for w in widths:
         xs.append(xs[-1] + w)
     hs = [sum(steps[i:]) for i in range(len(steps))]
-    return Region(stair(xs, hs), draw(hyp.sampled_from(list(Mode))))
+    return Region(StairPolygon(xs, hs), draw(hyp.sampled_from(list(Mode))))
 
 
 def boundary_points(shape, ts):
@@ -378,7 +390,7 @@ def test_counts_on_shared_lines_match_point_oracle(lat, region, data):
     # others along both axes, and either axis may have fewer values
     shape = region.shape
     if isinstance(shape, ScaledTriangle):
-        shape = stair([0, shape.side], [shape.side])
+        shape = StairPolygon([0, shape.side], [shape.side])
     den = 4 * _common_den(lat, shape)
     xs, ys = _halfopen_grid(lat, [shape], den)
     sub_xs = data.draw(hyp.lists(hyp.sampled_from(xs[:-1]), min_size=1,
@@ -402,8 +414,8 @@ def test_counts_at_denominators_near_2_pow_31():
     # S(2) and its shift lattices stretched by x -> a*x, y -> b*y: the
     # stretch keeps half open tilings, and the scaled values pass 2**60
     a, b = F(p, q), F(q, r)
-    shape = stair([a * x for x in canonical_stair(2).x_breaks],
-                  [b * h for h in canonical_stair(2).heights])
+    shape = StairPolygon([a * x for x in canonical_stair(2).x_breaks],
+                         [b * h for h in canonical_stair(2).heights])
     region = stair_region(shape)
     for m, tiles in ((1, True), (4, False)):
         base = shift_lattice(m, 2)
@@ -414,7 +426,7 @@ def test_counts_at_denominators_near_2_pow_31():
         assert _scaled_magnitude(lat, shape, samples, den) >= 2**60
         assert _exact_counts(lat, region, samples, den) == \
             [count_at(lat, region, _at(u, den)) for u in samples]
-        assert is_exact_jfold_tiling(region, lat, 2) is tiles
+        assert is_exact_jfold_tiling(shape, lat, 2) is tiles
     # a perturbed optimal covering lattice against a slightly larger
     # triangle, lattice and triangle denominators coprime
     lat = Lattice(Point(F(1, 3) + F(1, p), F(1, 3)), Point(0, 1 - F(1, q)))
@@ -435,7 +447,7 @@ def test_faces_sample_each_face_once():
         return set(v) | {(a + b) // 2 for a, b in zip(v, v[1:])}
 
     shapes = [canonical_stair(1), canonical_stair(2),
-              stair([0, F(1, 2), 2], [1, F(2, 3)])]
+              StairPolygon([0, F(1, 2), 2], [1, F(2, 3)])]
     for lat in (integer_lattice(), shift_lattice(2, 2), covering_optimal(2),
                 Lattice(Point(F(2, 3), F(1, 5)), Point(F(-1, 2), 1))):
         for shape in shapes:
@@ -457,14 +469,16 @@ def test_layer_extrema_rejects_an_inner_stair_outside_outer():
     lat = shift_lattice(1, 1)
     with pytest.raises(ValueError, match="inner column 0"):
         # taller than outer
-        layer_extrema(lat, stair([0, 1], [1]), canonical_stair(1))
+        layer_extrema(lat, StairPolygon([0, 1], [1]), canonical_stair(1))
     with pytest.raises(ValueError, match="inner column 0"):
         # wider than outer
-        layer_extrema(lat, canonical_stair(1), stair([0, 3], [1]))
+        layer_extrema(lat, canonical_stair(1), StairPolygon([0, 3], [1]))
     with pytest.raises(ValueError, match="inner column 1"):
         # [1, 3) x [0, 5/2) rises above the outer column [2, 3) x [0, 2)
-        layer_extrema(lat, canonical_stair(2), stair([0, 1, 3], [3, F(5, 2)]))
-    rep = layer_extrema(lat, canonical_stair(2), stair([0, 1, 3], [3, 2]))
+        layer_extrema(lat, canonical_stair(2),
+                      StairPolygon([0, 1, 3], [3, F(5, 2)]))
+    rep = layer_extrema(lat, canonical_stair(2),
+                        StairPolygon([0, 1, 3], [3, 2]))
     assert (rep.min_mult, rep.max_mult) == (0, 2)
 
 
@@ -502,7 +516,7 @@ def test_stair_witnesses_are_frozen():
     lats += [shift_lattice(m, j) for j in (1, 2) for m in range(1, 2 * j + 2)]
     lats += [Lattice(Point(*u1), Point(*u2)) for u1, u2 in GENERIC_BASES]
     shapes = [canonical_stair(1), canonical_stair(2),
-              stair([0, F(1, 2), 2], [1, F(2, 3)])]
+              StairPolygon([0, F(1, 2), 2], [1, F(2, 3)])]
     digest = hashlib.sha256()
     for lat in lats:
         for shape in shapes:
@@ -520,7 +534,7 @@ def test_halfopen_reports_are_frozen():
     lats += [shift_lattice(m, j) for j in (1, 2) for m in range(1, 2 * j + 2)]
     lats += [Lattice(Point(*u1), Point(*u2)) for u1, u2 in GENERIC_BASES]
     shapes = [canonical_stair(1), canonical_stair(2),
-              stair([0, F(1, 2), 2], [1, F(2, 3)])]
+              StairPolygon([0, F(1, 2), 2], [1, F(2, 3)])]
     digest = hashlib.sha256()
     for lat in lats:
         for shape in shapes:
@@ -529,7 +543,7 @@ def test_halfopen_reports_are_frozen():
             digest.update(json.dumps(rep.to_json()).encode())
             digest.update(str(mean_multiplicity(lat, region)).encode())
     rep = layer_extrema(shift_lattice(1, 1), canonical_stair(2),
-                        stair([0, 1, 3], [3, 2]))
+                        StairPolygon([0, 1, 3], [3, 2]))
     digest.update(json.dumps(rep.to_json()).encode())
     assert digest.hexdigest() == ("c302d1337534536551c8d71054c58015"
                                   "b64e67a84935220e370f8559467dbc6f")

@@ -1,8 +1,12 @@
 """Value semantics of the frozen classes: equality, hashing, immutability
-and construction, the contract of ``geometry.Frozen``."""
+and construction, the contract of ``geometry.Frozen``; and the public
+surface: every export has a caller, and README's quick start runs."""
 
+import ast
 import json
+import re
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -159,3 +163,44 @@ def test_search_reports_hash_by_value():
     assert report.parameters == (("j", 1), ("denominator_bound", 2),
                                  ("coefficient_bound", 3),
                                  ("kind", "packing"))
+
+
+_ROOT = Path(__file__).resolve().parent.parent
+
+
+def _used_names(path: Path, strings: bool) -> set[str]:
+    """Names, attributes and imports in one file, and with strings set its
+    string constants too."""
+    used = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.alias):
+            used.add(node.name)
+        elif (strings and isinstance(node, ast.Constant)
+              and isinstance(node.value, str)):
+            used.add(node.value)
+    return used
+
+
+def test_every_export_has_a_caller():
+    # an export must be used by the library itself, the acceptance suite
+    # or the benchmark; the benchmark names its traced functions as strings
+    src = _ROOT / "src" / "stairtile"
+    used = set()
+    for path in sorted(src.glob("*.py")):
+        if path.name != "__init__.py":
+            used |= _used_names(path, strings=False)
+    used |= _used_names(_ROOT / "tests" / "test_acceptance.py", strings=False)
+    for path in sorted((_ROOT / "bench").rglob("*.py")):
+        used |= _used_names(path, strings=True)
+    assert sorted(set(stairtile.__all__) - used) == []
+
+
+def test_readme_quick_start_runs():
+    text = (_ROOT / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```", text, re.M | re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})
