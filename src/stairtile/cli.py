@@ -75,7 +75,7 @@ def _emit(payload: dict, as_json: bool, plain: str) -> None:
 
 def _cmd_density(args) -> int:
     vertices = [Point(0, 0), Point(1, 0), Point(0, 1)]
-    if args.triangle:
+    if args.triangle is not None:
         coords = [parse_rational(v) for v in args.triangle.split(",")]
         if len(coords) != 6:
             raise UsageError("--triangle needs ax,ay,bx,by,cx,cy")
@@ -101,7 +101,7 @@ def _cmd_lambda(args) -> int:
 def _cmd_sj(args) -> int:
     lat = _parse_lattice(args.lattice, args.j)
     result = selection_stair(lat, args.j)
-    if args.svg:
+    if args.svg is not None:
         bb = result.stair.bbox()
         pad = max(bb.width, bb.height)
         viewport = Box(bb.x_min - pad, bb.x_max + pad,
@@ -210,7 +210,7 @@ def _cmd_render(args) -> int:
     spec = RenderSpec(region, lat, args.j, _parse_viewport(args.viewport),
                       args.copies)
     document = render(spec)
-    if args.out:
+    if args.out is not None:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(document)
     else:
@@ -314,6 +314,11 @@ def run(argv: list[str]) -> int:
     except SystemExit as exc:
         code = exc.code if isinstance(exc.code, int) else 2
         return code
+    # every option's dest is its flag's name; none takes an empty value
+    empty = [name for name, value in vars(args).items() if value == ""]
+    if empty:
+        print(f"error: --{empty[0]} needs a value", file=sys.stderr)
+        return 2
     try:
         return args.fn(args)
     except (ValueError, OSError) as exc:

@@ -75,6 +75,11 @@ class Lattice(Frozen):
         x1, _, y2 = self._key
         return x1 * y2
 
+    @property
+    def den(self) -> int:
+        """The lcm of the canonical denominators: L lies in (Z/den)^2."""
+        return lcm(*(v.denominator for v in self._key))
+
     def canonical_key(self) -> tuple[Fraction, Fraction, Fraction]:
         return self._key
 
@@ -154,7 +159,7 @@ def points_in_box(lat: Lattice, box: Box) -> list[Point]:
     """All lattice points in a closed box, each exactly once, sorted by
     (x, y): ``scaled_points`` at the common denominator of the canonical
     basis."""
-    den = lcm(*(v.denominator for v in lat.canonical_key()))
+    den = lat.den
     return [Point(Fraction(x, den), Fraction(y, den))
             for x, y in scaled_points(lat, den, ceil(box.x_min * den),
                                       floor(box.x_max * den),

@@ -12,17 +12,17 @@ vectors v with u + v inside K.  Everything else is built on two facts:
 
 For half open stair regions the faces are the half open cells of an
 axis-aligned grid and one corner per cell decides everything.  For interior
-or closed membership the open cells, open edge fragments, and vertices are
-sampled separately, which makes both the minimum and the maximum exact in
-every mode.
+or closed membership the open cells and the vertices are sampled, where
+semicontinuity puts both extrema (``_faces``), which makes the minimum and
+the maximum exact in every mode.
 
 Sampling and counting run on plain integers.  The lattice and the shape
 are brought to one common denominator den (``_den``); a sample (x, y)
 stands for the point (x/den, y/den).  Half open cell corners are taken at
-den.  The faces of closed or interior stairs and triangles are sampled by
-one sampler, ``_faces``, at 4*den, where the midpoints of midpoints that
-place them are still integers.  Only the two witnesses of an extremum
-become ``Point``s again.
+den.  Closed or interior stairs and triangles are sampled by one sampler,
+``_faces``, at 4*den, where the midpoints of midpoints that place the cell
+samples are still integers.  Only the two witnesses of an extremum become
+``Point``s again.
 
 The count kernel ``_exact_counts`` is a line sweep.  Samples are grouped
 into lines along the axis with fewer distinct sample values (x and y swap
@@ -143,9 +143,8 @@ def _den(lat: Lattice, *shapes: StairPolygon | ScaledTriangle) -> int:
     """The least common denominator of the lattice's canonical basis and
     the shapes: every lattice point, translate boundary and grid line is a
     multiple of 1/den."""
-    return lcm(*(v.denominator for v in lat.canonical_key()),
-               *(v.denominator for shape in shapes
-                 for v in _shape_values(shape)))
+    return lcm(lat.den, *(v.denominator for shape in shapes
+                          for v in _shape_values(shape)))
 
 
 def _point(sample: tuple[int, int], den: int) -> Point:
@@ -271,21 +270,30 @@ def _cell_corners(xs: list[int], ys: list[int]) -> list[tuple[int, int]]:
 
 def _faces(a_vals: list[int], b_vals: list[int],
            c_in: list[int]) -> list[tuple[int, int]]:
-    """One sample in every cell, edge fragment, and vertex of the
-    arrangement of the vertical lines x = a, the horizontal lines y = b and
-    the diagonals x + y = c over the closed rectangle [0, w] x [0, h],
-    where w = a_vals[-1] and h = b_vals[-1], each sample once and in the
-    order of its first construction.
+    """One sample in every cell and at every vertex of the arrangement of
+    the vertical lines x = a, the horizontal lines y = b and the diagonals
+    x + y = c over the closed rectangle [0, w] x [0, h], where
+    w = a_vals[-1] and h = b_vals[-1], each sample once: the cells, the
+    vertices on each vertical line, then the diagonals' crossings of each
+    horizontal line, which with the sides of [0, w] x [0, h] among the
+    lines are all the vertices.
 
     The lines are sorted integers that include the rectangle's sides, c_in
     those diagonals that meet it, and all are multiples of 4, so that the
-    midpoints of midpoints that place the samples are still integers.
+    midpoints of midpoints that place the cell samples are still integers.
     Cells are enumerated as slab/band intersections: within each grid
     square cut by the vertical and horizontal lines, the diagonals that
     cross it (found by bisection) slice it into bands, and each band piece
     contains the sample constructed here.  This enumeration is complete by
-    construction.  Each wall and each diagonal is cut the same way at the
-    lines that cross it.
+    construction.
+
+    No edge fragment needs a sample.  A closed region's count is upper and
+    an open one's lower semicontinuous, so on an open edge fragment a
+    closed count is at least that on a cell the edge bounds and at most
+    that at either end vertex, an open count the reverse.  Where an edge
+    reaches an extremum, a cell it bounds or an end vertex reaches it too,
+    and ``tests/oracles.py::faces_reference``, which also samples the
+    edges, samples those first: the witnesses are the same.
     """
     w, h = a_vals[-1], b_vals[-1]
     samples: list[tuple[int, int]] = []
@@ -299,26 +307,12 @@ def _faces(a_vals: list[int], b_vals: list[int],
                 x = (max(a0, s - b1) + min(a1, s - b0)) // 2
                 samples.append((x, s - x))
     for a in a_vals:
-        ts = sorted(set(b_vals).union(
+        samples += [(a, t) for t in sorted(set(b_vals).union(
             c - a for c in c_in[bisect_left(c_in, a):
-                                bisect_right(c_in, a + h)]))
-        samples += [(a, t) for t in ts]
-        samples += [(a, (t0 + t1) // 2) for t0, t1 in zip(ts, ts[1:])]
+                                bisect_right(c_in, a + h)]))]
     for b in b_vals:
-        us = sorted(set(a_vals).union(
-            c - b for c in c_in[bisect_left(c_in, b):
-                                bisect_right(c_in, b + w)]))
-        samples += [(u, b) for u in us]
-        samples += [((u0 + u1) // 2, b) for u0, u1 in zip(us, us[1:])]
-    for c in c_in:
-        x_lo, x_hi = max(0, c - h), min(w, c)
-        us = sorted({x_lo, x_hi}.union(
-            a_vals[bisect_left(a_vals, x_lo):bisect_right(a_vals, x_hi)],
-            (c - b for b in b_vals[bisect_left(b_vals, c - x_hi):
-                                   bisect_right(b_vals, c - x_lo)])))
-        samples += [(u, c - u) for u in us]
-        samples += [((u0 + u1) // 2, c - (u0 + u1) // 2)
-                    for u0, u1 in zip(us, us[1:])]
+        samples += [(c - b, b) for c in c_in[bisect_left(c_in, b):
+                                             bisect_right(c_in, b + w)]]
     return list(dict.fromkeys(samples))
 
 
@@ -326,7 +320,8 @@ def _triangle_faces(lat: Lattice, tri: ScaledTriangle,
                     den: int) -> list[tuple[int, int]]:
     """``_faces`` of the three-family line arrangement (verticals,
     horizontals, hypotenuse diagonals) of the translate boundaries, clipped
-    to the closed fundamental rectangle [0, w] x [0, h].
+    to the closed fundamental rectangle [0, w] x [0, h]: its cells and
+    vertices.
 
     Everything is scaled by den, which must be a multiple of 4 times
     ``_den(lat, tri)``.  Every lattice x-coordinate is a multiple of w, so
@@ -355,8 +350,8 @@ def multiplicity_extrema(lat: Lattice, region: Region) -> MultiplicityReport:
     """Exact global min and max of u -> count_at(lat, region, u).
 
     The count is periodic modulo the lattice, so the extrema over the plane
-    are computed over one fundamental rectangle by sampling every face of
-    the translate-boundary arrangement there.
+    are computed over one fundamental rectangle, at one corner of each half
+    open cell or at the cells and vertices (``_faces``) there.
     """
     shape = region.shape
     den = _den(lat, shape)

@@ -12,14 +12,14 @@ an extreme coordinate sum over P's corners (``_corner_scale``).
 
 P alone proves each verdict, and no triangle arrangement is sampled.  P's
 exact tiling and its fit in the scale's triangle give the predicate at
-the value (``_proven_stair``).  Both predicates are monotone in l and
-flip only at candidate scales (``candidate_scales``), which lie on the
-1/den grid of the canonical basis.  So the probe across the flip, the
-midpoint to the neighbouring candidate, lies at most value - 1/(2*den)
-(covering) or at least value + 1/(2*den) (packing), and one point next to
-the corner, counted in integers, proves the predicate false there
-(``_witness_refutes``).  Monotonicity gives the other side.  A failed
-check aborts loudly instead of returning a wrong value.
+the value, and one point next to the corner, counted in integers, proves
+it false at value - 1/(2*den) (covering) or value + 1/(2*den) (packing)
+(``_proven_stair``, ``_witness_refutes``).  Both predicates are monotone
+in l and flip only at candidate scales (``candidate_scales``), which lie
+on the 1/den grid of the canonical basis.  So the probe across the flip,
+the midpoint to the neighbouring candidate, lies at least 1/(2*den) past
+the value, and monotonicity carries both verdicts to the probes.  A
+failed check aborts loudly instead of returning a wrong value.
 
 The candidates are found on integers: the window's coordinates and l_max
 are scaled to one common denominator, and the candidate set is an integer
@@ -43,8 +43,8 @@ from .multiplicity import (COVERING, PACKING, Mode, is_exact_jfold_tiling,
 
 class CandidateGapError(RuntimeError):
     """The corner formula's scale failed its certificate: the quadrant
-    stair does not prove the predicate there, the scale is not a candidate,
-    or the corner's witness does not refute it across the flip.  A lattice
+    stair does not prove the predicate there, the corner's witness does not
+    refute it across the flip, or the scale is not a candidate.  A lattice
     search raises it when the stair or the witness does not confirm the
     formula's verdict at scale 1."""
 
@@ -117,9 +117,8 @@ def _scaled_candidates(lat: Lattice, l_max: Fraction) -> tuple[int,
     """
     if l_max <= 0:
         raise ValueError(f"l_max must be positive: {l_max}")
-    key = lat.canonical_key()
-    den = lcm(*(v.denominator for v in key), l_max.denominator)
-    x1, y1, y2 = (as_int(v, den) for v in key)
+    den = lcm(lat.den, l_max.denominator)
+    x1, y1, y2 = (as_int(v, den) for v in lat.canonical_key())
     top = as_int(l_max, den)
     # the canonical parallelogram's bounding box is [0, x1] x [0, y1 + y2],
     # as y1 >= 0
@@ -192,9 +191,8 @@ def quadrant_stair(lat: Lattice, j: int) -> tuple[int, list[int],
     and P ends at 0.  P lies in the covering triangle, so both loops take
     at most scale/x1 columns, of O(j) work each.
     """
-    key = lat.canonical_key()
-    den = lcm(*(v.denominator for v in key))
-    x1, y1, y2 = (as_int(v, den) for v in key)
+    den = lat.den
+    x1, y1, y2 = (as_int(v, den) for v in lat.canonical_key())
     low = [t * y2 for t in range(1, j + 1)]  # the j lowest heights
     k = 1
     while k * x1 + 1 <= low[-1]:
@@ -254,10 +252,11 @@ def _proven_stair(lat: Lattice, j: int, kind: str,
                   error: type[Exception] = CandidateGapError
                   ) -> tuple[int, StairPolygon, Point]:
     """P(L, j) as a ``StairPolygon``, with the den of ``quadrant_stair``
-    and the corner that sets the kind's scale, proven to hold the kind's
-    predicate at that scale: P tiles exactly j-fold, with area j * d(L) and
-    at most 2j - 1 steps, and fits the scale as ``_corner_scale`` says,
-    checked over all its corners.  A failed check, or a column that
+    and the corner that sets the kind's scale, proven to be that scale: P
+    tiles exactly j-fold, with area j * d(L) and at most 2j - 1 steps, and
+    fits the scale as ``_corner_scale`` says over all its corners, and the
+    point next to the corner refutes the predicate at scale -+ 1/(2*den)
+    (``_witness_refutes``).  A failed check, or a column that
     ``StairPolygon`` refuses, raises error.
     """
     if j < 1:
@@ -281,6 +280,10 @@ def _proven_stair(lat: Lattice, j: int, kind: str,
         raise error(f"the quadrant stair of {lat.to_json()} (area "
                     f"{stair.area()}, j*d = {j * lat.d}, {stair.r} steps) does "
                     f"not prove the {kind} scale of corner {corner.to_json()}")
+    across = Fraction(2 * (x + y) + (1 if kind == PACKING else -1), 2 * den)
+    if not _witness_refutes(lat, j, kind, corner, across):
+        raise error(f"the witness at corner {corner.to_json()} does not "
+                    f"refute the {kind} predicate at {across}")
     return den, stair, corner
 
 
@@ -299,7 +302,7 @@ def _witness_refutes(lat: Lattice, j: int, kind: str, corner: Point,
     1/den grid, so with its j predecessors in Q, off the axes, it lies in
     the open scale*T.
     """
-    den = 8 * lcm(*(v.denominator for v in lat.canonical_key()))
+    den = 8 * lat.den
     strict = int(kind != COVERING)  # packing: p = corner + (e, e)
     px, py = (as_int(c, den) + 2 * strict - 1 for c in (corner.x, corner.y))
     side = as_int(scale, den)
@@ -318,9 +321,9 @@ def _critical_scale(lat: Lattice, j: int, kind: str) -> ScaleCertificate:
     of two >= 1 where covering holds or packing fails; l_max itself is a
     last packing candidate, as packing is known to fail there.  The probes
     are the midpoints to the neighbouring candidates (value / 2 and
-    value + 1/2 past the ends).  P proves the predicate at the value, the
-    witness next to its corner disproves it across the flip, at least
-    1/(2*den) away, and monotonicity gives it on the other side.
+    value + 1/2 past the ends).  The one across the flip lies at least
+    1/(2*den) past the value, as far as the witness of ``_proven_stair``,
+    and monotonicity carries both verdicts to the probes.
     """
     covering = kind == COVERING
     _, _, corner = _proven_stair(lat, j, kind)
@@ -341,11 +344,6 @@ def _critical_scale(lat: Lattice, j: int, kind: str) -> ScaleCertificate:
              else Fraction(cands[idx - 1] + cands[idx], 2 * den))
     above = (Fraction(cands[idx] + cands[idx + 1], 2 * den)
              if idx + 1 < len(cands) else value + Fraction(1, 2))
-    across = below if covering else above
-    if not _witness_refutes(lat, j, kind, corner, across):
-        raise CandidateGapError(
-            f"the witness at corner {corner.to_json()} does not refute the "
-            f"{kind} predicate at probe {across} across scale {value}")
     return ScaleCertificate(value, True, below, not covering, above, covering)
 
 

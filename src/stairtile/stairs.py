@@ -21,10 +21,10 @@ from fractions import Fraction
 from math import gcd
 
 from .geometry import (Frozen, Point, StairPolygon, fields_json,
-                       format_rational, format_rationals, frac)
+                       format_rationals, frac)
 from .lattice import Lattice, enumerate_integer_sublattices, shift_lattice
 from .multiplicity import COVERING, is_exact_jfold_tiling
-from .scales import _proven_stair, _witness_refutes
+from .scales import _proven_stair
 
 
 class SelectionStairError(RuntimeError):
@@ -146,21 +146,16 @@ def selection_stair(lat: Lattice, j: int) -> SelectionStair:
     """The quadrant stair P(L, j) (``scales.quadrant_stair``) with its
     covering scale, the largest coordinate sum over its outer corners.
 
-    P lies in scale*T, so its exact j-fold tiling proves covering there
-    (``scales._proven_stair``).  One point inside the outer corner, counted
-    in integers, proves that covering fails at scale - 1/(2*den), and so
-    below the scale: covering is monotone, and constant between candidate
-    scales, which lie on the 1/den grid.  Any failed check, these or the
-    area j * d(lat) and at most 2j-1 steps, raises ``SelectionStairError``.
+    ``scales._proven_stair`` proves the scale: P lies in scale*T, so its
+    exact j-fold tiling proves covering there, and one point inside the
+    outer corner, counted in integers, proves that covering fails at
+    scale - 1/(2*den), and so below the scale: covering is monotone, and
+    constant between candidate scales, which lie on the 1/den grid.  Any
+    failed check, these or the area j * d(lat) and at most 2j-1 steps,
+    raises ``SelectionStairError``.
     """
-    den, stair, outer = _proven_stair(lat, j, COVERING, SelectionStairError)
+    _, stair, outer = _proven_stair(lat, j, COVERING, SelectionStairError)
     xs, hs = stair.x_breaks, stair.heights
-    scale = outer.x + outer.y
-    below = scale - Fraction(1, 2 * den)
-    if not _witness_refutes(lat, j, COVERING, outer, below):
-        raise SelectionStairError(
-            f"the point inside corner {format_rationals((outer.x, outer.y))} "
-            f"is still covered {j}-fold at scale {format_rational(below)}")
     return SelectionStair(
         stair, tuple(Point(x, h) for x, h in zip(xs[1:-1], hs[1:])),
-        (Point(0, hs[0]), Point(xs[-1], 0)), scale)
+        (Point(0, hs[0]), Point(xs[-1], 0)), outer.x + outer.y)

@@ -8,6 +8,7 @@ the tests need.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import combinations
 from math import floor, lcm
@@ -128,6 +129,55 @@ def triangle_count_reference(a: Point, b: Point, c: Point, lat: Lattice,
         sides = [sign * det(q - p, u + v - p) for p, q in edges]
         count += all(d >= 0 if closed else d > 0 for d in sides)
     return count
+
+
+def faces_reference(a_vals: list[int], b_vals: list[int],
+                    c_in: list[int]) -> list[tuple[int, int]]:
+    """One sample in every cell, edge fragment and vertex of the
+    arrangement of the vertical lines x = a, the horizontal lines y = b and
+    the diagonals x + y = c over the closed rectangle [0, w] x [0, h],
+    where w = a_vals[-1] and h = b_vals[-1], each sample once and in the
+    order of its first construction.
+
+    The lines are sorted integers, multiples of 4, that include the
+    rectangle's sides; c_in holds the diagonals that meet it.  First one
+    point in each piece of each grid square cut by the diagonals; then,
+    line by line (verticals, horizontals, diagonals), the vertices on the
+    line followed by the midpoints of the edge fragments between them.
+    """
+    w, h = a_vals[-1], b_vals[-1]
+    samples: list[tuple[int, int]] = []
+    for a0, a1 in zip(a_vals, a_vals[1:]):
+        for b0, b1 in zip(b_vals, b_vals[1:]):
+            sq_lo, sq_hi = a0 + b0, a1 + b1
+            cuts = [sq_lo, *c_in[bisect_right(c_in, sq_lo):
+                                 bisect_left(c_in, sq_hi)], sq_hi]
+            for lo, hi in zip(cuts, cuts[1:]):
+                s = (lo + hi) // 2
+                x = (max(a0, s - b1) + min(a1, s - b0)) // 2
+                samples.append((x, s - x))
+    for a in a_vals:
+        ts = sorted(set(b_vals).union(
+            c - a for c in c_in[bisect_left(c_in, a):
+                                bisect_right(c_in, a + h)]))
+        samples += [(a, t) for t in ts]
+        samples += [(a, (t0 + t1) // 2) for t0, t1 in zip(ts, ts[1:])]
+    for b in b_vals:
+        us = sorted(set(a_vals).union(
+            c - b for c in c_in[bisect_left(c_in, b):
+                                bisect_right(c_in, b + w)]))
+        samples += [(u, b) for u in us]
+        samples += [((u0 + u1) // 2, b) for u0, u1 in zip(us, us[1:])]
+    for c in c_in:
+        x_lo, x_hi = max(0, c - h), min(w, c)
+        us = sorted({x_lo, x_hi}.union(
+            a_vals[bisect_left(a_vals, x_lo):bisect_right(a_vals, x_hi)],
+            (c - b for b in b_vals[bisect_left(b_vals, c - x_hi):
+                                   bisect_right(b_vals, c - x_lo)])))
+        samples += [(u, c - u) for u in us]
+        samples += [((u0 + u1) // 2, c - (u0 + u1) // 2)
+                    for u0, u1 in zip(us, us[1:])]
+    return list(dict.fromkeys(samples))
 
 
 def _bezout(a: int, b: int) -> tuple[int, int, int]:

@@ -106,6 +106,20 @@ def test_qmax_without_converse_and_empty_scale_are_refused(capsys):
     assert json.loads(capsys.readouterr().out)["qmax"] == 2
 
 
+def test_empty_values_are_refused(capsys, tmp_path, monkeypatch):
+    # an empty value is a usage error that names its flag, not the
+    # standard triangle, a skipped --svg or a document on stdout
+    monkeypatch.chdir(tmp_path)
+    for argv in (["density", "--j", "1", "--kind", "packing", "--triangle="],
+                 ["sj", "--j", "1", "--lattice", "Z2", "--svg="],
+                 ["render", "--region", "stair", "--j", "1",
+                  "--viewport=0,1,0,1", "--out="]):
+        assert run(argv) == 2
+        flag = argv[-1].rstrip("=")
+        assert capsys.readouterr() == ("", f"error: {flag} needs a value\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_bad_tokens_are_named(capsys):
     for spec, message in (
             ("shift:x", "lattice spec 'shift:x' needs an integer M: 'x'"),

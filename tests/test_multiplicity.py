@@ -8,15 +8,18 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as hyp
 
-from stairtile import (Lattice, Mode, Point, Region, ScaledTriangle,
+from stairtile import (Box, Lattice, Mode, Point, Region, ScaledTriangle,
                        StairPolygon, canonical_stair, count_at,
                        integer_lattice, is_exact_jfold_tiling,
                        is_jfold_covering, is_jfold_packing, layer_extrema,
                        multiplicity_extrema, optimal_covering_lattices,
-                       optimal_packing_lattices, random_sampling_oracle,
-                       shift_lattice, stair_region, triangle_region)
-from stairtile.multiplicity import (_cell_corners, _exact_counts, _faces,
-                                    _halfopen_grid, _triangle_faces)
+                       optimal_packing_lattices, points_in_box,
+                       random_sampling_oracle, shift_lattice, stair_region,
+                       triangle_region)
+from stairtile.multiplicity import (_cell_corners, _exact_counts, _extrema,
+                                    _faces, _halfopen_grid, _triangle_faces)
+
+from oracles import faces_reference
 
 
 def covering_optimal(j, m=1):
@@ -329,9 +332,8 @@ def _shape_values(shape):
 def _common_den(lat, shape, points=()):
     """A denominator at which the lattice, the shape and the points are
     integers."""
-    values = list(lat.canonical_key()) + _shape_values(shape)
-    values += [v for p in points for v in (p.x, p.y)]
-    return lcm(*(v.denominator for v in values))
+    values = _shape_values(shape) + [v for p in points for v in (p.x, p.y)]
+    return lcm(lat.den, *(v.denominator for v in values))
 
 
 def _at(sample, den):
@@ -443,8 +445,8 @@ def test_counts_at_denominators_near_2_pow_31():
 
 
 def test_faces_sample_each_face_once():
-    def with_mids(v):
-        return set(v) | {(a + b) // 2 for a, b in zip(v, v[1:])}
+    def mids(v):
+        return {(a + b) // 2 for a, b in zip(v, v[1:])}
 
     shapes = [canonical_stair(1), canonical_stair(2),
               StairPolygon([0, F(1, 2), 2], [1, F(2, 3)])]
@@ -455,14 +457,53 @@ def test_faces_sample_each_face_once():
             xs, ys = _halfopen_grid(lat, [shape], den)
             faces = _faces(xs, ys, [])
             assert len(faces) == len(set(faces))
-            # with no diagonals: the vertices, edge midpoints and cell
-            # centres of the axis-parallel grid
-            assert set(faces) == {(x, y) for x in with_mids(xs)
-                                  for y in with_mids(ys)}
+            # with no diagonals: the vertices and the cell centres of the
+            # axis-parallel grid, and no edge midpoint
+            assert set(faces) == ({(x, y) for x in xs for y in ys}
+                                  | {(x, y) for x in mids(xs)
+                                     for y in mids(ys)})
         for side in (1, F(3, 2)):
             tri = ScaledTriangle(F(side))
             faces = _triangle_faces(lat, tri, 4 * _common_den(lat, tri))
             assert len(faces) == len(set(faces))
+
+
+def _triangle_lines(lat, tri, den):
+    """The horizontals and diagonals of the translate boundaries of tri
+    that meet the closed canonical rectangle, scaled by den."""
+    x1, _, y2 = lat.canonical_key()
+    box = Box(-tri.side, x1, -tri.side, y2)
+    pts = points_in_box(lat, box)
+    b_vals = {p.y * den for p in pts if 0 <= p.y <= y2} | {0, y2 * den}
+    c_in = {(tri.side + p.x + p.y) * den for p in pts}
+    return ([0, int(x1 * den)], sorted(int(b) for b in b_vals),
+            sorted(int(c) for c in c_in if 0 <= c <= (x1 + y2) * den))
+
+
+@settings(max_examples=80, deadline=None)
+@given(line_lattices(), regions(),
+       hyp.sampled_from([Mode.CLOSED, Mode.INTERIOR]))
+def test_extrema_match_the_full_face_sampler(lat, region, mode):
+    # _faces skips the edge fragments: that moves neither an extremum nor
+    # its witness, the first sample to reach it
+    region = Region(region.shape, mode)
+    shape = region.shape
+    den = 4 * _common_den(lat, shape)
+    if isinstance(shape, ScaledTriangle):
+        lines = _triangle_lines(lat, shape, den)
+        faces = _triangle_faces(lat, shape, den)
+    else:
+        lines = (*_halfopen_grid(lat, [shape], den), [])
+        faces = _faces(*lines)
+    reference = faces_reference(*lines)
+    a_vals, b_vals, c_in = map(set, lines)
+    # the reference's samples off every line (cells) and on two or three
+    # (vertices), in its order: all but the edge fragments
+    assert faces == [(x, y) for x, y in reference
+                     if (x in a_vals) + (y in b_vals) + (x + y in c_in) != 1]
+    counts = _exact_counts(lat, region, reference, den)
+    assert multiplicity_extrema(lat, region) == _extrema(counts, reference,
+                                                         den)
 
 
 def test_layer_extrema_rejects_an_inner_stair_outside_outer():

@@ -2,7 +2,6 @@ import hashlib
 import json
 import tracemalloc
 from fractions import Fraction as F
-from math import lcm
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -318,7 +317,7 @@ def test_a_wrong_corner_scale_fails_its_certificate(monkeypatch, lat, fn):
     # given as the sum of P's corner, in units of 1/den
     wrong = cands[max(i - 1, 0):i] + [cands[i + 1],
                                       (value + cands[i + 1]) / 2]
-    den = lcm(*(v.denominator for v in lat.canonical_key()))
+    den = lat.den
     for scale in wrong:
         monkeypatch.setattr(scales, "_corner",
                             lambda xs, hs, kind: (0, scale * den))
@@ -350,7 +349,7 @@ def test_the_corner_proves_the_probe_across_the_flip(lat, j, kind):
     # at the probe value -+ 1/(2 den) the point next to the corner lies in
     # fewer than j closed (more than j open) translates, by count_at
     value, corner = scales._corner_scale(lat, j, kind)
-    den = lcm(*(v.denominator for v in lat.canonical_key()))
+    den = lat.den
     step = -1 if kind == COVERING else 1
     probe = value + F(step, 2 * den)
     e = F(step, 8 * den)

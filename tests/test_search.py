@@ -2,7 +2,6 @@ import hashlib
 import json
 from fractions import Fraction as F
 from itertools import product
-from math import lcm
 
 import pytest
 
@@ -93,7 +92,7 @@ def test_corner_formula_agrees_with_the_predicate(kind):
     predicate = is_jfold_packing if kind == PACKING else is_jfold_covering
     step = 1 if kind == PACKING else -1
     for lat in lattice_search_space(4, 5):
-        den = lcm(*(v.denominator for v in lat.canonical_key()))
+        den = lat.den
         e = F(step, 8 * den)
         for j in range(1, 5):
             scale, corner = scales._corner_scale(lat, j, kind)
