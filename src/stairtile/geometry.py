@@ -221,11 +221,6 @@ class Box(Frozen):
         return Box(self.x_min + w.x, self.x_max + w.x,
                    self.y_min + w.y, self.y_max + w.y)
 
-    def inflated(self, margin: RationalLike) -> "Box":
-        m = frac(margin)
-        return Box(self.x_min - m, self.x_max + m,
-                   self.y_min - m, self.y_max + m)
-
     @property
     def width(self) -> Fraction:
         return self.x_max - self.x_min
@@ -339,9 +334,6 @@ class ScaledTriangle(Frozen):
 
     def contains_interior(self, p: Point) -> bool:
         return p.x > 0 and p.y > 0 and p.x + p.y < self.side
-
-    def area(self) -> Fraction:
-        return self.side * self.side / 2
 
     def bbox(self) -> Box:
         return Box(Fraction(0), self.side, Fraction(0), self.side)

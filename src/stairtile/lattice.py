@@ -83,11 +83,6 @@ class Lattice(Frozen):
     def canonical_key(self) -> tuple[Fraction, Fraction, Fraction]:
         return self._key
 
-    def canonical(self) -> "Lattice":
-        """The lower-triangular canonical basis generating the same lattice."""
-        x1, y1, y2 = self.canonical_key()
-        return Lattice(Point(x1, y1), Point(Fraction(0), y2))
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Lattice):
             return NotImplemented

@@ -10,11 +10,11 @@ vectors v with u + v inside K.  Everything else is built on two facts:
   all translate boundaries, so sampling one exact rational point per face
   gives the true extrema with no epsilon guessing.
 
-For half open stair regions the faces are the half open cells of an
-axis-aligned grid and one corner per cell decides everything.  For interior
-or closed membership the open cells and the vertices are sampled, where
-semicontinuity puts both extrema (``_faces``), which makes the minimum and
-the maximum exact in every mode.
+Every sampler draws from the half open fundamental rectangle
+[0, w) x [0, h): for half open stairs the lower left corner of each grid
+cell (``_vertices``), for interior or closed membership the open cells and
+the vertices on the rectangle's verticals (``_faces``), where
+semicontinuity and periodicity put both extrema.
 
 Sampling and counting run on plain integers.  The lattice and the shape
 are brought to one common denominator den (``_den``); a sample (x, y)
@@ -81,12 +81,6 @@ class Region(Frozen):
             return self.shape.contains_closed(p)
         return self.shape.contains_interior(p)
 
-    def bbox(self) -> Box:
-        return self.shape.bbox()
-
-    def area(self) -> Fraction:
-        return self.shape.area()
-
 
 def stair_region(shape: StairPolygon, mode: Mode = Mode.HALF_OPEN) -> Region:
     return Region(shape, mode)
@@ -114,7 +108,7 @@ def count_at(lat: Lattice, region: Region, u: Point) -> int:
     filters by exact membership; serves as the independent point oracle for
     the integer count kernel ``_exact_counts``.
     """
-    bb = region.bbox()
+    bb = region.shape.bbox()
     vbox = Box(bb.x_min - u.x, bb.x_max - u.x, bb.y_min - u.y, bb.y_max - u.y)
     return sum(1 for v in points_in_box(lat, vbox) if region.contains(u + v))
 
@@ -263,20 +257,28 @@ def _halfopen_grid(lat: Lattice, stairs: list[StairPolygon],
     return sorted(xs), sorted(ys)
 
 
-def _cell_corners(xs: list[int], ys: list[int]) -> list[tuple[int, int]]:
-    """The lower left corner of every half open grid cell."""
-    return [(x, y) for x in xs[:-1] for y in ys[:-1]]
+def _vertices(a_vals: list[int], b_vals: list[int],
+              c_in: list[int]) -> list[tuple[int, int]]:
+    """The vertices (a, t), a < w = a_vals[-1] and t < h = b_vals[-1], on
+    each vertical x = a of the arrangement of the lines x = a, y = b and
+    x + y = c (sorted integers), by x, then y; with no diagonals, the
+    lower left corners of the half open grid cells."""
+    h = b_vals[-1]
+    samples: list[tuple[int, int]] = []
+    for a in a_vals[:-1]:
+        ts = set(b_vals[:-1]).union(
+            c - a for c in c_in[bisect_left(c_in, a):bisect_left(c_in, a + h)])
+        samples += [(a, t) for t in sorted(ts)]
+    return samples
 
 
 def _faces(a_vals: list[int], b_vals: list[int],
            c_in: list[int]) -> list[tuple[int, int]]:
-    """One sample in every cell and at every vertex of the arrangement of
-    the vertical lines x = a, the horizontal lines y = b and the diagonals
-    x + y = c over the closed rectangle [0, w] x [0, h], where
-    w = a_vals[-1] and h = b_vals[-1], each sample once: the cells, the
-    vertices on each vertical line, then the diagonals' crossings of each
-    horizontal line, which with the sides of [0, w] x [0, h] among the
-    lines are all the vertices.
+    """One sample in every cell of the arrangement of the vertical lines
+    x = a, the horizontal lines y = b and the diagonals x + y = c over
+    [0, w] x [0, h], where w = a_vals[-1] and h = b_vals[-1], then its
+    ``_vertices``: enough for the extrema of a closed or open count that
+    is periodic modulo a lattice with fundamental rectangle [0, w) x [0, h).
 
     The lines are sorted integers that include the rectangle's sides, c_in
     those diagonals that meet it, and all are multiples of 4, so that the
@@ -284,18 +286,32 @@ def _faces(a_vals: list[int], b_vals: list[int],
     Cells are enumerated as slab/band intersections: within each grid
     square cut by the vertical and horizontal lines, the diagonals that
     cross it (found by bisection) slice it into bands, and each band piece
-    contains the sample constructed here.  This enumeration is complete by
-    construction.
+    contains the sample constructed here.  A cell sample lies on no line,
+    so no sample repeats.
 
-    No edge fragment needs a sample.  A closed region's count is upper and
-    an open one's lower semicontinuous, so on an open edge fragment a
-    closed count is at least that on a cell the edge bounds and at most
-    that at either end vertex, an open count the reverse.  Where an edge
-    reaches an extremum, a cell it bounds or an end vertex reaches it too,
-    and ``tests/oracles.py::faces_reference``, which also samples the
-    edges, samples those first: the witnesses are the same.
+    ``tests/oracles.py::faces_reference`` samples every cell, then every
+    vertex and edge fragment of each vertical, horizontal and diagonal in
+    turn.  These samples are a subsequence of its, in its order, so each
+    witness, the first sample to reach an extremum, is the reference's
+    unless that is a sample dropped here, and each dropped sample has an
+    earlier one that does at least as well.  A closed count is upper and
+    an open one lower semicontinuous: on an open edge fragment a closed
+    count is at least that on a cell the edge bounds and at most that at
+    either end vertex, an open count the reverse.  So cells, which come
+    first, reach the closed minimum and the open maximum.  For the closed
+    maximum and the open minimum, with (w, y1), (0, h) the canonical basis:
+
+    * a vertex (a, h) has its twin (a, 0), earlier on the same vertical;
+    * a vertex (w, t) has a twin on x = 0, always a line: a vertex, or on
+      an open edge fragment whose end vertex does at least as well, and
+      x = 0 comes first;
+    * a triangle arrangement has no vertical inside the rectangle, as
+      every lattice x-coordinate is a multiple of w.  So a closed
+      translate that holds (x, y), 0 < x < w, holds (0, y), and an open
+      one that holds (w, y) holds (x, y): a crossing of a diagonal and a
+      horizontal does no better than a point of x = 0 or x = w, which the
+      cases above cover.
     """
-    w, h = a_vals[-1], b_vals[-1]
     samples: list[tuple[int, int]] = []
     for a0, a1 in zip(a_vals, a_vals[1:]):
         for b0, b1 in zip(b_vals, b_vals[1:]):
@@ -306,22 +322,15 @@ def _faces(a_vals: list[int], b_vals: list[int],
                 s = (lo + hi) // 2
                 x = (max(a0, s - b1) + min(a1, s - b0)) // 2
                 samples.append((x, s - x))
-    for a in a_vals:
-        samples += [(a, t) for t in sorted(set(b_vals).union(
-            c - a for c in c_in[bisect_left(c_in, a):
-                                bisect_right(c_in, a + h)]))]
-    for b in b_vals:
-        samples += [(c - b, b) for c in c_in[bisect_left(c_in, b):
-                                             bisect_right(c_in, b + w)]]
-    return list(dict.fromkeys(samples))
+    return samples + _vertices(a_vals, b_vals, c_in)
 
 
 def _triangle_faces(lat: Lattice, tri: ScaledTriangle,
                     den: int) -> list[tuple[int, int]]:
     """``_faces`` of the three-family line arrangement (verticals,
-    horizontals, hypotenuse diagonals) of the translate boundaries, clipped
-    to the closed fundamental rectangle [0, w] x [0, h]: its cells and
-    vertices.
+    horizontals, hypotenuse diagonals) of the translate boundaries over
+    the fundamental rectangle: its cells, and its vertices on x = 0 below
+    y = h.
 
     Everything is scaled by den, which must be a multiple of 4 times
     ``_den(lat, tri)``.  Every lattice x-coordinate is a multiple of w, so
@@ -350,13 +359,14 @@ def multiplicity_extrema(lat: Lattice, region: Region) -> MultiplicityReport:
     """Exact global min and max of u -> count_at(lat, region, u).
 
     The count is periodic modulo the lattice, so the extrema over the plane
-    are computed over one fundamental rectangle, at one corner of each half
-    open cell or at the cells and vertices (``_faces``) there.
+    are computed over one half open fundamental rectangle, at the lower
+    left corner of each half open cell (``_vertices``) or at the cells and
+    vertices (``_faces``) there.
     """
     shape = region.shape
     den = _den(lat, shape)
     if region.mode is Mode.HALF_OPEN:
-        samples = _cell_corners(*_halfopen_grid(lat, [shape], den))
+        samples = _vertices(*_halfopen_grid(lat, [shape], den), [])
     else:
         den *= 4
         samples = (_triangle_faces(lat, shape, den)
@@ -411,7 +421,7 @@ def layer_extrema(lat: Lattice, outer: StairPolygon,
             raise ValueError(f"inner column {i}, [{x0}, {x1}) x [0, {h}), "
                              "is not inside the outer stair")
     den = _den(lat, outer, inner)
-    samples = _cell_corners(*_halfopen_grid(lat, [outer, inner], den))
+    samples = _vertices(*_halfopen_grid(lat, [outer, inner], den), [])
     c_out = _exact_counts(lat, Region(outer, Mode.HALF_OPEN), samples, den)
     c_in = _exact_counts(lat, Region(inner, Mode.HALF_OPEN), samples, den)
     return _extrema([a - b for a, b in zip(c_out, c_in)], samples, den)

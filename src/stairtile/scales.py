@@ -250,14 +250,14 @@ def _corner_scale(lat: Lattice, j: int, kind: str) -> tuple[Fraction,
 
 def _proven_stair(lat: Lattice, j: int, kind: str,
                   error: type[Exception] = CandidateGapError
-                  ) -> tuple[int, StairPolygon, Point]:
-    """P(L, j) as a ``StairPolygon``, with the den of ``quadrant_stair``
-    and the corner that sets the kind's scale, proven to be that scale: P
-    tiles exactly j-fold, with area j * d(L) and at most 2j - 1 steps, and
-    fits the scale as ``_corner_scale`` says over all its corners, and the
-    point next to the corner refutes the predicate at scale -+ 1/(2*den)
-    (``_witness_refutes``).  A failed check, or a column that
-    ``StairPolygon`` refuses, raises error.
+                  ) -> tuple[StairPolygon, Point]:
+    """P(L, j) as a ``StairPolygon``, with the corner that sets the kind's
+    scale, proven to be that scale: P tiles exactly j-fold, with area
+    j * d(L) and at most 2j - 1 steps, and fits the scale as
+    ``_corner_scale`` says over all its corners, and the point next to the
+    corner refutes the predicate at scale -+ 1/(2*den), den that of
+    ``quadrant_stair`` (``_witness_refutes``).  A failed check, or a
+    column that ``StairPolygon`` refuses, raises error.
     """
     if j < 1:
         raise ValueError(f"need j >= 1: {j}")
@@ -284,7 +284,7 @@ def _proven_stair(lat: Lattice, j: int, kind: str,
     if not _witness_refutes(lat, j, kind, corner, across):
         raise error(f"the witness at corner {corner.to_json()} does not "
                     f"refute the {kind} predicate at {across}")
-    return den, stair, corner
+    return stair, corner
 
 
 def _witness_refutes(lat: Lattice, j: int, kind: str, corner: Point,
@@ -326,7 +326,7 @@ def _critical_scale(lat: Lattice, j: int, kind: str) -> ScaleCertificate:
     and monotonicity carries both verdicts to the probes.
     """
     covering = kind == COVERING
-    _, _, corner = _proven_stair(lat, j, kind)
+    _, corner = _proven_stair(lat, j, kind)
     value = corner.x + corner.y
     l_max = Fraction(1)
     while l_max < value or (not covering and l_max == value):

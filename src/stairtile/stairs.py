@@ -154,7 +154,7 @@ def selection_stair(lat: Lattice, j: int) -> SelectionStair:
     failed check, these or the area j * d(lat) and at most 2j-1 steps,
     raises ``SelectionStairError``.
     """
-    _, stair, outer = _proven_stair(lat, j, COVERING, SelectionStairError)
+    stair, outer = _proven_stair(lat, j, COVERING, SelectionStairError)
     xs, hs = stair.x_breaks, stair.heights
     return SelectionStair(
         stair, tuple(Point(x, h) for x, h in zip(xs[1:-1], hs[1:])),

@@ -77,9 +77,10 @@ def candidate_scales_reference(lat: Lattice, l_max) -> list[Fraction]:
     l_max = Fraction(l_max)
     x1, y1, y2 = lat.canonical_key()
     corners = [Point(0, 0), Point(x1, y1), Point(0, y2), Point(x1, y1 + y2)]
-    window = Box(min(c.x for c in corners), max(c.x for c in corners),
-                 min(c.y for c in corners),
-                 max(c.y for c in corners)).inflated(l_max)
+    window = Box(min(c.x for c in corners) - l_max,
+                 max(c.x for c in corners) + l_max,
+                 min(c.y for c in corners) - l_max,
+                 max(c.y for c in corners) + l_max)
     pts = points_in_box(lat, window)
     xs = {p.x for p in pts}
     ys = {p.y for p in pts}

@@ -184,11 +184,10 @@ def test_lattice_equality_is_basis_membership():
 
 def test_canonical_form_shape():
     lat = Lattice(Point(F(-1, 2), F(3, 4)), Point(F(1, 2), F(1, 4)))
-    can = lat.canonical()
-    assert can == lat
-    assert can.u2.x == 0
-    assert can.u1.x > 0 and can.u2.y > 0
-    assert 0 <= can.u1.y < can.u2.y
+    x1, y1, y2 = lat.canonical_key()
+    assert Lattice(Point(x1, y1), Point(0, y2)) == lat
+    assert x1 > 0 and y2 > 0
+    assert 0 <= y1 < y2
 
 
 def test_fundamental_rect_is_fundamental():

@@ -16,8 +16,9 @@ from stairtile import (Box, Lattice, Mode, Point, Region, ScaledTriangle,
                        optimal_packing_lattices, points_in_box,
                        random_sampling_oracle, shift_lattice, stair_region,
                        triangle_region)
-from stairtile.multiplicity import (_cell_corners, _exact_counts, _extrema,
-                                    _faces, _halfopen_grid, _triangle_faces)
+from stairtile.multiplicity import (_exact_counts, _extrema, _faces,
+                                    _halfopen_grid, _triangle_faces,
+                                    _vertices)
 
 from oracles import faces_reference
 
@@ -243,7 +244,7 @@ def mean_multiplicity(lat, region):
     area."""
     den = _common_den(lat, region.shape)
     xs, ys = _halfopen_grid(lat, [region.shape], den)
-    counts = iter(_exact_counts(lat, region, _cell_corners(xs, ys), den))
+    counts = iter(_exact_counts(lat, region, _vertices(xs, ys, []), den))
     total = sum(next(counts) * (x1 - x0) * (y1 - y0)
                 for x0, x1 in zip(xs, xs[1:]) for y0, y1 in zip(ys, ys[1:]))
     return F(total, xs[-1] * ys[-1])
@@ -263,7 +264,7 @@ def test_mean_multiplicity_is_area_over_determinant():
         hs = sorted(rng.sample(range(1, 8), 2), reverse=True)
         region = stair_region(StairPolygon([F(x, q) for x in xs],
                                            [F(h, q) for h in hs]))
-        assert mean_multiplicity(lat, region) == region.area() / lat.d
+        assert mean_multiplicity(lat, region) == region.shape.area() / lat.d
     # for an exact tiling the mean collapses to j
     assert mean_multiplicity(shift_lattice(2, 2),
                              stair_region(canonical_stair(2))) == 2
@@ -340,36 +341,6 @@ def _at(sample, den):
     return Point(F(sample[0], den), F(sample[1], den))
 
 
-@settings(max_examples=80, deadline=None)
-@given(rational_lattices(), regions(),
-       hyp.lists(fractions_01, min_size=1, max_size=3),
-       hyp.lists(hyp.tuples(hyp.integers(-2, 2), hyp.integers(-2, 2)),
-                 min_size=1, max_size=3))
-def test_counts_and_extrema_match_point_oracle(lat, region, ts, shifts):
-    # boundary points of the shape moved by lattice vectors sit on walls,
-    # corners, floors and hypotenuses of several translates at once
-    points = [p + lat.point(a, b)
-              for p in boundary_points(region.shape, ts)
-              for a, b in shifts]
-    # a multiple of 4 puts the midpoints of every face sampler on integers
-    den = 4 * _common_den(lat, region.shape, points)
-    samples = [(int(p.x * den), int(p.y * den)) for p in points]
-    if region.mode is Mode.HALF_OPEN:
-        faces = _cell_corners(*_halfopen_grid(lat, [region.shape], den))
-    else:
-        faces = (_triangle_faces(lat, region.shape, den)
-                 if isinstance(region.shape, ScaledTriangle)
-                 else _faces(*_halfopen_grid(lat, [region.shape], den), []))
-    samples += faces[::max(1, len(faces) // 40)]
-    expected = [count_at(lat, region, _at(u, den)) for u in samples]
-    assert _exact_counts(lat, region, samples, den) == expected
-    rep = multiplicity_extrema(lat, region)
-    assert count_at(lat, region, rep.min_witness) == rep.min_mult
-    assert count_at(lat, region, rep.max_witness) == rep.max_mult
-    assert rep.min_mult <= min(expected)
-    assert max(expected) <= rep.max_mult
-
-
 @hyp.composite
 def line_lattices(draw):
     """Random lattices, near-rotations (1, 1/N), (-1/N, 1), whose canonical
@@ -383,6 +354,36 @@ def line_lattices(draw):
         n = draw(hyp.integers(2, 50))
         return Lattice(Point(n, F(1, 3)), Point(0, F(1, n)))
     return draw(rational_lattices())
+
+
+@settings(max_examples=80, deadline=None)
+@given(line_lattices(), regions(),
+       hyp.lists(fractions_01, min_size=1, max_size=3),
+       hyp.lists(hyp.tuples(hyp.integers(-2, 2), hyp.integers(-2, 2)),
+                 min_size=1, max_size=3))
+def test_counts_and_extrema_match_point_oracle(lat, region, ts, shifts):
+    # boundary points of the shape moved by lattice vectors sit on walls,
+    # corners, floors and hypotenuses of several translates at once
+    points = [p + lat.point(a, b)
+              for p in boundary_points(region.shape, ts)
+              for a, b in shifts]
+    # a multiple of 4 puts the midpoints of every face sampler on integers
+    den = 4 * _common_den(lat, region.shape, points)
+    samples = [(int(p.x * den), int(p.y * den)) for p in points]
+    if region.mode is Mode.HALF_OPEN:
+        faces = _vertices(*_halfopen_grid(lat, [region.shape], den), [])
+    else:
+        faces = (_triangle_faces(lat, region.shape, den)
+                 if isinstance(region.shape, ScaledTriangle)
+                 else _faces(*_halfopen_grid(lat, [region.shape], den), []))
+    samples += faces[::max(1, len(faces) // 40)]
+    expected = [count_at(lat, region, _at(u, den)) for u in samples]
+    assert _exact_counts(lat, region, samples, den) == expected
+    rep = multiplicity_extrema(lat, region)
+    assert count_at(lat, region, rep.min_witness) == rep.min_mult
+    assert count_at(lat, region, rep.max_witness) == rep.max_mult
+    assert rep.min_mult <= min(expected)
+    assert max(expected) <= rep.max_mult
 
 
 @settings(max_examples=80, deadline=None)
@@ -424,7 +425,7 @@ def test_counts_at_denominators_near_2_pow_31():
         lat = Lattice(Point(a * base.u1.x, b * base.u1.y),
                       Point(a * base.u2.x, b * base.u2.y))
         den = _common_den(lat, shape)
-        samples = _cell_corners(*_halfopen_grid(lat, [shape], den))
+        samples = _vertices(*_halfopen_grid(lat, [shape], den), [])
         assert _scaled_magnitude(lat, shape, samples, den) >= 2**60
         assert _exact_counts(lat, region, samples, den) == \
             [count_at(lat, region, _at(u, den)) for u in samples]
@@ -457,15 +458,20 @@ def test_faces_sample_each_face_once():
             xs, ys = _halfopen_grid(lat, [shape], den)
             faces = _faces(xs, ys, [])
             assert len(faces) == len(set(faces))
-            # with no diagonals: the vertices and the cell centres of the
-            # axis-parallel grid, and no edge midpoint
-            assert set(faces) == ({(x, y) for x in xs for y in ys}
+            # with no diagonals: the vertices of the half open grid and the
+            # cell centres, and no edge midpoint
+            assert set(faces) == ({(x, y) for x in xs[:-1] for y in ys[:-1]}
                                   | {(x, y) for x in mids(xs)
                                      for y in mids(ys)})
         for side in (1, F(3, 2)):
             tri = ScaledTriangle(F(side))
-            faces = _triangle_faces(lat, tri, 4 * _common_den(lat, tri))
+            den = 4 * _common_den(lat, tri)
+            faces = _triangle_faces(lat, tri, den)
             assert len(faces) == len(set(faces))
+            # every sample on a line is a vertex of x = 0 below y = h
+            a_vals, b_vals, c_in = _triangle_lines(lat, tri, den)
+            assert all(x == 0 and y < b_vals[-1] for x, y in faces
+                       if x in a_vals or y in b_vals or x + y in c_in)
 
 
 def _triangle_lines(lat, tri, den):
@@ -484,8 +490,9 @@ def _triangle_lines(lat, tri, den):
 @given(line_lattices(), regions(),
        hyp.sampled_from([Mode.CLOSED, Mode.INTERIOR]))
 def test_extrema_match_the_full_face_sampler(lat, region, mode):
-    # _faces skips the edge fragments: that moves neither an extremum nor
-    # its witness, the first sample to reach it
+    # _faces skips the edge fragments and the far sides x = w and y = h:
+    # that moves neither an extremum nor its witness, the first sample to
+    # reach it
     region = Region(region.shape, mode)
     shape = region.shape
     den = 4 * _common_den(lat, shape)
@@ -496,11 +503,14 @@ def test_extrema_match_the_full_face_sampler(lat, region, mode):
         lines = (*_halfopen_grid(lat, [shape], den), [])
         faces = _faces(*lines)
     reference = faces_reference(*lines)
+    w, h = lines[0][-1], lines[1][-1]
     a_vals, b_vals, c_in = map(set, lines)
-    # the reference's samples off every line (cells) and on two or three
-    # (vertices), in its order: all but the edge fragments
+    # the reference's samples off every line (cells), and its vertices on
+    # a vertical of the half open rectangle [0, w) x [0, h), in its order
     assert faces == [(x, y) for x, y in reference
-                     if (x in a_vals) + (y in b_vals) + (x + y in c_in) != 1]
+                     if (x in a_vals) + (y in b_vals) + (x + y in c_in) == 0
+                     or (x in a_vals and x < w and y < h
+                         and (y in b_vals) + (x + y in c_in) >= 1)]
     counts = _exact_counts(lat, region, reference, den)
     assert multiplicity_extrema(lat, region) == _extrema(counts, reference,
                                                          den)
