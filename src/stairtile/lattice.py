@@ -12,7 +12,7 @@ basis is not singular.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import ceil, floor, lcm
+from math import ceil, floor, gcd, lcm
 
 from .geometry import (Box, Frozen, Point, RationalLike, as_int, fields_json,
                        frac)
@@ -83,6 +83,12 @@ class Lattice(Frozen):
     def canonical_key(self) -> tuple[Fraction, Fraction, Fraction]:
         return self._key
 
+    def int_key(self, den: int) -> tuple[int, int, int]:
+        """The canonical (x1, y1, y2) in units of 1/den, which den must
+        make integral."""
+        x1, y1, y2 = self._key
+        return as_int(x1, den), as_int(y1, den), as_int(y2, den)
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Lattice):
             return NotImplemented
@@ -141,13 +147,73 @@ def scaled_points(lat: Lattice, den: int, x_min: int, x_max: int,
     then t to exact integer ranges, so the cost follows the number of
     columns and points, not the skew of the given basis.
     """
-    x1, y1, y2 = (as_int(v, den) for v in lat.canonical_key())
+    x1, y1, y2 = lat.int_key(den)
     out = []
     for k in range(-(-x_min // x1), x_max // x1 + 1):
         x, y0 = k * x1, k * y1
         out.extend((x, y) for y in range(y0 - (y0 - y_min) // y2 * y2,
                                          y_max + 1, y2))
     return out
+
+
+def floor_sum(n: int, m: int, a: int, b: int) -> int:
+    """The sum of floor((a*i + b) / m) over 0 <= i < n, for m > 0 and any
+    integers a, b, in O(log m) steps.
+
+    This is the Euclid-like reduction of AtCoder Library's ``floor_sum``.
+    Floor division takes (a // m)*i + b // m out of each term and leaves
+    0 <= a, b < m.  The sum then counts the integer points (i, t) with
+    0 <= i < n and 1 <= t <= (a*i + b) / m.  Counted by rows instead, with
+    top = a*n + b, there are n' = top // m rows, and row t holds
+    floor((top - m*t) / a) of the points; t = n' - u makes that
+    floor((m*u + top % m) / a) for 0 <= u < n', the same sum with m and a
+    swapped.
+    """
+    total = 0
+    while n > 0:
+        qa, a = divmod(a, m)
+        qb, b = divmod(b, m)
+        total += qa * (n * (n - 1) // 2) + qb * n
+        n, b = divmod(a * n + b, m)
+        m, a = a, m
+    return total
+
+
+def triangle_count(key: tuple[int, int, int], x: int, y: int, s: int) -> int:
+    """#{w in L : w.x <= x, w.y <= y, w.x + w.y >= s}, in units of 1/den,
+    with key = ``L.int_key(den)``, the canonical (x1, y1, y2).
+
+    Column k holds the points (k*x1, k*y1 + t*y2); with w.x = k*x1 fixed,
+    s - k*x1 <= w.y <= y leaves floor((y - k*y1) / y2) -
+    floor((s - 1 - k*(x1 + y1)) / y2) values of t, a count that is >= 0
+    once k*x1 >= s - y.  So the columns ceil((s - y) / x1) <= k <=
+    floor(x / x1) give two floor sums, whatever the skew of L.
+    """
+    x1, y1, y2 = key
+    k0 = -((y - s) // x1)
+    n = x // x1 - k0 + 1
+    if n <= 0:
+        return 0
+    return (floor_sum(n, y2, -y1, y - k0 * y1)
+            - floor_sum(n, y2, -x1 - y1, s - 1 - k0 * (x1 + y1)))
+
+
+def preceding_count(key: tuple[int, int, int], x: int, y: int) -> int:
+    """#{w in L : w follows 0, w.x <= x, w.y <= y} in the order of
+    ``scales.quadrant_stair``: w follows 0 iff w.x + w.y > 0, or = 0 with
+    w.x > 0.  For p = (x, y) in the closed quadrant, these are the points
+    p - w of its coset in the quadrant that precede p.  key is
+    ``L.int_key(den)``, as for ``triangle_count``.
+
+    The points with w.x + w.y >= 1 are ``triangle_count(key, x, y, 1)``.
+    The ties w = (k*x1, -k*x1) need y2 | k*(x1 + y1), so w.x runs over the
+    multiples of step = x1*y2 / gcd(x1 + y1, y2); those counted have
+    max(1, -y) <= w.x <= x.
+    """
+    x1, y1, y2 = key
+    step = x1 * y2 // gcd(x1 + y1, y2)
+    ties = x // step - (max(1, -y) - 1) // step
+    return triangle_count(key, x, y, 1) + max(ties, 0)
 
 
 def points_in_box(lat: Lattice, box: Box) -> list[Point]:

@@ -10,10 +10,13 @@ which tiles the plane exactly j-fold: covering at l holds iff P lies in
 the closed l*T, and packing iff the open l*T lies in P, so each scale is
 an extreme coordinate sum over P's corners (``_corner_scale``).
 
-P alone proves each verdict, and no triangle arrangement is sampled.  P's
-exact tiling and its fit in the scale's triangle give the predicate at
-the value, and one point next to the corner, counted in integers, proves
-it false at value - 1/(2*den) (covering) or value + 1/(2*den) (packing)
+P alone proves each verdict, and no triangle arrangement is sampled.
+Integer lattice counts at P's c outer and c + 1 inner corners, 2c + 1 in
+all, prove that P is the set of quadrant points with fewer than j
+predecessors in their coset, a set that tiles exactly j-fold.  With P's
+fit in the scale's triangle, that gives the predicate at the value, and
+one point next to the corner, counted in integers, proves it false at
+value - 1/(2*den) (covering) or value + 1/(2*den) (packing)
 (``_proven_stair``, ``_witness_refutes``).  Both predicates are monotone
 in l and flip only at candidate scales (``candidate_scales``), which lie
 on the 1/den grid of the canonical basis.  So the probe across the flip,
@@ -35,10 +38,10 @@ from fractions import Fraction
 from math import lcm
 
 from .geometry import Frozen, Point, StairPolygon, as_int, fields_json, frac
-from .lattice import Lattice, scaled_points
-from .multiplicity import (COVERING, PACKING, Mode, is_exact_jfold_tiling,
-                           is_jfold_covering, is_jfold_packing,
-                           triangle_region)
+from .lattice import (Lattice, preceding_count, scaled_points,
+                      triangle_count)
+from .multiplicity import (COVERING, PACKING, Mode, is_jfold_covering,
+                           is_jfold_packing, triangle_region)
 
 
 class CandidateGapError(RuntimeError):
@@ -118,7 +121,7 @@ def _scaled_candidates(lat: Lattice, l_max: Fraction) -> tuple[int,
     if l_max <= 0:
         raise ValueError(f"l_max must be positive: {l_max}")
     den = lcm(lat.den, l_max.denominator)
-    x1, y1, y2 = (as_int(v, den) for v in lat.canonical_key())
+    x1, y1, y2 = lat.int_key(den)
     top = as_int(l_max, den)
     # the canonical parallelogram's bounding box is [0, x1] x [0, y1 + y2],
     # as y1 >= 0
@@ -192,7 +195,7 @@ def quadrant_stair(lat: Lattice, j: int) -> tuple[int, list[int],
     at most scale/x1 columns, of O(j) work each.
     """
     den = lat.den
-    x1, y1, y2 = (as_int(v, den) for v in lat.canonical_key())
+    x1, y1, y2 = lat.int_key(den)
     low = [t * y2 for t in range(1, j + 1)]  # the j lowest heights
     k = 1
     while k * x1 + 1 <= low[-1]:
@@ -215,18 +218,25 @@ def quadrant_stair(lat: Lattice, j: int) -> tuple[int, list[int],
     return den, breaks, heights
 
 
+def _inner_corners(xs, hs) -> list:
+    """The inner corners (0, h_0), (x_i, h_i) for 0 < i < c, and (x_c, 0)
+    of the stair with breaks xs and heights hs, c columns."""
+    return [(0, hs[0]), *zip(xs[1:-1], hs[1:]), (xs[-1], 0)]
+
+
 def _corner(xs, hs, kind: str) -> tuple:
     """The corner (x, y) of the stair with breaks xs and heights hs that
     sets the kind's scale x + y (``_corner_scale``)."""
     if kind == COVERING:
         return max(zip(xs[1:], hs), key=sum)
-    return min([(0, hs[0]), *zip(xs[1:-1], hs[1:]), (xs[-1], 0)], key=sum)
+    return min(_inner_corners(xs, hs), key=sum)
 
 
-def _corner_scale(lat: Lattice, j: int, kind: str) -> tuple[Fraction,
-                                                             Point]:
+def _corner_scale(lat: Lattice, j: int, kind: str,
+                  built: tuple | None = None) -> tuple[Fraction, Point]:
     """The kind's critical scale and the corner of the quadrant stair P,
-    the columns [x_i, x_{i+1}) x [0, h_i) for i = 0..r, that attains it.
+    the columns [x_i, x_{i+1}) x [0, h_i) for i = 0..r, that attains it;
+    built is ``quadrant_stair(lat, j)`` when the caller has it already.
 
     Covering.  The closed l*T translates hold p once per point of its coset
     in l*T: the coset's points of Q with sum <= l, a prefix of its
@@ -243,25 +253,56 @@ def _corner_scale(lat: Lattice, j: int, kind: str) -> tuple[Fraction,
     (as x -> 0) or l > x_i + h_i for some i >= 1: the packing scale is the
     smallest sum over the inner corners (0, h_0), (x_i, h_i), (x_{r+1}, 0).
     """
-    den, breaks, heights = quadrant_stair(lat, j)
+    den, breaks, heights = built or quadrant_stair(lat, j)
     x, y = _corner(breaks, heights, kind)
     return Fraction(x + y, den), Point(Fraction(x, den), Fraction(y, den))
 
 
-def _proven_stair(lat: Lattice, j: int, kind: str,
+def _is_first_j(key: tuple[int, int, int], j: int, breaks: list[int],
+                heights: list[int]) -> bool:
+    """Whether the stair with integer breaks and strictly falling heights
+    is F = {p in Q : B(p) < j}, B = ``preceding_count``, by 2c + 1 counts
+    at its corners, c its number of columns (``_proven_stair``)."""
+    return (breaks[0] == 0
+            and all(preceding_count(key, b - 1, h - 1) < j
+                    for b, h in zip(breaks[1:], heights))
+            and all(preceding_count(key, x, y) >= j
+                    for x, y in _inner_corners(breaks, heights)))
+
+
+def _proven_stair(lat: Lattice, j: int, kind: str, built: tuple | None = None,
                   error: type[Exception] = CandidateGapError
                   ) -> tuple[StairPolygon, Point]:
     """P(L, j) as a ``StairPolygon``, with the corner that sets the kind's
-    scale, proven to be that scale: P tiles exactly j-fold, with area
-    j * d(L) and at most 2j - 1 steps, and fits the scale as
-    ``_corner_scale`` says over all its corners, and the point next to the
-    corner refutes the predicate at scale -+ 1/(2*den), den that of
-    ``quadrant_stair`` (``_witness_refutes``).  A failed check, or a
-    column that ``StairPolygon`` refuses, raises error.
+    scale, proven to be that scale; built is ``quadrant_stair(lat, j)``
+    when the caller has it already.  P tiles exactly j-fold (the lemma
+    below), has area j * d(L) and at most 2j - 1 steps, and fits the scale
+    as ``_corner_scale`` says over all its corners, and the point next to
+    the corner refutes the predicate at scale -+ 1/(2*den), den that of
+    ``quadrant_stair`` (``_witness_refutes``).  A failed check, or a column
+    that ``StairPolygon`` refuses, raises error.
+
+    Lemma.  Let B(p) = ``preceding_count`` count the points of p's coset in
+    the closed quadrant Q that precede p.  A coset meets Q in an infinite
+    set, well ordered by ``prec`` (finitely many of its points lie below
+    any coordinate sum), so F = {p in Q : B(p) < j} holds exactly the j
+    first points of each coset.  A point z lies in F + v iff z - v is in
+    F, so z lies in exactly j translates of F, one per point of F in the
+    coset z + L: F tiles exactly j-fold, half open as the stair is.
+
+    Corners.  L lies on the 1/den grid, so B(p) is B at the grid point
+    below p, and F, like the stair, is a union of grid cells.  B is
+    monotone, so F's cells are a down-set of the quadrant's, as the
+    stair's are (breaks from 0, heights strictly falling).  So the stair
+    lies in F iff each of its maximal cells does, B < j at the c outer
+    corners (b_{i+1} - 1, h_i - 1); and F lies in the stair iff each
+    minimal cell outside the stair lies outside F, B >= j at the c + 1
+    inner corners (0, h_0), (b_i, h_i) for 0 < i < c, and (b_c, 0).  These
+    2c + 1 counts (``_is_first_j``) prove that the stair is F.
     """
     if j < 1:
         raise ValueError(f"need j >= 1: {j}")
-    den, breaks, heights = quadrant_stair(lat, j)
+    den, breaks, heights = built or quadrant_stair(lat, j)
     x, y = _corner(breaks, heights, kind)
     if kind == COVERING:
         fits = all(hi + h <= x + y for hi, h in zip(breaks[1:], heights))
@@ -276,7 +317,7 @@ def _proven_stair(lat: Lattice, j: int, kind: str,
     except ValueError as err:
         raise error(f"no stair for lattice {lat.to_json()}: {err}") from err
     if not (fits and area == j * lat.d * den * den and stair.r <= 2 * j - 1
-            and is_exact_jfold_tiling(stair, lat, j)):
+            and _is_first_j(lat.int_key(den), j, breaks, heights)):
         raise error(f"the quadrant stair of {lat.to_json()} (area "
                     f"{stair.area()}, j*d = {j * lat.d}, {stair.r} steps) does "
                     f"not prove the {kind} scale of corner {corner.to_json()}")
@@ -293,7 +334,8 @@ def _witness_refutes(lat: Lattice, j: int, kind: str, corner: Point,
     (covering), e = 1/(8*den), proves that the translates of scale*T are
     no j-fold packing (covering): it lies in more (fewer) than j of them,
     counted in integers at 8*den as the v with v_x <= p_x, v_y <= p_y and
-    v_x + v_y >= p_x + p_y - scale, strict for the open translates.
+    v_x + v_y >= p_x + p_y - scale, strict for the open translates
+    (``triangle_count``).
 
     At a corner of P from ``_corner_scale`` (a multiple of 1/den), this is
     a proof at each scale more than 2e past the corner's sum.  Covering: p
@@ -305,10 +347,8 @@ def _witness_refutes(lat: Lattice, j: int, kind: str, corner: Point,
     den = 8 * lat.den
     strict = int(kind != COVERING)  # packing: p = corner + (e, e)
     px, py = (as_int(c, den) + 2 * strict - 1 for c in (corner.x, corner.y))
-    side = as_int(scale, den)
-    low = px + py - side + strict
-    count = sum(x + y >= low for x, y in scaled_points(
-        lat, den, px - side, px - strict, py - side, py - strict))
+    count = triangle_count(lat.int_key(den), px - strict, py - strict,
+                           px + py - as_int(scale, den) + strict)
     return count > j if strict else count < j
 
 

@@ -9,13 +9,16 @@ interior), whose optima must approach j/(2j+1) and (2j+1)/(4j).
 
 The sweep decides each lattice by the corner formula of
 ``scales._corner_scale``, which reads both critical scales off the corners
-of the lattice's quadrant stair P, and proves each verdict from P, with no
-triangle arrangement sampled.  P proves each pass by its exact j-fold
-tiling and its fit in the unit triangle (``scales._proven_stair``).  One
-point next to the corner that sets the scale, whose translates are counted
-in integers, proves each failure (``scales._witness_refutes``): it is a
-witness at 1, as the scale and 1 both lie on the lattice's 1/den grid.  A
-disagreement raises ``CandidateGapError``.
+of the lattice's quadrant stair P, built once per lattice, and proves each
+verdict from P, with no triangle arrangement sampled.  P proves each pass
+by its fit in the unit triangle and by 2c + 1 lattice counts at its c
+outer and c + 1 inner corners, which show that P keeps the j first points
+of each coset in the quadrant and so tiles exactly j-fold
+(``scales._proven_stair``).  One point next to the corner that sets the
+scale, whose translates are counted in integers, proves each failure
+(``scales._witness_refutes``): it is a witness at 1, as the scale and 1
+both lie on the lattice's 1/den grid.  A disagreement raises
+``CandidateGapError``.
 
 The stair optimizers are the only place in the package where inexact
 numbers appear; the best layout found is afterwards snapped to nearby
@@ -32,7 +35,7 @@ from .geometry import Frozen, Point, fields_json
 from .lattice import Lattice
 from .multiplicity import COVERING, PACKING
 from .scales import (CandidateGapError, _corner_scale, _proven_stair,
-                     _witness_refutes)
+                     _witness_refutes, quadrant_stair)
 
 
 class SearchReport(Frozen):
@@ -89,9 +92,10 @@ def _search(j: int, denominator_bound: int, coefficient_bound: int,
         value = Fraction(1, 2) / lat.d
         if best_value is not None and value != best_value:
             break
-        scale, corner = _corner_scale(lat, j, kind)
+        built = quadrant_stair(lat, j)
+        scale, corner = _corner_scale(lat, j, kind, built)
         if scale >= 1 if packing else scale <= 1:
-            _proven_stair(lat, j, kind)  # raises unless P proves the pass
+            _proven_stair(lat, j, kind, built)  # raises unless P proves it
             best_value = value
             best.append(lat)
         elif not _witness_refutes(lat, j, kind, corner):

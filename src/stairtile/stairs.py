@@ -12,7 +12,7 @@ square [0, 2j+1)^2 (``canonical_regions``, ``count_region``).
 ``selection_stair`` returns, for any lattice L, the half open stair that
 keeps the j first points (in the coordinate-sum order) of every residue
 class in the closed quadrant, ``scales.quadrant_stair``, proven at its
-covering scale by its exact tiling and one witness point.
+covering scale by lattice counts at its corners and one witness point.
 """
 
 from __future__ import annotations
@@ -29,8 +29,9 @@ from .scales import _proven_stair
 
 class SelectionStairError(RuntimeError):
     """The quadrant stair failed validation: degenerate columns, an area
-    other than j * d(L), no exact j-fold tiling, more than 2j-1 steps, or a
-    witness that does not refute covering below its scale."""
+    other than j * d(L), a corner count that shows it is not the set of
+    the j first points of each coset, more than 2j-1 steps, or a witness
+    that does not refute covering below its scale."""
 
 
 def canonical_stair(j: int) -> StairPolygon:
@@ -146,15 +147,18 @@ def selection_stair(lat: Lattice, j: int) -> SelectionStair:
     """The quadrant stair P(L, j) (``scales.quadrant_stair``) with its
     covering scale, the largest coordinate sum over its outer corners.
 
-    ``scales._proven_stair`` proves the scale: P lies in scale*T, so its
-    exact j-fold tiling proves covering there, and one point inside the
-    outer corner, counted in integers, proves that covering fails at
+    ``scales._proven_stair`` proves the scale: P lies in scale*T, and
+    2c + 1 lattice counts at its corners show that P keeps the j first
+    points of each coset in the quadrant, so it tiles exactly j-fold and
+    covering holds at the scale; one point inside the outer corner,
+    counted in integers, proves that covering fails at
     scale - 1/(2*den), and so below the scale: covering is monotone, and
     constant between candidate scales, which lie on the 1/den grid.  Any
     failed check, these or the area j * d(lat) and at most 2j-1 steps,
     raises ``SelectionStairError``.
     """
-    stair, outer = _proven_stair(lat, j, COVERING, SelectionStairError)
+    stair, outer = _proven_stair(lat, j, COVERING,
+                                  error=SelectionStairError)
     xs, hs = stair.x_breaks, stair.heights
     return SelectionStair(
         stair, tuple(Point(x, h) for x, h in zip(xs[1:-1], hs[1:])),

@@ -8,6 +8,8 @@ from hypothesis import strategies as hyp
 
 from stairtile import (Box, Lattice, Point, enumerate_integer_sublattices,
                        integer_lattice, points_in_box, shift_lattice)
+from stairtile.lattice import (floor_sum, preceding_count, scaled_points,
+                               triangle_count)
 
 from oracles import canonical_key_reference, lattice_points_bruteforce
 
@@ -146,6 +148,45 @@ def test_points_in_box_negation_closure():
     pts = {(p.x, p.y) for p in points_in_box(lat, box)}
     neg = {(-p.x, -p.y) for p in points_in_box(lat, neg_box)}
     assert pts == neg
+
+
+@settings(max_examples=300, deadline=None)
+@given(hyp.integers(0, 60), hyp.integers(1, 2**61),
+       hyp.integers(-2**62, 2**62), hyp.integers(-2**62, 2**62))
+@example(0, 1, 5, 7)
+@example(10, 2**61 - 1, 2**61 - 2, -1)
+@example(5, 2**61, -(2**62), 2**62)
+def test_floor_sum_matches_the_direct_sum(n, m, a, b):
+    assert floor_sum(n, m, a, b) == sum((a * i + b) // m for i in range(n))
+
+
+@hyp.composite
+def integer_keys(draw):
+    """A canonical basis (x1, y1), (0, y2) in integers, as its key."""
+    x1, y2 = draw(hyp.integers(1, 12)), draw(hyp.integers(1, 12))
+    return x1, draw(hyp.integers(0, y2 - 1)), y2
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer_keys(), hyp.integers(-30, 30), hyp.integers(-30, 30),
+       hyp.integers(-30, 30))
+# s > x + y: an empty triangle; one column; the ties of x + y = 0
+@example((3, 1, 5), 2, 4, 7)
+@example((7, 2, 3), 6, 20, -20)
+@example((1, 1, 2), 9, -4, 0)
+@example((2, 1, 3), -8, 8, -30)
+def test_triangle_and_preceding_counts_match_bruteforce(key, x, y, s):
+    # at den = 1 the key is the lattice's own canonical basis
+    x1, y1, y2 = key
+    lat = Lattice(Point(x1, y1), Point(0, y2))
+    assert lat.int_key(1) == key
+    # w.x <= x, w.y <= y and w.x + w.y >= s keep w.x >= s - y, w.y >= s - x
+    tri = scaled_points(lat, 1, s - y, x, s - x, y)
+    assert triangle_count(key, x, y, s) == sum(a + b >= s for a, b in tri)
+    # w follows 0 when w.x + w.y > 0, or = 0 with w.x > 0
+    quad = scaled_points(lat, 1, -y, x, -x, y)
+    assert preceding_count(key, x, y) == sum(
+        a + b > 0 or (a + b == 0 and a > 0) for a, b in quad)
 
 
 def test_enumerate_integer_sublattices_examples():

@@ -364,3 +364,98 @@ def test_near_rotation_ladder(n):
     lat = near_rotation(n)
     assert lambda_lower(lat, 1).value == 2
     assert lambda_upper(lat, 1).value == 1
+
+
+@pytest.mark.parametrize("lat", [THETA, ROADMAP_A, SLIVER, near_rotation(100),
+                                 shift_lattice(2, 3).scaled(F(1, 3))],
+                         ids=["theta", "roadmap-a", "sliver",
+                              "near-rotation-100", "shift-2-3"])
+@pytest.mark.parametrize("j", [1, 2, 3])
+def test_the_corner_counts_refuse_a_raised_or_cut_stair(lat, j):
+    # the 2c + 1 counts accept P and refuse P with any one height raised by
+    # 1/den, or with its last column dropped, whatever the area check says
+    den, breaks, heights = scales.quadrant_stair(lat, j)
+    key = lat.int_key(den)
+    assert scales._is_first_j(key, j, breaks, heights)
+    for i in range(len(heights)):
+        raised = heights.copy()
+        raised[i] += 1
+        assert not scales._is_first_j(key, j, breaks, raised), i
+    if len(heights) > 1:
+        assert not scales._is_first_j(key, j, breaks[:-1], heights[:-1])
+
+
+def test_no_proof_reaches_the_tiling_sweep(monkeypatch):
+    # P is proven by corner counts: the half-open grid and its exact
+    # tiling check never run under lambda, sj or a search
+    def refused(*args, **kwargs):
+        raise AssertionError("the half-open tiling sweep ran")
+
+    for module in (scales, multiplicity, search, stairs):
+        for name in ("is_exact_jfold_tiling", "_halfopen_grid"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refused)
+    for lat in (integer_lattice(), THETA, SLIVER, near_rotation(1000)):
+        for j in (1, 2):
+            for kind in (COVERING, PACKING):
+                scales._proven_stair(lat, j, kind)
+            lambda_lower(lat, j)
+            lambda_upper(lat, j)
+            selection_stair(lat, j)
+    for j in (1, 2):
+        search_packing(j, 2 * j, 2 * j + 1)
+        search_covering(j, 2 * j + 1, 2 * j + 1)
+
+
+def transposed(lat: Lattice) -> Lattice:
+    """The lattice with its two coordinates swapped."""
+    return Lattice(Point(lat.u1.y, lat.u1.x), Point(lat.u2.y, lat.u2.x))
+
+
+def assert_metamorphic(lat, j, c, unimodular):
+    # swapping coordinates keeps both scales, though ties in the order
+    # break the other way, so P itself may change; scaling by c > 0
+    # scales P and its corner; a change of basis keeps both
+    a, b, cc, d = unimodular
+    other = Lattice(lat.u1.scaled(a) + lat.u2.scaled(b),
+                    lat.u1.scaled(cc) + lat.u2.scaled(d))
+    for kind in (COVERING, PACKING):
+        value, corner = scales._corner_scale(lat, j, kind)
+        stair, proven = scales._proven_stair(lat, j, kind)
+        assert proven == corner and proven.x + proven.y == value
+        _, flipped = scales._proven_stair(transposed(lat), j, kind)
+        assert flipped.x + flipped.y == value, (kind, "transposed")
+        scaled = scales._proven_stair(lat.scaled(c), j, kind)
+        assert scaled == (stair.scaled(c), corner.scaled(c)), (kind, c)
+        assert scales._corner_scale(lat.scaled(c), j, kind)[0] == c * value
+        assert scales._proven_stair(other, j, kind) == (stair, corner)
+
+
+@hyp.composite
+def unimodular(draw):
+    """An integer matrix (a, b, c, d) of determinant +-1."""
+    a, b, c, d = 1, 0, 0, 1
+    for k in draw(hyp.lists(hyp.integers(-3, 3), min_size=1, max_size=4)):
+        a, b, c, d = c, d, a + k * c, b + k * d
+    return a, b, c, d
+
+
+@pytest.mark.parametrize("lat, j", [
+    (integer_lattice(), 1), (integer_lattice(), 3),
+    *((shift_lattice(m, j), j) for j in range(1, 5)
+      for m in range(1, 2 * j + 2)),
+    (near_rotation(10), 2), (near_rotation(1000), 1),
+    (near_rotation(10**4), 1)])
+def test_scales_are_metamorphic_on_the_families(lat, j):
+    assert_metamorphic(lat, j, F(5, 3), (2, 1, 1, 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(hyp.integers(1, 6).flatmap(lambda q: hyp.tuples(
+           *[hyp.integers(-6, 6).map(lambda v, q=q: F(v, q))] * 4)),
+       hyp.sampled_from([1, 2, 3]),
+       hyp.sampled_from([F(2), F(1, 3), F(7, 5), F(11, 4)]), unimodular())
+def test_scales_are_metamorphic_on_random_bases(coords, j, c, matrix):
+    x1, y1, x2, y2 = coords
+    assume(x1 * y2 != y1 * x2)
+    assert_metamorphic(Lattice(Point(x1, y1), Point(x2, y2)), j, c, matrix)

@@ -112,8 +112,8 @@ def test_a_corner_one_column_over_is_caught(monkeypatch, search, columns,
                                             j, q, c):
     real = scales._corner_scale
 
-    def moved(lat, j, kind):
-        scale, corner = real(lat, j, kind)
+    def moved(lat, j, kind, *built):
+        scale, corner = real(lat, j, kind, *built)
         x1 = lat.canonical_key()[0]
         return scale, corner + Point(columns * x1, 0)
 
