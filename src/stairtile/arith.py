@@ -10,30 +10,49 @@ triangle densities.
 
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, isqrt
 
 Factorization = list[tuple[int, int]]
+
+# Trial division tries the divisors up to this bound and no further, about
+# 5 * 10^5 of them, a fraction of a second.
+TRIAL_DIVISION_BUDGET = 10**6
+# phi_k_bruteforce makes up to n * k gcd calls and refuses more than this.
+BRUTEFORCE_BUDGET = 10**7
+
+
+class OversizeError(ValueError):
+    """An input whose exact answer would cost more than a documented
+    budget; the message names the work it would take."""
 
 
 def factorize(n: int) -> Factorization:
     """Prime factorization as (prime, exponent) pairs, primes ascending.
 
-    Trial division; inputs here are desk scale.
+    Trial division by the d <= ``TRIAL_DIVISION_BUDGET``.  A cofactor m
+    left with no divisor up to the budget is prime when d * d > m for the
+    next d; otherwise it may be composite, and ``OversizeError`` names the
+    isqrt(n) divisions that a full trial division would take.
     """
     if n < 1:
         raise ValueError(f"need a positive integer: {n}")
     out: Factorization = []
-    d = 2
-    while d * d <= n:
+    m, d = n, 2
+    while d * d <= m:
+        if d > TRIAL_DIVISION_BUDGET:
+            raise OversizeError(
+                f"factorizing {n} needs trial division up to isqrt(n) = "
+                f"{isqrt(n)}, past the budget of {TRIAL_DIVISION_BUDGET}: "
+                f"the cofactor {m} has no divisor up to it")
         e = 0
-        while n % d == 0:
+        while m % d == 0:
             e += 1
-            n //= d
+            m //= d
         if e:
             out.append((d, e))
         d += 1 if d == 2 else 2
-    if n > 1:
-        out.append((n, 1))
+    if m > 1:
+        out.append((m, 1))
     return out
 
 
@@ -55,9 +74,14 @@ def phi_k(k: int, n: int) -> int:
 
 def phi_k_bruteforce(k: int, n: int) -> int:
     """Definitional count of phi_k; the windowed values m+i are taken as
-    written, not reduced mod n, so m = n contributes gcd(n, n) = n."""
+    written, not reduced mod n, so m = n contributes gcd(n, n) = n.
+    Past n * k = ``BRUTEFORCE_BUDGET`` it raises ``OversizeError``."""
     if k < 1 or n < 1:
         raise ValueError(f"need k >= 1 and n >= 1, got k={k}, n={n}")
+    if n * k > BRUTEFORCE_BUDGET:
+        raise OversizeError(
+            f"the definitional count of phi_{k}({n}) needs n * k = {n * k} "
+            f"gcd calls, past the budget of {BRUTEFORCE_BUDGET}")
     return sum(1 for m in range(1, n + 1)
                if all(gcd(m + i, n) == 1 for i in range(k)))
 

@@ -26,8 +26,12 @@ failed check aborts loudly instead of returning a wrong value.
 
 The candidates are found on integers: the window's coordinates and l_max
 are scaled to one common denominator, and the candidate set is an integer
-sumset, collected as the bits of a Python int (``_scaled_candidates``).
-Only the value and its two probes become Fractions.
+sumset, collected as the bits of a Python int (``_scaled_candidates``):
+the lifts y - s are set once, and the window's columns, a full arithmetic
+progression, are ORed in by doubling.  The value's neighbours are read
+off that mask by bit arithmetic (``_neighbours``); only
+``candidate_scales`` lists the candidates.  Only the value and its two
+probes become Fractions.
 """
 
 from __future__ import annotations
@@ -106,17 +110,26 @@ def _bit_values(mask: int, lo: int) -> list[int]:
     return out
 
 
-def _scaled_candidates(lat: Lattice, l_max: Fraction) -> tuple[int,
-                                                               list[int]]:
-    """``candidate_scales`` as (den, values): the candidates are v/den for
-    the sorted integers v in values.
+def _scaled_candidates(lat: Lattice, l_max: Fraction
+                       ) -> tuple[int, int | list[int]]:
+    """``candidate_scales`` at one common denominator, as (den, found):
+    the candidates are v/den for the integers v in (0, l_max * den] that
+    found holds, either as its set bits (bit v - 1 for v) or, when the
+    sums are few for their range, as a sorted list.
 
     With every coordinate an integer at den and top = l_max * den, the
     values are the sums x + (y - s) in (0, top].  Bisection pairs each y
     only with the s that give a lift y - s in (-max xs, top - min xs],
     which some x can bring into (0, top].  The lifts are set as the bits of
-    one Python int, and that mask is ORed in once per x, shifted by x, so
-    the xs x ys sums are never built.
+    one Python int, and the xs x ys sums are never built.
+
+    The window is y1 + y2 + 2 * top tall, at least y2, so each lattice
+    column k * x1 of its width holds a point: the xs are the whole
+    progression xs[-1] - i * x1, 0 <= i < n.  The sums are therefore the
+    lift mask ORed with itself shifted by i * x1 for each such i, and
+    doubling builds that OR in about log2(n) shift-ORs: a mask holding the
+    shifts 0 .. m - 1, ORed with itself shifted by step * x1, step <= m,
+    holds 0 .. m + step - 1.
     """
     if l_max <= 0:
         raise ValueError(f"l_max must be positive: {l_max}")
@@ -139,15 +152,39 @@ def _scaled_candidates(lat: Lattice, l_max: Fraction) -> tuple[int,
     # is bit d - lo, digit hi - d
     digits = bytearray(b"0") * (hi - lo + 1)
     for y, i, j in spans:
+        base = hi - y
         for s in neg_sums[i:j]:
-            digits[hi - y - s] = 49  # "1"
-    lifts = int(digits, 2)
-    # bit k of lifts is the lift lo + k, so bit k of lifts >> (xs[-1] - x)
-    # is the value x + lo + k - xs[-1] = 1 + k
-    found = 0
-    for x in xs:
-        found |= lifts >> (xs[-1] - x)
-    return den, _bit_values(found & ((1 << top) - 1), 1)
+            digits[base - s] = 49  # "1"
+    # bit k of the lift mask is the lift lo + k, so bit k of the mask
+    # shifted right by xs[-1] - x is the value x + lo + k - xs[-1] = 1 + k
+    found, shifts = int(digits, 2), 1
+    while shifts < len(xs):
+        step = min(shifts, len(xs) - shifts)
+        found |= found >> (step * x1)
+        shifts += step
+    return den, found & ((1 << top) - 1)
+
+
+def _neighbours(found: int | list[int], v: int) -> tuple[int, int] | None:
+    """The candidates next to v in found (``_scaled_candidates``), below
+    and above, with 0 for none below and v for none above; None if v is
+    not a candidate.
+
+    A mask is read in place: v is a candidate iff bit v - 1 is set, the
+    bits below it end at the candidate below, and the lowest set bit of
+    found >> v, bit i for the candidate v + i + 1, gives the one above.
+    """
+    if isinstance(found, int):
+        if not found >> (v - 1) & 1:
+            return None
+        rest = found >> v
+        return ((found & ((1 << (v - 1)) - 1)).bit_length(),
+                v + (rest & -rest).bit_length())
+    idx = bisect_left(found, v)
+    if idx == len(found) or found[idx] != v:
+        return None
+    return (found[idx - 1] if idx else 0,
+            found[idx + 1] if idx + 1 < len(found) else v)
 
 
 def candidate_scales(lat: Lattice, l_max) -> list[Fraction]:
@@ -161,7 +198,8 @@ def candidate_scales(lat: Lattice, l_max) -> list[Fraction]:
     only it is computed, on integers at one common denominator
     (``_scaled_candidates``).
     """
-    den, values = _scaled_candidates(lat, frac(l_max))
+    den, found = _scaled_candidates(lat, frac(l_max))
+    values = _bit_values(found, 1) if isinstance(found, int) else found
     return [Fraction(v, den) for v in values]
 
 
@@ -361,9 +399,11 @@ def _critical_scale(lat: Lattice, j: int, kind: str) -> ScaleCertificate:
     of two >= 1 where covering holds or packing fails; l_max itself is a
     last packing candidate, as packing is known to fail there.  The probes
     are the midpoints to the neighbouring candidates (value / 2 and
-    value + 1/2 past the ends).  The one across the flip lies at least
-    1/(2*den) past the value, as far as the witness of ``_proven_stair``,
-    and monotonicity carries both verdicts to the probes.
+    value + 1/2 past the ends), which ``_neighbours`` reads off the
+    candidate bitmask by bit arithmetic, with no list of the candidates.
+    The one across the flip lies at least 1/(2*den) past the value, as far
+    as the witness of ``_proven_stair``, and monotonicity carries both
+    verdicts to the probes.
     """
     covering = kind == COVERING
     _, corner = _proven_stair(lat, j, kind)
@@ -371,20 +411,21 @@ def _critical_scale(lat: Lattice, j: int, kind: str) -> ScaleCertificate:
     l_max = Fraction(1)
     while l_max < value or (not covering and l_max == value):
         l_max *= 2
-    den, cands = _scaled_candidates(lat, l_max)
-    top = as_int(l_max, den)
-    if not covering and cands[-1] != top:
-        cands.append(top)
-    idx = bisect_left(cands, value * den)
-    if idx == len(cands) or cands[idx] != value * den:
+    den, found = _scaled_candidates(lat, l_max)
+    v = as_int(value, den)
+    near = _neighbours(found, v)
+    if near is None:
         raise CandidateGapError(
             f"{kind} scale {value} from the corner formula is not a "
             f"candidate up to {l_max}")
-    below = (value / 2 if idx == 0
-             else Fraction(cands[idx - 1] + cands[idx], 2 * den))
-    above = (Fraction(cands[idx] + cands[idx + 1], 2 * den)
-             if idx + 1 < len(cands) else value + Fraction(1, 2))
-    return ScaleCertificate(value, True, below, not covering, above, covering)
+    below, above = near
+    if above == v and not covering:
+        above = as_int(l_max, den)
+    # the midpoint to 0, none below, is value / 2
+    return ScaleCertificate(
+        value, True, Fraction(below + v, 2 * den), not covering,
+        Fraction(v + above, 2 * den) if above > v else value + Fraction(1, 2),
+        covering)
 
 
 def lambda_lower(lat: Lattice, j: int) -> ScaleCertificate:

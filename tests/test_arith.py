@@ -1,7 +1,11 @@
+from math import isqrt
+
 import pytest
 
 from stairtile import (admissible_shifts, count_optimal_lattices, factorize,
                        phi_k, phi_k_bruteforce, verify_stair_tiling_forward)
+from stairtile.arith import (BRUTEFORCE_BUDGET, TRIAL_DIVISION_BUDGET,
+                             OversizeError)
 
 
 def test_factorize():
@@ -11,6 +15,34 @@ def test_factorize():
     assert factorize(360) == [(2, 3), (3, 2), (5, 1)]
     with pytest.raises(ValueError):
         factorize(0)
+
+
+def test_factorize_within_its_trial_division_budget():
+    big = 999_983  # the largest prime below the budget
+    assert big <= TRIAL_DIVISION_BUDGET
+    # a prime cofactor below the budget squared is proven prime
+    assert factorize(big * big) == [(big, 2)]
+    assert factorize(2**64 * 999_999_999_989) == [(2, 64),
+                                                   (999_999_999_989, 1)]
+    assert factorize(big * 1_000_003) == [(big, 1), (1_000_003, 1)]
+    assert phi_k(2, 10**18) == 0 and phi_k(1, 10**18) == 4 * 10**17
+
+
+@pytest.mark.parametrize("n", [10**18 + 3, 1_000_003 * 1_000_033,
+                               2**40 * (10**18 + 3)])
+def test_factorize_refuses_a_cofactor_past_its_budget(n):
+    with pytest.raises(OversizeError, match=f"isqrt\\(n\\) = {isqrt(n)}"):
+        factorize(n)
+    with pytest.raises(ValueError):
+        phi_k(2, n)
+
+
+def test_bruteforce_refuses_oversize_inputs():
+    assert phi_k_bruteforce(1, BRUTEFORCE_BUDGET // 10**4) == 400
+    with pytest.raises(OversizeError, match="20000038"):
+        phi_k_bruteforce(2, 10_000_019)
+    with pytest.raises(ValueError):
+        phi_k_bruteforce(1, BRUTEFORCE_BUDGET + 1)
 
 
 def test_phi_k_examples():

@@ -143,6 +143,23 @@ def test_phi_subcommand(capsys):
     assert payload == {"k": 2, "n": 15, "value": 3, "bruteforce": 3}
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--n", "1000000000000000003"], "isqrt(n) = 1000000000"),
+    (["--n", "10000019", "--verify"], "n * k = 20000038")],
+    ids=["factorize", "bruteforce"])
+def test_phi_refuses_oversize_inputs(argv, message):
+    # each call once ran trial division up to sqrt(n), or n * k gcd calls,
+    # and did not finish in 20 s
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    out = subprocess.run(
+        [sys.executable, "-m", "stairtile.cli", "phi", "--k", "2", *argv],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+        text=True, timeout=10)
+    assert (out.returncode, out.stdout) == (2, "")
+    assert message in out.stderr and "Traceback" not in out.stderr
+
+
 def test_usage_errors_exit_2(capsys, tmp_path):
     assert run(["density", "--j", "2", "--kind", "covering", "--bogus"]) == 2
     assert run(["density", "--j", "2", "--kind", "sideways"]) == 2

@@ -113,8 +113,9 @@ def test_lambda_on_the_sliver_basis():
     # covering_scale_oracle(lat, 1, window=2) gives 114/91 but takes
     # seconds; the value is frozen from it
     assert cert.value == F(114, 91)
-    # the candidates as Fractions instead of integers would take 4.7 MB
-    assert peak < 4_000_000
+    # the candidate mask is read in place: no list of the candidates, as
+    # Python ints (1.75 MB) or as Fractions (4.7 MB), is built
+    assert peak < 1_000_000
     assert lambda_upper(lat, 1).value == F(145, 221) == \
         packing_scale_oracle(lat, 1, window=1)
 
@@ -163,6 +164,72 @@ def test_lambda_upper_at_the_last_candidate_below_l_max(c, j):
     assert cert.value == c == packing_scale_oracle(lat, j, window=2)
     assert (cert.below_scale, cert.above_scale) == (c / 2, (c + 2) / 2)
     assert cert.predicate_below and not cert.predicate_above
+
+
+def assert_neighbouring_probes(lat, j, fn):
+    """The probes of fn(lat, j) are the midpoints to the value's neighbours
+    in ``candidate_scales`` up to l_max, the smallest power of two >= 1
+    where covering holds or packing fails, which packing appends."""
+    covering = fn is lambda_lower
+    cert = fn(lat, j)
+    value = cert.value
+    l_max = 1
+    while l_max < value or (not covering and l_max == value):
+        l_max *= 2
+    cands = candidate_scales(lat, l_max)
+    if not covering and cands[-1] != l_max:
+        cands.append(F(l_max))
+    i = cands.index(value)
+    assert cert.below_scale == ((value + cands[i - 1]) / 2 if i
+                                else value / 2)
+    assert cert.above_scale == ((value + cands[i + 1]) / 2
+                                if i + 1 < len(cands) else value + F(1, 2))
+    return cert, l_max
+
+
+@settings(max_examples=60, deadline=None)
+@given(skewed_lattices(), hyp.sampled_from([1, 2, 3]))
+def test_probes_are_the_neighbouring_candidates(lat, j):
+    for fn in (lambda_lower, lambda_upper):
+        assert_neighbouring_probes(lat, j, fn)
+
+
+# a huge common denominator and few window points: the set branch
+WIDE_DEN = Lattice(Point(1 + F(1, 2**31 - 1), F(1, 3)),
+                   Point(0, 1 - F(1, 2**31 - 19)))
+
+
+@pytest.mark.parametrize("lat, j, fn, probes, sparse", [
+    # the packing scale 3/2 is the smallest candidate, and the next is
+    # l_max = 2, appended
+    (integer_lattice().scaled(F(3, 2)), 1, lambda_upper, (F(3, 4), F(7, 4)),
+     False),
+    # the covering scale 2 is l_max itself, the last candidate
+    (integer_lattice(), 1, lambda_lower, (F(3, 2), F(5, 2)), False),
+    (ROADMAP_A, 2, lambda_lower, None, False),
+    (WIDE_DEN, 1, lambda_lower, None, True),
+    (WIDE_DEN, 2, lambda_upper, None, True)],
+    ids=["smallest-and-appended", "value-is-l_max", "roadmap-a",
+         "set-covering", "set-packing"])
+def test_probes_at_the_ends_and_in_each_branch(lat, j, fn, probes, sparse):
+    cert, l_max = assert_neighbouring_probes(lat, j, fn)
+    if probes:
+        assert (cert.below_scale, cert.above_scale) == probes
+    _, found = scales._scaled_candidates(lat, F(l_max))
+    assert isinstance(found, list) == sparse
+
+
+def test_no_scale_lists_its_candidates(monkeypatch):
+    # the certificates place their probes by bit arithmetic on the mask
+    def refused(*args, **kwargs):
+        raise AssertionError("the candidate set was listed")
+
+    monkeypatch.setattr(scales, "_bit_values", refused)
+    for lat in (SLIVER, ROADMAP_A, THETA, near_rotation(10)):
+        for j in (1, 2):
+            lambda_lower(lat, j)
+            lambda_upper(lat, j)
+            selection_stair(lat, j)
 
 
 @settings(max_examples=100, deadline=None)
