@@ -60,10 +60,15 @@ def phi_k(k: int, n: int) -> int:
     """The count of m in 1..n with gcd(m+i, n) = 1 for i = 0..k-1.
 
     Evaluated through the product formula: zero when some prime factor of n
-    is <= k, else prod p^(a-1) * (p - k).
+    is <= k, else prod p^(a-1) * (p - k).  A factor <= k is looked for
+    first, among the d <= ``TRIAL_DIVISION_BUDGET``, so that such an n is
+    answered even when ``factorize`` would refuse it.
     """
     if k < 1 or n < 1:
         raise ValueError(f"need k >= 1 and n >= 1, got k={k}, n={n}")
+    if 1 < n <= k or any(n % d == 0 for d in
+                         range(2, min(k, TRIAL_DIVISION_BUDGET) + 1)):
+        return 0
     result = 1
     for p, a in factorize(n):
         if p <= k:

@@ -11,10 +11,12 @@ vectors v with u + v inside K.  Everything else is built on two facts:
   gives the true extrema with no epsilon guessing.
 
 Every sampler draws from the half open fundamental rectangle
-[0, w) x [0, h): for half open stairs the lower left corner of each grid
-cell (``_vertices``), for interior or closed membership the open cells and
-the vertices on the rectangle's verticals (``_faces``), where
-semicontinuity and periodicity put both extrema.
+[0, w) x [0, h) and walks the same grid vertices there, the crossings of
+its vertical and horizontal lines (``_vertices``).  Half open stairs
+sample those alone, the lower left corner of each grid cell; interior or
+closed membership samples the open cells of the arrangement first and
+then those vertices (``_faces``), where semicontinuity and periodicity
+put both extrema.
 
 Sampling and counting run on plain integers.  The lattice and the shape
 are brought to one common denominator den (``_den``); a sample (x, y)
@@ -35,6 +37,7 @@ Half open stair grids put their many samples on a few vertical lines.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections.abc import Sequence
 from enum import Enum
 from fractions import Fraction
 from math import lcm
@@ -257,49 +260,45 @@ def _halfopen_grid(lat: Lattice, stairs: list[StairPolygon],
     return sorted(xs), sorted(ys)
 
 
-def _vertices(a_vals: list[int], b_vals: list[int],
-              c_in: list[int]) -> list[tuple[int, int]]:
-    """The vertices (a, t), a < w = a_vals[-1] and t < h = b_vals[-1], on
-    each vertical x = a of the arrangement of the lines x = a, y = b and
-    x + y = c (sorted integers), by x, then y; with no diagonals, the
-    lower left corners of the half open grid cells."""
-    h = b_vals[-1]
-    samples: list[tuple[int, int]] = []
-    for a in a_vals[:-1]:
-        ts = set(b_vals[:-1]).union(
-            c - a for c in c_in[bisect_left(c_in, a):bisect_left(c_in, a + h)])
-        samples += [(a, t) for t in sorted(ts)]
-    return samples
+def _vertices(a_vals: list[int],
+              b_vals: list[int]) -> list[tuple[int, int]]:
+    """The grid vertices (a, b), a < w = a_vals[-1] and b < h = b_vals[-1],
+    of the vertical lines x = a and the horizontal lines y = b (sorted
+    integers), by x, then y: the lower left corners of the grid cells."""
+    return [(a, b) for a in a_vals[:-1] for b in b_vals[:-1]]
 
 
 def _faces(a_vals: list[int], b_vals: list[int],
-           c_in: list[int]) -> list[tuple[int, int]]:
+           c_in: Sequence[int] = ()) -> list[tuple[int, int]]:
     """One sample in every cell of the arrangement of the vertical lines
     x = a, the horizontal lines y = b and the diagonals x + y = c over
-    [0, w] x [0, h], where w = a_vals[-1] and h = b_vals[-1], then its
-    ``_vertices``: enough for the extrema of a closed or open count that
-    is periodic modulo a lattice with fundamental rectangle [0, w) x [0, h).
+    [0, w] x [0, h], where w = a_vals[-1] and h = b_vals[-1], then the
+    grid ``_vertices``: enough for the extrema of a closed or open count
+    that is periodic modulo a lattice with fundamental rectangle
+    [0, w) x [0, h), when the diagonals, if any, are those of a triangle
+    arrangement (``_triangle_faces``).
 
     The lines are sorted integers that include the rectangle's sides, c_in
-    those diagonals that meet it, and all are multiples of 4, so that the
-    midpoints of midpoints that place the cell samples are still integers.
-    Cells are enumerated as slab/band intersections: within each grid
-    square cut by the vertical and horizontal lines, the diagonals that
-    cross it (found by bisection) slice it into bands, and each band piece
-    contains the sample constructed here.  A cell sample lies on no line,
-    so no sample repeats.
+    those diagonals that meet it (none by default), and all are multiples
+    of 4, so that the midpoints of midpoints that place the cell samples
+    are still integers.  Cells are enumerated as slab/band intersections:
+    within each grid square cut by the vertical and horizontal lines, the
+    diagonals that cross it (found by bisection) slice it into bands, and
+    each band piece contains the sample constructed here.  A cell sample
+    lies on no line, so no sample repeats.
 
     ``tests/oracles.py::faces_reference`` samples every cell, then every
     vertex and edge fragment of each vertical, horizontal and diagonal in
     turn.  These samples are a subsequence of its, in its order, so each
     witness, the first sample to reach an extremum, is the reference's
     unless that is a sample dropped here, and each dropped sample has an
-    earlier one that does at least as well.  A closed count is upper and
-    an open one lower semicontinuous: on an open edge fragment a closed
-    count is at least that on a cell the edge bounds and at most that at
-    either end vertex, an open count the reverse.  So cells, which come
-    first, reach the closed minimum and the open maximum.  For the closed
-    maximum and the open minimum, with (w, y1), (0, h) the canonical basis:
+    earlier one that does at least as well (and if that one is dropped
+    too, so has it).  A closed count is upper and an open one lower
+    semicontinuous: on an open edge fragment a closed count is at least
+    that on a cell the edge bounds and at most that at either end vertex,
+    an open count the reverse.  So cells, which come first, reach the
+    closed minimum and the open maximum.  For the closed maximum and the
+    open minimum, with (w, y1), (0, h) the canonical basis:
 
     * a vertex (a, h) has its twin (a, 0), earlier on the same vertical;
     * a vertex (w, t) has a twin on x = 0, always a line: a vertex, or on
@@ -310,7 +309,39 @@ def _faces(a_vals: list[int], b_vals: list[int],
       translate that holds (x, y), 0 < x < w, holds (0, y), and an open
       one that holds (w, y) holds (x, y): a crossing of a diagonal and a
       horizontal does no better than a point of x = 0 or x = w, which the
-      cases above cover.
+      cases above cover;
+    * on x = 0 the vertices kept are the (0, b), b < h a horizontal, in
+      order of y; dropped are the (0, c) with c < h a diagonal value and
+      no horizontal, so c > 0.  The translates are v + T, v a lattice
+      point and T the closed or open triangle with legs s on the axes;
+      those that can hold a point of x = 0 below y = h have v_x > -s (or
+      v_x >= -s, closed) and v_y > -s, so they lie in the window of
+      ``_triangle_faces``, and their heights in [0, h] are horizontals.
+
+      Closed maximum at (0, c): the closed translates that hold it are
+      the v with v_x <= 0 and v_y <= c <= v_x + v_y + s.  Let b' be 0 or
+      the largest of their v_y, whichever is larger.  Each of them holds
+      (0, b') too; b' <= c is a horizontal, so b' < c, and (0, b') is an
+      earlier vertex whose count is at least as large.
+
+      Open minimum at (0, c): on x = 0 the open count at y is the number
+      of open intervals (v_y, v_x + v_y + s), v_x < 0, that hold y, and
+      an interval that is not empty has v_x > -s.  Let e be the next
+      crossing of a horizontal or diagonal with x = 0 above c (e <= h).
+      No such interval starts at c, which is no horizontal, and none ends
+      in (c, e), so the count is M = count(0, c) on all of [c, e), and
+      every y in (c, e) lies in the same intervals.  Take 0 < d <
+      w - (s mod w), so that no lattice x-coordinate, a multiple of w,
+      lies in [-d, 0) or in (-s - d, -s).  An open translate v + T holds
+      (-d, y), c + d < y < e, iff v_x < -d, v_y < y and
+      y - d < v_x + v_y + s: for v_x > -s that is v_x < 0 and y - d, like
+      y, in its interval; for v_x <= -s - d it fails; and for v_x = -s it
+      would put v_y, a horizontal, in (y - d, y), inside (c, e).  So
+      (-d, y) lies in exactly the translates that hold (0, y), and the
+      count is M on an open set just left of x = 0.  Moved by the lattice
+      vector (w, y1) and by a multiple of (0, h), part of that set lies
+      inside the rectangle, where it meets a cell, whose sample has count
+      M and comes before every vertex.
     """
     samples: list[tuple[int, int]] = []
     for a0, a1 in zip(a_vals, a_vals[1:]):
@@ -322,15 +353,15 @@ def _faces(a_vals: list[int], b_vals: list[int],
                 s = (lo + hi) // 2
                 x = (max(a0, s - b1) + min(a1, s - b0)) // 2
                 samples.append((x, s - x))
-    return samples + _vertices(a_vals, b_vals, c_in)
+    return samples + _vertices(a_vals, b_vals)
 
 
 def _triangle_faces(lat: Lattice, tri: ScaledTriangle,
                     den: int) -> list[tuple[int, int]]:
     """``_faces`` of the three-family line arrangement (verticals,
     horizontals, hypotenuse diagonals) of the translate boundaries over
-    the fundamental rectangle: its cells, and its vertices on x = 0 below
-    y = h.
+    the fundamental rectangle: its cells, and the points (0, b) of x = 0
+    on a horizontal below y = h.
 
     Everything is scaled by den, which must be a multiple of 4 times
     ``_den(lat, tri)``.  Every lattice x-coordinate is a multiple of w, so
@@ -366,12 +397,12 @@ def multiplicity_extrema(lat: Lattice, region: Region) -> MultiplicityReport:
     shape = region.shape
     den = _den(lat, shape)
     if region.mode is Mode.HALF_OPEN:
-        samples = _vertices(*_halfopen_grid(lat, [shape], den), [])
+        samples = _vertices(*_halfopen_grid(lat, [shape], den))
     else:
         den *= 4
         samples = (_triangle_faces(lat, shape, den)
                    if isinstance(shape, ScaledTriangle)
-                   else _faces(*_halfopen_grid(lat, [shape], den), []))
+                   else _faces(*_halfopen_grid(lat, [shape], den)))
     return _extrema(_exact_counts(lat, region, samples, den), samples, den)
 
 
@@ -421,7 +452,7 @@ def layer_extrema(lat: Lattice, outer: StairPolygon,
             raise ValueError(f"inner column {i}, [{x0}, {x1}) x [0, {h}), "
                              "is not inside the outer stair")
     den = _den(lat, outer, inner)
-    samples = _vertices(*_halfopen_grid(lat, [outer, inner], den), [])
+    samples = _vertices(*_halfopen_grid(lat, [outer, inner], den))
     c_out = _exact_counts(lat, Region(outer, Mode.HALF_OPEN), samples, den)
     c_in = _exact_counts(lat, Region(inner, Mode.HALF_OPEN), samples, den)
     return _extrema([a - b for a, b in zip(c_out, c_in)], samples, den)

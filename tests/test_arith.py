@@ -34,7 +34,17 @@ def test_factorize_refuses_a_cofactor_past_its_budget(n):
     with pytest.raises(OversizeError, match=f"isqrt\\(n\\) = {isqrt(n)}"):
         factorize(n)
     with pytest.raises(ValueError):
-        phi_k(2, n)
+        phi_k(1, n)
+
+
+def test_phi_k_answers_a_small_factor_before_factorizing():
+    # factorize refuses each n, but a factor <= k makes phi_k zero
+    assert phi_k(2, 2 * (10**18 + 3)) == 0
+    assert phi_k(3, 3 * 1_000_003 * 1_000_033) == 0
+    assert phi_k(2, 2**40 * (10**18 + 3)) == 0
+    assert phi_k(5, 5) == phi_k(5, 4) == 0 and phi_k(5, 1) == 1
+    with pytest.raises(OversizeError):
+        phi_k(2, 5 * (10**18 + 3))
 
 
 def test_bruteforce_refuses_oversize_inputs():

@@ -160,6 +160,12 @@ def test_phi_refuses_oversize_inputs(argv, message):
     assert message in out.stderr and "Traceback" not in out.stderr
 
 
+def test_phi_answers_a_small_factor_past_the_budget(capsys):
+    # 2 * (10^18 + 3): too big to factorize, but 2 | n makes phi_2 zero
+    assert run(["phi", "--k", "2", "--n", "2000000000000000006"]) == 0
+    assert capsys.readouterr() == ("0\n", "")
+
+
 def test_usage_errors_exit_2(capsys, tmp_path):
     assert run(["density", "--j", "2", "--kind", "covering", "--bogus"]) == 2
     assert run(["density", "--j", "2", "--kind", "sideways"]) == 2

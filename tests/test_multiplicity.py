@@ -244,7 +244,7 @@ def mean_multiplicity(lat, region):
     area."""
     den = _common_den(lat, region.shape)
     xs, ys = _halfopen_grid(lat, [region.shape], den)
-    counts = iter(_exact_counts(lat, region, _vertices(xs, ys, []), den))
+    counts = iter(_exact_counts(lat, region, _vertices(xs, ys), den))
     total = sum(next(counts) * (x1 - x0) * (y1 - y0)
                 for x0, x1 in zip(xs, xs[1:]) for y0, y1 in zip(ys, ys[1:]))
     return F(total, xs[-1] * ys[-1])
@@ -371,11 +371,11 @@ def test_counts_and_extrema_match_point_oracle(lat, region, ts, shifts):
     den = 4 * _common_den(lat, region.shape, points)
     samples = [(int(p.x * den), int(p.y * den)) for p in points]
     if region.mode is Mode.HALF_OPEN:
-        faces = _vertices(*_halfopen_grid(lat, [region.shape], den), [])
+        faces = _vertices(*_halfopen_grid(lat, [region.shape], den))
     else:
         faces = (_triangle_faces(lat, region.shape, den)
                  if isinstance(region.shape, ScaledTriangle)
-                 else _faces(*_halfopen_grid(lat, [region.shape], den), []))
+                 else _faces(*_halfopen_grid(lat, [region.shape], den)))
     samples += faces[::max(1, len(faces) // 40)]
     expected = [count_at(lat, region, _at(u, den)) for u in samples]
     assert _exact_counts(lat, region, samples, den) == expected
@@ -425,7 +425,7 @@ def test_counts_at_denominators_near_2_pow_31():
         lat = Lattice(Point(a * base.u1.x, b * base.u1.y),
                       Point(a * base.u2.x, b * base.u2.y))
         den = _common_den(lat, shape)
-        samples = _vertices(*_halfopen_grid(lat, [shape], den), [])
+        samples = _vertices(*_halfopen_grid(lat, [shape], den))
         assert _scaled_magnitude(lat, shape, samples, den) >= 2**60
         assert _exact_counts(lat, region, samples, den) == \
             [count_at(lat, region, _at(u, den)) for u in samples]
@@ -456,7 +456,7 @@ def test_faces_sample_each_face_once():
         for shape in shapes:
             den = 4 * _common_den(lat, shape)
             xs, ys = _halfopen_grid(lat, [shape], den)
-            faces = _faces(xs, ys, [])
+            faces = _faces(xs, ys)
             assert len(faces) == len(set(faces))
             # with no diagonals: the vertices of the half open grid and the
             # cell centres, and no edge midpoint
@@ -468,9 +468,10 @@ def test_faces_sample_each_face_once():
             den = 4 * _common_den(lat, tri)
             faces = _triangle_faces(lat, tri, den)
             assert len(faces) == len(set(faces))
-            # every sample on a line is a vertex of x = 0 below y = h
+            # every sample on a line is a grid vertex of x = 0 below y = h
             a_vals, b_vals, c_in = _triangle_lines(lat, tri, den)
-            assert all(x == 0 and y < b_vals[-1] for x, y in faces
+            assert all(x == 0 and y < b_vals[-1] and y in b_vals
+                       for x, y in faces
                        if x in a_vals or y in b_vals or x + y in c_in)
 
 
@@ -505,15 +506,46 @@ def test_extrema_match_the_full_face_sampler(lat, region, mode):
     reference = faces_reference(*lines)
     w, h = lines[0][-1], lines[1][-1]
     a_vals, b_vals, c_in = map(set, lines)
-    # the reference's samples off every line (cells), and its vertices on
-    # a vertical of the half open rectangle [0, w) x [0, h), in its order
+    # the reference's samples off every line (cells), and its grid
+    # vertices in the half open rectangle [0, w) x [0, h), in its order
     assert faces == [(x, y) for x, y in reference
                      if (x in a_vals) + (y in b_vals) + (x + y in c_in) == 0
-                     or (x in a_vals and x < w and y < h
-                         and (y in b_vals) + (x + y in c_in) >= 1)]
+                     or (x in a_vals and x < w and y < h and y in b_vals)]
     counts = _exact_counts(lat, region, reference, den)
     assert multiplicity_extrema(lat, region) == _extrema(counts, reference,
                                                          den)
+
+
+@settings(max_examples=60, deadline=None)
+@given(line_lattices(), hyp.fractions(min_value=F(1, 4), max_value=2,
+                                      max_denominator=4))
+def test_dropped_diagonal_crossings_do_no_better(lat, side):
+    # the two steps of _faces' proof at each point (0, c), c < h on a
+    # diagonal and on no horizontal: its closed count is matched at the
+    # grid vertex (0, b') below it, and its open count at (-d, y) just
+    # left of x = 0, on an open set that a cell sample meets
+    closed = triangle_region(side, Mode.CLOSED)
+    interior = triangle_region(side, Mode.INTERIOR)
+    w, _, h = lat.canonical_key()
+    pts = points_in_box(lat, Box(-side, w, -side, h))
+    b_vals = {p.y for p in pts if 0 <= p.y <= h} | {0, h}
+    crossings = sorted(b_vals | {c for c in (side + p.x + p.y for p in pts)
+                                 if 0 <= c <= h})
+    for c in crossings:
+        if c == h or c in b_vals:
+            continue
+        # the translates p + T whose closed triangle holds (0, c)
+        holders = [p for p in points_in_box(lat, Box(-side, 0, -side, c))
+                   if p.y <= c <= p.x + p.y + side]
+        assert len(holders) == count_at(lat, closed, Point(0, c))
+        b = max([F(0)] + [p.y for p in holders])
+        assert b < c and b in b_vals
+        assert count_at(lat, closed, Point(0, b)) >= len(holders)
+        e = crossings[crossings.index(c) + 1]
+        # no lattice x-coordinate in [-d, 0) or in (-side - d, -side)
+        d = min(w - side % w, (e - c) / 2) / 2
+        assert count_at(lat, interior, Point(0, c)) == \
+            count_at(lat, interior, Point(-d, (c + e) / 2))
 
 
 def test_layer_extrema_rejects_an_inner_stair_outside_outer():
