@@ -5,7 +5,9 @@ and area j(2j+1).  The lattice generated by (1, m) and (0, 2j+1) tiles the
 plane exactly j-fold with that stair precisely when gcd(m, 2j+1) and
 gcd(m+1, 2j+1) are both 1; both directions of that statement are exercised
 here, the forward one by direct multiplicity checks and the converse one by
-exhausting a bounded rational search space.  The gcd rules count
+exhausting a bounded rational search space, where each sublattice of
+(1/q)Z^2 is decided by counting the stair's grid points in each of its
+cosets, in integers, with no multiplicity sweep.  The gcd rules count
 shift_lattice(m, j) points in regions made of integer unit cells of the
 square [0, 2j+1)^2 (``canonical_regions``, ``count_region``).
 
@@ -22,7 +24,7 @@ from math import gcd
 
 from .geometry import (Frozen, Point, StairPolygon, fields_json,
                        format_rationals, frac)
-from .lattice import Lattice, enumerate_integer_sublattices, shift_lattice
+from .lattice import Lattice, shift_lattice
 from .multiplicity import COVERING, is_exact_jfold_tiling
 from .scales import _proven_stair
 
@@ -100,29 +102,72 @@ def verify_stair_tiling_forward(j: int) -> list[tuple[int, bool]]:
             for m in range(1, 2 * j + 2)]
 
 
+def _grid_columns(j: int, q: int) -> list[tuple[int, int]]:
+    """The grid points of the canonical stair on the 1/q grid, in units
+    of 1/q, as columns (X, H): the points (X, Y) with 0 <= Y < H.  They are
+    the lower left corners of the cells u + [0, 1/q)^2 that make up S_j."""
+    return [(x, int(h * q)) for x0, x1, h in canonical_stair(j).columns()
+            for x in range(int(x0 * q), int(x1 * q))]
+
+
+def _cosets_hold_at_most(columns: list[tuple[int, int]], j: int,
+                         key: tuple[int, int, int]) -> bool:
+    """Whether no coset of the lattice ((a, b), (0, c)) in Z^2 holds more
+    than j of the points in columns; key is (a, b, c) with a, c > 0.
+
+    The point (X, Y) lies in the coset (X mod a, (Y - (X // a)*b) mod c):
+    subtracting (X // a) lattice vectors (a, b) leaves the x-residue, and
+    multiples of (0, c) the y-residue.  Stops at the first coset past j.
+    """
+    a, b, c = key
+    counts = [0] * (a * c)
+    for x, height in columns:
+        row, shift = x % a * c, x // a * b
+        for y in range(height):
+            k = row + (y - shift) % c
+            counts[k] += 1
+            if counts[k] > j:
+                return False
+    return True
+
+
 def verify_stair_tiling_converse(j: int, denominator_bound: int) -> list[Lattice]:
     """All exact j-fold tilers of the canonical stair in a bounded space.
 
-    The space is every integer sublattice of (1/q)Z^2 with q up to the bound
-    and determinant exactly 2j+1.  A desk-scale stand-in for the
+    The space is every sublattice L of (1/q)Z^2 with q up to the bound and
+    determinant exactly 2j+1: in units of 1/q, each is ((a, b), (0, c))
+    with a*c = (2j+1)q^2 and 0 <= b < c.  A desk-scale stand-in for the
     unrestricted converse: the result should coincide with the admissible
-    shift_lattice family.  A sublattice ((a, b), (0, c)) of index
-    (2j+1)q^2 whose entries share a factor g with q is the scaled sublattice
-    already met at q/g, so it is skipped.
+    shift_lattice family.  A triple that shares a factor g with q is the
+    lattice already met at q/g, so it is skipped.
+
+    Each candidate is decided in integers on the 1/q grid.  S_j has integer
+    corners, so every translate of it by a vector of L is a union of half
+    open cells u + [0, 1/q)^2 with u on the grid, and the number of
+    translates that hold a point is constant on each cell: at a corner u
+    it is the number of points of the coset u + L in S_j, all of them cell
+    corners.  So S_j tiles exactly j-fold iff every coset of L in
+    (1/q)Z^2 holds exactly j of the cell corners in S_j.  There are
+    j(2j+1)q^2 such corners and (2j+1)q^2 cosets, so by pigeonhole it is
+    enough that no coset holds more than j (``_cosets_hold_at_most``).
+    Only a tiler is built as a ``Lattice``.
     """
     if denominator_bound < 1:
         raise ValueError(f"need a positive bound: {denominator_bound}")
-    s = canonical_stair(j)
     found: list[Lattice] = []
     for q in range(1, denominator_bound + 1):
+        columns = _grid_columns(j, q)
         index = (2 * j + 1) * q * q
-        for integral in enumerate_integer_sublattices(index):
-            u1, u2 = integral.u1, integral.u2
-            if gcd(q, u1.x.numerator, u1.y.numerator, u2.y.numerator) > 1:
+        for a in range(1, index + 1):
+            if index % a:
                 continue
-            lat = integral.scaled(Fraction(1, q))
-            if is_exact_jfold_tiling(s, lat, j):
-                found.append(lat)
+            c = index // a
+            for b in range(c):
+                if gcd(q, a, b, c) > 1:
+                    continue
+                if _cosets_hold_at_most(columns, j, (a, b, c)):
+                    found.append(Lattice(Point(Fraction(a, q), Fraction(b, q)),
+                                         Point(0, Fraction(c, q))))
     found.sort(key=lambda lat: lat.canonical_key())
     return found
 

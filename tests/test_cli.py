@@ -106,6 +106,14 @@ def test_qmax_without_converse_and_empty_scale_are_refused(capsys):
     assert json.loads(capsys.readouterr().out)["qmax"] == 2
 
 
+def test_converse_below_j_one_is_refused(capsys):
+    # an empty stair would let every lattice of the space pass
+    for j in ("0", "-1"):
+        assert run(["verify", "--converse", "--j", j, "--json"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "need j >= 1" in err
+
+
 def test_empty_values_are_refused(capsys, tmp_path, monkeypatch):
     # an empty value is a usage error that names its flag, not the
     # standard triangle, a skipped --svg or a document on stdout

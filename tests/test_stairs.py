@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import sys
 from fractions import Fraction as F
 from math import gcd, lcm
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as hyp
 
+from stairtile import stairs
 from stairtile import (Lattice, Point, SelectionStairError,
                        admissible_shifts, canonical_regions, canonical_stair,
                        count_region, integer_lattice, is_exact_jfold_tiling,
@@ -331,3 +333,100 @@ def test_verify_stair_tiling_converse():
     assert verify_stair_tiling_converse(1, 2) == [shift_lattice(1, 1)]
     got = set(verify_stair_tiling_converse(2, 2))
     assert got == {shift_lattice(m, 2) for m in (1, 2, 3)}
+
+
+def test_converse_refuses_j_below_one():
+    # with no cell corners to place, every lattice would pass
+    for j in (0, -1):
+        with pytest.raises(ValueError, match="need j >= 1"):
+            verify_stair_tiling_converse(j, 2)
+
+
+def coset_verdict(j, q, a, b, c):
+    return stairs._cosets_hold_at_most(stairs._grid_columns(j, q), j,
+                                       (a, b, c))
+
+
+def sweep_verdict(j, q, a, b, c):
+    lat = Lattice(Point(F(a, q), F(b, q)), Point(0, F(c, q)))
+    return is_exact_jfold_tiling(canonical_stair(j), lat, j)
+
+
+def test_grid_columns_are_the_grid_points_of_the_stair():
+    # the half open stair's points on the 1/q grid, its far sides left out
+    for j in (1, 2, 3):
+        s = canonical_stair(j)
+        for q in (1, 2, 3):
+            corners = [(x, y) for x, h in stairs._grid_columns(j, q)
+                       for y in range(h)]
+            side = range(2 * j * q + 1)
+            assert corners == [(x, y) for x in side for y in side
+                               if s.contains(Point(F(x, q), F(y, q)))]
+            assert len(corners) == j * (2 * j + 1) * q * q
+
+
+def test_coset_counter_matches_the_sweep_on_the_converse_space():
+    # every triple of the space, the ones the converse skips included
+    tilers = 0
+    for j in (1, 2):
+        for q in (1, 2, 3):
+            index = (2 * j + 1) * q * q
+            for a in range(1, index + 1):
+                if index % a == 0:
+                    for b in range(index // a):
+                        got = coset_verdict(j, q, a, b, index // a)
+                        assert got == sweep_verdict(j, q, a, b, index // a)
+                        tilers += got
+    assert tilers > 0
+
+
+@hyp.composite
+def converse_triples(draw):
+    j = draw(hyp.integers(1, 3))
+    q = draw(hyp.integers(1, 5))
+    index = (2 * j + 1) * q * q
+    a = draw(hyp.sampled_from([a for a in range(1, index + 1)
+                               if index % a == 0]))
+    return j, q, a, draw(hyp.integers(0, index // a - 1)), index // a
+
+
+@settings(max_examples=150, deadline=None)
+@given(converse_triples())
+@example((1, 1, 1, 1, 3))
+@example((3, 5, 5, 1, 35))
+def test_coset_counter_matches_the_sweep_on_drawn_triples(triple):
+    assert coset_verdict(*triple) == sweep_verdict(*triple)
+
+
+def test_coset_counter_matches_the_forward_check_on_shift_lattices():
+    for j in range(1, 9):
+        columns = stairs._grid_columns(j, 1)
+        got = [(m, stairs._cosets_hold_at_most(
+                    columns, j, shift_lattice(m, j).int_key(1)))
+               for m in range(1, 2 * j + 2)]
+        assert got == verify_stair_tiling_forward(j)
+        assert sum(ok for _, ok in got) == len(admissible_shifts(j))
+
+
+def test_converse_never_reaches_the_sweep(monkeypatch):
+    # each candidate is decided by coset counts; only a tiler is built
+    def refused(*args, **kwargs):
+        raise AssertionError("the converse reached the tiling sweep")
+
+    names = ("is_exact_jfold_tiling", "multiplicity_extrema",
+             "enumerate_integer_sublattices")
+    for module in [m for key, m in sys.modules.items()
+                   if key == "stairtile" or key.startswith("stairtile.")]:
+        for name in names:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refused)
+    assert set(verify_stair_tiling_converse(2, 3)) == {
+        shift_lattice(m, 2) for m in admissible_shifts(2)}
+
+
+@pytest.mark.parametrize("j, q", [(1, 8), (2, 6), (3, 5)])
+def test_converse_at_larger_bounds(j, q):
+    family = sorted((shift_lattice(m, j) for m in admissible_shifts(j)),
+                    key=Lattice.canonical_key)
+    assert [lat.to_json() for lat in verify_stair_tiling_converse(j, q)] \
+        == [lat.to_json() for lat in family]
