@@ -106,8 +106,8 @@ def _cmd_sj(args) -> int:
         pad = max(bb.width, bb.height)
         viewport = Box(bb.x_min - pad, bb.x_max + pad,
                        bb.y_min - pad, bb.y_max + pad)
-        spec = RenderSpec(stair_region(result.stair), lat,
-                          args.j, viewport, copies=8)
+        spec = RenderSpec(stair_region(result.stair), lat, viewport,
+                          copies=8)
         with open(args.svg, "w", encoding="utf-8") as handle:
             handle.write(render(spec))
     _emit(result.to_json(), args.json,
@@ -207,7 +207,7 @@ def _cmd_render(args) -> int:
         region = stair_region(shape)
     else:
         region = triangle_region(1 if args.scale is None else args.scale)
-    spec = RenderSpec(region, lat, args.j, _parse_viewport(args.viewport),
+    spec = RenderSpec(region, lat, _parse_viewport(args.viewport),
                       args.copies)
     document = render(spec)
     if args.out is not None:

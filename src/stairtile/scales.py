@@ -8,7 +8,7 @@ every point at least j deep (the j-fold covering scale).
 Both scales are read off the quadrant stair P(L, j) (``quadrant_stair``),
 which tiles the plane exactly j-fold: covering at l holds iff P lies in
 the closed l*T, and packing iff the open l*T lies in P, so each scale is
-an extreme coordinate sum over P's corners (``_corner_scale``).
+an extreme coordinate sum over P's corners (``_corner``).
 
 P alone proves each verdict, and no triangle arrangement is sampled.
 Integer lattice counts at P's c outer and c + 1 inner corners, 2c + 1 in
@@ -263,18 +263,9 @@ def _inner_corners(xs, hs) -> list:
 
 
 def _corner(xs, hs, kind: str) -> tuple:
-    """The corner (x, y) of the stair with breaks xs and heights hs that
-    sets the kind's scale x + y (``_corner_scale``)."""
-    if kind == COVERING:
-        return max(zip(xs[1:], hs), key=sum)
-    return min(_inner_corners(xs, hs), key=sum)
-
-
-def _corner_scale(lat: Lattice, j: int, kind: str,
-                  built: tuple | None = None) -> tuple[Fraction, Point]:
-    """The kind's critical scale and the corner of the quadrant stair P,
-    the columns [x_i, x_{i+1}) x [0, h_i) for i = 0..r, that attains it;
-    built is ``quadrant_stair(lat, j)`` when the caller has it already.
+    """The corner (x, y) of the stair with breaks xs and heights hs, the
+    columns [x_i, x_{i+1}) x [0, h_i) for i = 0..r, whose sum x + y is the
+    kind's critical scale when the stair is the quadrant stair P.
 
     Covering.  The closed l*T translates hold p once per point of its coset
     in l*T: the coset's points of Q with sum <= l, a prefix of its
@@ -291,9 +282,9 @@ def _corner_scale(lat: Lattice, j: int, kind: str,
     (as x -> 0) or l > x_i + h_i for some i >= 1: the packing scale is the
     smallest sum over the inner corners (0, h_0), (x_i, h_i), (x_{r+1}, 0).
     """
-    den, breaks, heights = built or quadrant_stair(lat, j)
-    x, y = _corner(breaks, heights, kind)
-    return Fraction(x + y, den), Point(Fraction(x, den), Fraction(y, den))
+    if kind == COVERING:
+        return max(zip(xs[1:], hs), key=sum)
+    return min(_inner_corners(xs, hs), key=sum)
 
 
 def _is_first_j(key: tuple[int, int, int], j: int, breaks: list[int],
@@ -308,14 +299,13 @@ def _is_first_j(key: tuple[int, int, int], j: int, breaks: list[int],
                     for x, y in _inner_corners(breaks, heights)))
 
 
-def _proven_stair(lat: Lattice, j: int, kind: str, built: tuple | None = None,
+def _proven_stair(lat: Lattice, j: int, kind: str,
                   error: type[Exception] = CandidateGapError
                   ) -> tuple[StairPolygon, Point]:
     """P(L, j) as a ``StairPolygon``, with the corner that sets the kind's
-    scale, proven to be that scale; built is ``quadrant_stair(lat, j)``
-    when the caller has it already.  P tiles exactly j-fold (the lemma
+    scale, proven to be that scale.  P tiles exactly j-fold (the lemma
     below), has area j * d(L) and at most 2j - 1 steps, and fits the scale
-    as ``_corner_scale`` says over all its corners, and the point next to
+    as ``_corner`` says over all its corners, and the point next to
     the corner refutes the predicate at scale -+ 1/(2*den), den that of
     ``quadrant_stair`` (``_witness_refutes``).  A failed check, or a column
     that ``StairPolygon`` refuses, raises error.
@@ -340,7 +330,7 @@ def _proven_stair(lat: Lattice, j: int, kind: str, built: tuple | None = None,
     """
     if j < 1:
         raise ValueError(f"need j >= 1: {j}")
-    den, breaks, heights = built or quadrant_stair(lat, j)
+    den, breaks, heights = quadrant_stair(lat, j)
     x, y = _corner(breaks, heights, kind)
     if kind == COVERING:
         fits = all(hi + h <= x + y for hi, h in zip(breaks[1:], heights))
@@ -375,7 +365,7 @@ def _witness_refutes(lat: Lattice, j: int, kind: str, corner: Point,
     v_x + v_y >= p_x + p_y - scale, strict for the open translates
     (``triangle_count``).
 
-    At a corner of P from ``_corner_scale`` (a multiple of 1/den), this is
+    At a corner of P from ``_corner`` (a multiple of 1/den), this is
     a proof at each scale more than 2e past the corner's sum.  Covering: p
     lies in P, so the fewer than j points of its coset that precede it
     hold all those in scale*T.  Packing: p lies in Q outside P and off the

@@ -7,15 +7,14 @@ space, and a floating-point coordinate-ascent optimizer for the largest
 stair polygon inside the triangle (resp. smallest stair containing its
 interior), whose optima must approach j/(2j+1) and (2j+1)/(4j).
 
-The sweep decides each lattice by the corner formula of
-``scales._corner_scale``, which reads both critical scales off the corners
-of the lattice's quadrant stair P, built once per lattice, and proves each
-verdict from P, with no triangle arrangement sampled.  P proves each pass
-by its fit in the unit triangle and by 2c + 1 lattice counts at its c
-outer and c + 1 inner corners, which show that P keeps the j first points
-of each coset in the quadrant and so tiles exactly j-fold
-(``scales._proven_stair``).  One point next to the corner that sets the
-scale, whose translates are counted in integers, proves each failure
+The sweep decides each lattice by the corner formula (``scales._corner``):
+the critical scale is the coordinate sum x + y of one corner of the
+lattice's quadrant stair P, built once per lattice in integers at its
+1/den grid, and the unit triangle passes iff x + y >= den (packing) or
+<= den (covering).  P proves each pass, at a scale that must pass too, by
+its fit and by 2c + 1 lattice counts at its corners, which show that it
+tiles exactly j-fold (``scales._proven_stair``).  One point next to the
+corner, counted in integers, proves each failure
 (``scales._witness_refutes``): it is a witness at 1, as the scale and 1
 both lie on the lattice's 1/den grid.  A disagreement raises
 ``CandidateGapError``.
@@ -34,7 +33,7 @@ from math import gcd
 from .geometry import Frozen, Point, fields_json
 from .lattice import Lattice
 from .multiplicity import COVERING, PACKING
-from .scales import (CandidateGapError, _corner_scale, _proven_stair,
+from .scales import (CandidateGapError, _corner, _proven_stair,
                      _witness_refutes, quadrant_stair)
 
 
@@ -80,7 +79,7 @@ def _search(j: int, denominator_bound: int, coefficient_bound: int,
     full scan's; space_size still counts the whole space.
 
     The corner formula decides each lattice: the unit triangle passes iff
-    its critical scale is >= 1 (packing) or <= 1 (covering)."""
+    its critical scale x + y is >= den (packing) or <= den (covering)."""
     if j < 1:
         raise ValueError(f"need j >= 1: {j}")
     space = lattice_search_space(denominator_bound, coefficient_bound)
@@ -92,17 +91,24 @@ def _search(j: int, denominator_bound: int, coefficient_bound: int,
         value = Fraction(1, 2) / lat.d
         if best_value is not None and value != best_value:
             break
-        built = quadrant_stair(lat, j)
-        scale, corner = _corner_scale(lat, j, kind, built)
-        if scale >= 1 if packing else scale <= 1:
-            _proven_stair(lat, j, kind, built)  # raises unless P proves it
+        den, breaks, heights = quadrant_stair(lat, j)
+        x, y = _corner(breaks, heights, kind)
+        if x + y >= den if packing else x + y <= den:
+            # raises unless P proves its scale, which must pass as well
+            _, proven = _proven_stair(lat, j, kind)
+            if (proven.x + proven.y - 1) * sign < 0:
+                raise CandidateGapError(
+                    f"the witness at corner {proven} refutes the {j}-fold "
+                    f"{kind} predicate at scale 1 on {lat.to_json()}")
             best_value = value
             best.append(lat)
-        elif not _witness_refutes(lat, j, kind, corner):
+            continue
+        corner = Point(Fraction(x, den), Fraction(y, den))
+        if not _witness_refutes(lat, j, kind, corner):
             raise CandidateGapError(
                 f"the witness at corner {corner} does not refute the "
                 f"{j}-fold {kind} predicate at scale 1 on {lat.to_json()}, "
-                f"as its scale {scale} from the corner formula says")
+                f"as its scale {Fraction(x + y, den)} says")
     best.sort(key=Lattice.canonical_key)
     params = (("j", j), ("denominator_bound", denominator_bound),
               ("coefficient_bound", coefficient_bound), ("kind", kind))

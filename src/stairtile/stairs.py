@@ -4,12 +4,12 @@ The canonical (2j-1)-stair has unit columns of heights 2j, 2j-1, ..., 1
 and area j(2j+1).  The lattice generated by (1, m) and (0, 2j+1) tiles the
 plane exactly j-fold with that stair precisely when gcd(m, 2j+1) and
 gcd(m+1, 2j+1) are both 1; both directions of that statement are exercised
-here, the forward one by direct multiplicity checks and the converse one by
-exhausting a bounded rational search space, where each sublattice of
-(1/q)Z^2 is decided by counting the stair's grid points in each of its
-cosets, in integers, with no multiplicity sweep.  The gcd rules count
-shift_lattice(m, j) points in regions made of integer unit cells of the
-square [0, 2j+1)^2 (``canonical_regions``, ``count_region``).
+here, the forward one over each m and the converse one over a bounded
+rational search space, each lattice decided by counting the stair's grid
+points in each of its cosets, in integers (``_cosets_hold_at_most``).
+The gcd rules count shift_lattice(m, j) points, y = m*x (mod 2j+1), in
+regions of integer unit cells of the square [0, 2j+1)^2
+(``canonical_regions``, ``count_region``).
 
 ``selection_stair`` returns, for any lattice L, the half open stair that
 keeps the j first points (in the coordinate-sum order) of every residue
@@ -25,7 +25,7 @@ from math import gcd
 from .geometry import (Frozen, Point, StairPolygon, fields_json,
                        format_rationals, frac)
 from .lattice import Lattice, shift_lattice
-from .multiplicity import COVERING, is_exact_jfold_tiling
+from .multiplicity import COVERING
 from .scales import _proven_stair
 
 
@@ -73,8 +73,8 @@ def count_region(m: int, j: int, region: str, s: int, t: int) -> int:
     region is one of "B", "C", "D", "S" (left strip, bottom strip, diagonal,
     stair) of ``canonical_regions``.  The lattice lies in Z^2 and the shift
     is integral, so each shifted unit cell holds exactly one integer point,
-    its lower-left corner, and the count is that of the corners in the
-    lattice.  A non-integral shift raises ValueError.
+    its lower-left corner, and the count is that of the corners (x, y) with
+    y = m*x (mod 2j+1).  A non-integral shift, m < 1 or j < 1 raises.
     """
     if region not in _REGION_NAMES:
         raise ValueError(f"region must be one of {_REGION_NAMES}: {region}")
@@ -82,8 +82,9 @@ def count_region(m: int, j: int, region: str, s: int, t: int) -> int:
     if s.denominator != 1 or t.denominator != 1:
         raise ValueError(
             f"shift must be integral: {format_rationals((s, t))}")
-    lat = shift_lattice(m, j)
-    return sum(lat.contains(Point(s + i, t + k))
+    shift_lattice(m, j)  # refuses m < 1 and j < 1
+    n, s, t = 2 * j + 1, int(s), int(t)
+    return sum((t + k - m * (s + i)) % n == 0
                for i, k in canonical_regions(j)[region])
 
 
@@ -92,14 +93,6 @@ def admissible_shifts(j: int) -> list[int]:
     n = 2 * j + 1
     return [m for m in range(1, n + 1)
             if gcd(m, n) == 1 and gcd(m + 1, n) == 1]
-
-
-def verify_stair_tiling_forward(j: int) -> list[tuple[int, bool]]:
-    """(m, does the canonical stair tile exactly j-fold with
-    shift_lattice(m, j)) for every m in 1..2j+1."""
-    s = canonical_stair(j)
-    return [(m, is_exact_jfold_tiling(s, shift_lattice(m, j), j))
-            for m in range(1, 2 * j + 2)]
 
 
 def _grid_columns(j: int, q: int) -> list[tuple[int, int]]:
@@ -129,6 +122,15 @@ def _cosets_hold_at_most(columns: list[tuple[int, int]], j: int,
             if counts[k] > j:
                 return False
     return True
+
+
+def verify_stair_tiling_forward(j: int) -> list[tuple[int, bool]]:
+    """(m, does the canonical stair tile exactly j-fold with
+    shift_lattice(m, j)) for every m in 1..2j+1, decided by coset counts
+    as ``verify_stair_tiling_converse`` decides it at q = 1."""
+    columns = _grid_columns(j, 1)
+    return [(m, _cosets_hold_at_most(columns, j, (1, m, 2 * j + 1)))
+            for m in range(1, 2 * j + 2)]
 
 
 def verify_stair_tiling_converse(j: int, denominator_bound: int) -> list[Lattice]:

@@ -32,17 +32,16 @@ class RenderSpec(Frozen):
 
     region: Region
     lattice: Lattice
-    j: int
     viewport: Box
     copies: int
 
-    def __init__(self, region: Region, lattice: Lattice, j: int,
-                 viewport: Box, copies: int) -> None:
+    def __init__(self, region: Region, lattice: Lattice, viewport: Box,
+                 copies: int) -> None:
         if viewport.width == 0 or viewport.height == 0:
             raise ValueError("viewport must be two-dimensional")
         if copies < 0:
             raise ValueError(f"copies must be non-negative: {copies}")
-        super().__init__(region, lattice, j, viewport, copies)
+        super().__init__(region, lattice, viewport, copies)
 
 
 def _dec12(value: Fraction) -> str:

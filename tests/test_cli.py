@@ -114,6 +114,14 @@ def test_converse_below_j_one_is_refused(capsys):
         assert out == "" and "need j >= 1" in err
 
 
+def test_forward_below_j_one_is_refused(capsys):
+    # the forward table has no stair to count below j = 1
+    for j in ("0", "-1"):
+        assert run(["verify", "--forward", "--j", j, "--json"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "need j >= 1" in err
+
+
 def test_empty_values_are_refused(capsys, tmp_path, monkeypatch):
     # an empty value is a usage error that names its flag, not the
     # standard triangle, a skipped --svg or a document on stdout
@@ -343,7 +351,7 @@ def test_render_coverage_matches_engine():
     # interior point exactly once
     lat = shift_lattice(1, 1)
     region = stair_region(canonical_stair(1))
-    spec = RenderSpec(region, lat, 1, Box(-3, 6, -3, 6), 8)
+    spec = RenderSpec(region, lat, Box(-3, 6, -3, 6), 8)
     document = render(spec)
     n_polygons = document.count("<polygon")
     for sx in range(-2, 5):
@@ -355,7 +363,7 @@ def test_render_coverage_matches_engine():
 
 def test_render_rejects_degenerate_viewport():
     with pytest.raises(ValueError):
-        RenderSpec(stair_region(canonical_stair(1)), shift_lattice(1, 1), 1,
+        RenderSpec(stair_region(canonical_stair(1)), shift_lattice(1, 1),
                    Box(0, 0, 0, 2), 2)
 
 

@@ -35,6 +35,13 @@ def near_rotation(n: int) -> Lattice:
     return Lattice(Point(1, F(1, n)), Point(F(-1, n), 1))
 
 
+def proven_scale(lat: Lattice, j: int, kind: str) -> tuple[F, Point]:
+    """The kind's critical scale and the corner of P that sets it, as
+    ``scales._proven_stair`` proves them."""
+    _, corner = scales._proven_stair(lat, j, kind)
+    return corner.x + corner.y, corner
+
+
 def test_candidate_scales_examples():
     cands = candidate_scales(integer_lattice(), 3)
     assert F(1) in cands and F(2) in cands
@@ -241,11 +248,11 @@ def test_scales_match_the_oracles(lat, j):
     assume(y2 <= 4 * x1 and x1 <= 4 * y2)
     # [0, x1) x [0, j*y2) covers j-fold and lies in the triangle of side
     # x1 + j*y2, which is thus a window past the covering scale
-    lower, _ = scales._corner_scale(lat, j, COVERING)
+    lower, _ = proven_scale(lat, j, COVERING)
     assert lower == covering_scale_oracle(lat, j, window=x1 + j * y2)
     # a window narrower than the packing scale can only raise the oracle's
     # minimum, so a wrong value of either sign fails this
-    upper, _ = scales._corner_scale(lat, j, PACKING)
+    upper, _ = proven_scale(lat, j, PACKING)
     assert upper == packing_scale_oracle(lat, j, window=upper)
     if j <= 2:
         assert lambda_lower(lat, j).value == lower
@@ -415,7 +422,7 @@ def test_a_raised_stair_height_fails_the_certificate(monkeypatch, lat, j):
 def test_the_corner_proves_the_probe_across_the_flip(lat, j, kind):
     # at the probe value -+ 1/(2 den) the point next to the corner lies in
     # fewer than j closed (more than j open) translates, by count_at
-    value, corner = scales._corner_scale(lat, j, kind)
+    value, corner = proven_scale(lat, j, kind)
     den = lat.den
     step = -1 if kind == COVERING else 1
     probe = value + F(step, 2 * den)
@@ -487,14 +494,17 @@ def assert_metamorphic(lat, j, c, unimodular):
     other = Lattice(lat.u1.scaled(a) + lat.u2.scaled(b),
                     lat.u1.scaled(cc) + lat.u2.scaled(d))
     for kind in (COVERING, PACKING):
-        value, corner = scales._corner_scale(lat, j, kind)
-        stair, proven = scales._proven_stair(lat, j, kind)
-        assert proven == corner and proven.x + proven.y == value
+        stair, corner = scales._proven_stair(lat, j, kind)
+        value = corner.x + corner.y
+        # the proven corner is the one the search reads off P in integers
+        den, breaks, heights = scales.quadrant_stair(lat, j)
+        x, y = scales._corner(breaks, heights, kind)
+        assert corner == Point(F(x, den), F(y, den))
         _, flipped = scales._proven_stair(transposed(lat), j, kind)
         assert flipped.x + flipped.y == value, (kind, "transposed")
         scaled = scales._proven_stair(lat.scaled(c), j, kind)
         assert scaled == (stair.scaled(c), corner.scaled(c)), (kind, c)
-        assert scales._corner_scale(lat.scaled(c), j, kind)[0] == c * value
+        assert proven_scale(lat.scaled(c), j, kind)[0] == c * value
         assert scales._proven_stair(other, j, kind) == (stair, corner)
 
 

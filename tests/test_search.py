@@ -85,9 +85,9 @@ def test_search_tests_only_lattices_at_least_as_good(monkeypatch, search,
 
 @pytest.mark.parametrize("kind", [PACKING, COVERING])
 def test_corner_formula_agrees_with_the_predicate(kind):
-    # every lattice of a small space, j = 1..4: the formula's verdict at
-    # scale 1 is the predicate's, and each refuting witness is confirmed by
-    # the independent point oracle
+    # every lattice of a small space, j = 1..4: the verdict at scale 1 of
+    # the corner that _proven_stair proves is the predicate's, and each
+    # refuting witness is confirmed by the independent point oracle
     region = triangle_region(1, KIND_MODE[kind])
     predicate = is_jfold_packing if kind == PACKING else is_jfold_covering
     step = 1 if kind == PACKING else -1
@@ -95,7 +95,8 @@ def test_corner_formula_agrees_with_the_predicate(kind):
         den = lat.den
         e = F(step, 8 * den)
         for j in range(1, 5):
-            scale, corner = scales._corner_scale(lat, j, kind)
+            _, corner = scales._proven_stair(lat, j, kind)
+            scale = corner.x + corner.y
             passes = scale >= 1 if kind == PACKING else scale <= 1
             assert passes == predicate(region, lat, j), (lat, j)
             if passes:
@@ -110,14 +111,22 @@ def test_corner_formula_agrees_with_the_predicate(kind):
 @pytest.mark.parametrize("search", [search_packing, search_covering])
 def test_a_corner_one_column_over_is_caught(monkeypatch, search, columns,
                                             j, q, c):
-    real = scales._corner_scale
+    # the sweep's corner of P, moved by one canonical column (x1 at P's
+    # den): its witness must fail to refute the lattice
+    real_stair, real_corner = scales.quadrant_stair, scales._corner
+    x1 = []
 
-    def moved(lat, j, kind, *built):
-        scale, corner = real(lat, j, kind, *built)
-        x1 = lat.canonical_key()[0]
-        return scale, corner + Point(columns * x1, 0)
+    def recorded(lat, j):
+        den, breaks, heights = real_stair(lat, j)
+        x1.append(lat.int_key(den)[0])
+        return den, breaks, heights
 
-    monkeypatch.setattr(stairtile.search, "_corner_scale", moved)
+    def moved(xs, hs, kind):
+        x, y = real_corner(xs, hs, kind)
+        return x + columns * x1[-1], y
+
+    monkeypatch.setattr(stairtile.search, "quadrant_stair", recorded)
+    monkeypatch.setattr(stairtile.search, "_corner", moved)
     with pytest.raises(CandidateGapError, match="witness"):
         search(j, q, c)
 

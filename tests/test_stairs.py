@@ -49,7 +49,7 @@ def test_canonical_regions_areas_and_partition():
         canonical_regions(0)
 
 
-def test_count_region_digest():
+def assert_region_count_digest():
     # taken from the half-open box counter that unit cells replace
     counts = [count_region(m, j, r, s, t)
               for j in (1, 2, 3) for m in range(1, 2 * j + 3)
@@ -57,6 +57,10 @@ def test_count_region_digest():
     assert len(counts) == 3528
     assert hashlib.sha256(json.dumps(counts).encode()).hexdigest() == (
         "17f2e73b92446b1cabb4fde6b93fc9d6fabbb03c1991cbdd568e3c21b0dbf3e7")
+
+
+def test_count_region_digest():
+    assert_region_count_digest()
 
 
 def test_count_region_examples():
@@ -73,6 +77,13 @@ def test_count_region_examples():
     with pytest.raises(ValueError, match="integral"):
         count_region(1, 1, "B", F(1, 2), 0)
     assert count_region(3, 1, "C", F(2), F(-3)) == 3
+
+
+def test_count_region_refuses_m_or_j_below_one():
+    # as shift_lattice does, whatever the region would count
+    for m, j in ((0, 1), (-1, 2), (1, 0), (2, -1)):
+        with pytest.raises(ValueError, match="need m >= 1 and j >= 1"):
+            count_region(m, j, "B", 0, 0)
 
 
 def test_count_region_left_strip_always_one():
@@ -399,13 +410,31 @@ def test_coset_counter_matches_the_sweep_on_drawn_triples(triple):
 
 
 def test_coset_counter_matches_the_forward_check_on_shift_lattices():
+    # the forward table counts cosets; the multiplicity sweep of every
+    # shift_lattice(m, j) must agree with it
     for j in range(1, 9):
-        columns = stairs._grid_columns(j, 1)
-        got = [(m, stairs._cosets_hold_at_most(
-                    columns, j, shift_lattice(m, j).int_key(1)))
-               for m in range(1, 2 * j + 2)]
-        assert got == verify_stair_tiling_forward(j)
+        got = verify_stair_tiling_forward(j)
+        assert got == [(m, is_exact_jfold_tiling(
+                           canonical_stair(j), shift_lattice(m, j), j))
+                       for m in range(1, 2 * j + 2)]
         assert sum(ok for _, ok in got) == len(admissible_shifts(j))
+
+
+def test_forward_never_reaches_the_sweep(monkeypatch):
+    # the forward table and the region counts are decided in integers
+    def refused(*args, **kwargs):
+        raise AssertionError("the forward check reached the tiling sweep")
+
+    for module in [m for key, m in sys.modules.items()
+                   if key == "stairtile" or key.startswith("stairtile.")]:
+        for name in ("is_exact_jfold_tiling", "multiplicity_extrema"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refused)
+    monkeypatch.setattr(Lattice, "contains", refused)
+    for j in range(1, 5):
+        assert [m for m, ok in verify_stair_tiling_forward(j) if ok] \
+            == admissible_shifts(j)
+    assert_region_count_digest()
 
 
 def test_converse_never_reaches_the_sweep(monkeypatch):

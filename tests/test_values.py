@@ -39,7 +39,7 @@ CASES = {
     MultiplicityReport: (1, 2, Point(0, 0), Point(1, 0)),
     SelectionStair: (_STAIR, (Point(1, 1),), (Point(0, 2), Point(2, 0)),
                      F(2)),
-    RenderSpec: (_REGION, _LAT, 1, Box(0, 1, 0, 1), 2),
+    RenderSpec: (_REGION, _LAT, Box(0, 1, 0, 1), 2),
 }
 
 
