@@ -30,8 +30,8 @@ from .search import (AreaOptimum, SearchReport, lattice_search_space,
                      optimize_circumscribed_stair, optimize_inscribed_stair,
                      search_covering, search_packing)
 from .stairs import (SelectionStairError, SelectionStair, admissible_shifts,
-                     canonical_regions, canonical_stair, selection_stair,
-                     count_region, verify_stair_tiling_converse,
+                     canonical_stair, selection_stair, count_region,
+                     verify_stair_tiling_converse,
                      verify_stair_tiling_forward)
 from .svgout import RenderSpec, render
 
@@ -43,7 +43,7 @@ __all__ = [
     "Point", "Region",
     "RenderSpec", "ScaleCertificate", "ScaledTriangle", "SearchReport",
     "SelectionStairError", "SelectionStair", "StairPolygon", "admissible_shifts",
-    "canonical_regions", "canonical_stair", "candidate_scales",
+    "canonical_stair", "candidate_scales",
     "selection_stair", "count_at",
     "count_optimal_lattices", "count_region", "covering_density",
     "covering_predicate", "density_result",

@@ -32,6 +32,13 @@ RationalLike = Fraction | int | str
 
 def frac(value: RationalLike) -> Fraction:
     """Coerce ints, Fractions, and exact "a/b" strings to a Fraction."""
+    # exact type tests first: isinstance against Fraction, whose metaclass
+    # is ABCMeta, is slow for an int
+    cls = type(value)
+    if cls is Fraction:
+        return value
+    if cls is int:
+        return Fraction(value)
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):

@@ -4,8 +4,9 @@ A lattice is stored as an ordered basis but compared as a point set: two
 ``Lattice`` values are equal iff each basis vector of one is an integer
 combination of the other's, which we decide by reducing both to the unique
 lower-triangular canonical basis ((x1, y1), (0, y2)) with x1, y2 > 0 and
-0 <= y1 < y2.  The canonical basis is computed once, in integers, when a
-``Lattice`` is constructed; that computation is also the check that the
+0 <= y1 < y2.  The canonical basis is unique, so a basis already in that
+form is its own key; any other is reduced once, in integers, when the
+``Lattice`` is constructed, and that reduction is also the check that the
 basis is not singular.
 """
 
@@ -44,8 +45,9 @@ def _canonical_triple(u1: Point, u2: Point) -> tuple[Fraction, Fraction, Fractio
     modulo the second's gives the canonical basis.
     """
     coords = (u1.x, u1.y, u2.x, u2.y)
-    den = lcm(*(v.denominator for v in coords))
-    a1, b1, a2, b2 = (as_int(v, den) for v in coords)
+    # lists, not generators: cheaper at four items
+    den = lcm(*[v.denominator for v in coords])
+    a1, b1, a2, b2 = [as_int(v, den) for v in coords]
     g, s, t = _xgcd(a1, a2)
     y2 = abs(a1 // g * b2 - a2 // g * b1) if g else 0
     if y2 == 0:
@@ -63,7 +65,17 @@ class Lattice(Frozen):
     def __init__(self, u1: Point, u2: Point) -> None:
         object.__setattr__(self, "u1", u1)
         object.__setattr__(self, "u2", u2)
-        object.__setattr__(self, "_key", _canonical_triple(u1, u2))
+        # The canonical basis is unique, so one already in that form (as in
+        # every sweep's space) is its own key, and a nonsingular one; any
+        # other is reduced.  A skewed basis fails the first, cheapest test;
+        # the signs are read from the numerators, which is cheaper than a
+        # Fraction comparison.
+        if (not u2.x and u1.x.numerator > 0 and u1.y.numerator >= 0
+                and u1.y < u2.y):
+            key = u1.x, u1.y, u2.y
+        else:
+            key = _canonical_triple(u1, u2)
+        object.__setattr__(self, "_key", key)
 
     @property
     def det(self) -> Fraction:
@@ -236,11 +248,13 @@ def enumerate_integer_sublattices(det_target: int) -> list[Lattice]:
     """
     if det_target < 1:
         raise ValueError(f"index must be positive: {det_target}")
+    # one Fraction per integer and one u2 per c, shared by the lattices
+    values = [Fraction(i) for i in range(det_target + 1)]
     out = []
     for a in range(1, det_target + 1):
         if det_target % a:
             continue
         c = det_target // a
-        for b in range(c):
-            out.append(Lattice(Point(a, b), Point(0, c)))
+        x, u2 = values[a], Point(values[0], values[c])
+        out.extend(Lattice(Point(x, values[b]), u2) for b in range(c))
     return out

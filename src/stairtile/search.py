@@ -7,7 +7,10 @@ space, and a floating-point coordinate-ascent optimizer for the largest
 stair polygon inside the triangle (resp. smallest stair containing its
 interior), whose optima must approach j/(2j+1) and (2j+1)/(4j).
 
-The sweep decides each lattice by the corner formula (``scales._corner``):
+The sweep visits the lattices best density first, in an order decided in
+integers: each lattice's key is sign*d*M^2 with M = lcm(1..q_max), an
+integer for every lattice of the space (``_best_first``).  It decides each
+lattice by the corner formula (``scales._corner``):
 the critical scale is the coordinate sum x + y of one corner of the
 lattice's quadrant stair P, built once per lattice in integers at its
 1/den grid, and the unit triangle passes iff x + y >= den (packing) or
@@ -28,9 +31,10 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from operator import itemgetter
 
-from .geometry import Frozen, Point, fields_json
+from .geometry import Frozen, Point, as_int, fields_json
 from .lattice import Lattice
 from .multiplicity import COVERING, PACKING
 from .scales import (CandidateGapError, _corner, _proven_stair,
@@ -62,21 +66,45 @@ def lattice_search_space(denominator_bound: int,
     """
     if denominator_bound < 1 or coefficient_bound < 1:
         raise ValueError("bounds must be positive")
-    return [Lattice(Point(Fraction(a, q), Fraction(b, q)),
-                    Point(Fraction(0), Fraction(c, q)))
-            for q in range(1, denominator_bound + 1)
-            for a in range(1, coefficient_bound + 1)
-            for c in range(1, coefficient_bound + 1)
-            for b in range(c) if gcd(q, a, b, c) == 1]
+    space = []
+    for q in range(1, denominator_bound + 1):
+        # one Fraction i/q per i and one u2 per c, shared by the lattices
+        values = [Fraction(i, q) for i in range(coefficient_bound + 1)]
+        tops = [Point(values[0], v) for v in values]
+        space.extend(Lattice(Point(values[a], values[b]), tops[c])
+                     for a in range(1, coefficient_bound + 1)
+                     for c in range(1, coefficient_bound + 1)
+                     for b in range(c) if gcd(q, a, b, c) == 1)
+    return space
+
+
+def _best_first(space: list[Lattice], kind: str,
+                denominator_bound: int) -> list[tuple[int, Lattice]]:
+    """The space as (key, lattice) pairs, best density first: key is the
+    integer sign*d*M^2, M = lcm(1..denominator_bound), which orders the
+    space as sign*d does (sign = 1 for packing, -1 for covering), and the
+    stable sort keeps the space's order among equal keys.
+
+    Each canonical x1 = a/q and y2 = c/q has a denominator q that divides
+    M, so x1*M and y2*M are integers, and so is d*M^2."""
+    sign = 1 if kind == PACKING else -1
+    m = lcm(*range(1, denominator_bound + 1))
+    keyed = []
+    for lat in space:
+        x1, _, y2 = lat.canonical_key()
+        keyed.append((sign * as_int(x1, m) * as_int(y2, m), lat))
+    keyed.sort(key=itemgetter(0))
+    return keyed
 
 
 def _search(j: int, denominator_bound: int, coefficient_bound: int,
             kind: str) -> SearchReport:
     """Best-first sweep of the bounded space: lattices are visited from the
-    best density down (a stable sort), and the sweep stops at the first
-    lattice whose density differs from one that has already passed.  Every
-    lattice at the best level is decided, so the result is the same as a
-    full scan's; space_size still counts the whole space.
+    best density down, by the integer key of ``_best_first`` (a stable
+    sort), and the sweep stops at the first key that differs from one that
+    has already passed.  Every lattice at the best level is decided, so the
+    result is the same as a full scan's; space_size still counts the whole
+    space.  The density 1/(2d) is formed once, from the lattices that pass.
 
     The corner formula decides each lattice: the unit triangle passes iff
     its critical scale x + y is >= den (packing) or <= den (covering)."""
@@ -85,11 +113,10 @@ def _search(j: int, denominator_bound: int, coefficient_bound: int,
     space = lattice_search_space(denominator_bound, coefficient_bound)
     packing = kind == PACKING
     sign = 1 if packing else -1  # packings maximize the density
-    best_value: Fraction | None = None
+    best_key: int | None = None
     best: list[Lattice] = []
-    for lat in sorted(space, key=lambda lat: sign * lat.d):
-        value = Fraction(1, 2) / lat.d
-        if best_value is not None and value != best_value:
+    for key, lat in _best_first(space, kind, denominator_bound):
+        if best and key != best_key:
             break
         den, breaks, heights = quadrant_stair(lat, j)
         x, y = _corner(breaks, heights, kind)
@@ -100,7 +127,7 @@ def _search(j: int, denominator_bound: int, coefficient_bound: int,
                 raise CandidateGapError(
                     f"the witness at corner {proven} refutes the {j}-fold "
                     f"{kind} predicate at scale 1 on {lat.to_json()}")
-            best_value = value
+            best_key = key
             best.append(lat)
             continue
         corner = Point(Fraction(x, den), Fraction(y, den))
@@ -109,6 +136,7 @@ def _search(j: int, denominator_bound: int, coefficient_bound: int,
                 f"the witness at corner {corner} does not refute the "
                 f"{j}-fold {kind} predicate at scale 1 on {lat.to_json()}, "
                 f"as its scale {Fraction(x + y, den)} says")
+    best_value = Fraction(1, 2) / best[0].d if best else None
     best.sort(key=Lattice.canonical_key)
     params = (("j", j), ("denominator_bound", denominator_bound),
               ("coefficient_bound", coefficient_bound), ("kind", kind))
@@ -122,7 +150,8 @@ def search_packing(j: int, denominator_bound: int,
     form, and reaches it once the optimal lattices are inside the bounds.
 
     The sweep is best-first: lattices are decided from the smallest
-    determinant up, and it stops below the first density that passes;
+    determinant up, in the order of an integer key d*M^2, and it stops
+    below the first density that passes;
     space_size still counts the whole space.  Each verdict is proven as
     the module docstring says."""
     return _search(j, denominator_bound, coefficient_bound, PACKING)
@@ -134,7 +163,8 @@ def search_covering(j: int, denominator_bound: int,
     never below the closed form.
 
     The sweep is best-first: lattices are decided from the largest
-    determinant down, and it stops above the first density that passes;
+    determinant down, in the order of an integer key -d*M^2, and it stops
+    above the first density that passes;
     space_size still counts the whole space.  Each verdict is proven as
     the module docstring says."""
     return _search(j, denominator_bound, coefficient_bound, COVERING)

@@ -44,6 +44,15 @@ def canonical_stair(j: int) -> StairPolygon:
                         tuple(Fraction(2 * j - i) for i in range(2 * j)))
 
 
+# The membership rule of each canonical region, on the cells (i, k) of
+# [0, 2j+1)^2: the one definition of the regions.
+_REGION_RULES = {"B": lambda i, k, j: i == 0,
+                 "C": lambda i, k, j: k == 0,
+                 "D": lambda i, k, j: i + k == 2 * j,
+                 "S": lambda i, k, j: i + k < 2 * j,
+                 "S*": lambda i, k, j: i + k > 2 * j}
+
+
 def canonical_regions(j: int) -> dict[str, tuple[tuple[int, int], ...]]:
     """The unit-cell regions that drive the gcd counting rules.
 
@@ -57,11 +66,8 @@ def canonical_regions(j: int) -> dict[str, tuple[tuple[int, int], ...]]:
         raise ValueError(f"need j >= 1: {j}")
     n = 2 * j + 1
     cells = [(i, k) for i in range(n) for k in range(n)]
-    return {"B": tuple((i, k) for i, k in cells if i == 0),
-            "C": tuple((i, k) for i, k in cells if k == 0),
-            "D": tuple((i, k) for i, k in cells if i + k == 2 * j),
-            "S": tuple((i, k) for i, k in cells if i + k < 2 * j),
-            "S*": tuple((i, k) for i, k in cells if i + k > 2 * j)}
+    return {name: tuple((i, k) for i, k in cells if rule(i, k, j))
+            for name, rule in _REGION_RULES.items()}
 
 
 _REGION_NAMES = ("B", "C", "D", "S")
@@ -74,7 +80,9 @@ def count_region(m: int, j: int, region: str, s: int, t: int) -> int:
     stair) of ``canonical_regions``.  The lattice lies in Z^2 and the shift
     is integral, so each shifted unit cell holds exactly one integer point,
     its lower-left corner, and the count is that of the corners (x, y) with
-    y = m*x (mod 2j+1).  A non-integral shift, m < 1 or j < 1 raises.
+    y = m*x (mod 2j+1).  Column i of the square holds one such corner, at
+    k = m*(s + i) - t (mod 2j+1), so the count tests 2j+1 cells by the
+    region's rule.  A non-integral shift, m < 1 or j < 1 raises.
     """
     if region not in _REGION_NAMES:
         raise ValueError(f"region must be one of {_REGION_NAMES}: {region}")
@@ -83,9 +91,8 @@ def count_region(m: int, j: int, region: str, s: int, t: int) -> int:
         raise ValueError(
             f"shift must be integral: {format_rationals((s, t))}")
     shift_lattice(m, j)  # refuses m < 1 and j < 1
-    n, s, t = 2 * j + 1, int(s), int(t)
-    return sum((t + k - m * (s + i)) % n == 0
-               for i, k in canonical_regions(j)[region])
+    n, s, t, rule = 2 * j + 1, int(s), int(t), _REGION_RULES[region]
+    return sum(rule(i, (m * (s + i) - t) % n, j) for i in range(n))
 
 
 def admissible_shifts(j: int) -> list[int]:

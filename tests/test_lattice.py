@@ -6,8 +6,10 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as hyp
 
+import stairtile.lattice
 from stairtile import (Box, Lattice, Point, enumerate_integer_sublattices,
-                       integer_lattice, points_in_box, shift_lattice)
+                       integer_lattice, lattice_search_space, points_in_box,
+                       shift_lattice)
 from stairtile.lattice import (floor_sum, preceding_count, scaled_points,
                                triangle_count)
 
@@ -46,6 +48,44 @@ def test_canonical_key_matches_reference(x1, y1, x2, y2, k, m, swap):
     assert key == canonical_key_reference(u1, u2)
     assert key == canonical_key_reference(Point(x1, y1), Point(x2, y2))
     assert lat.d == abs(lat.det)
+    # the canonical basis is its own key; each near miss of that form is
+    # reduced, to the reference's key or to a refusal as singular
+    cx, cy, cy2 = key
+    canonical = Lattice(Point(cx, cy), Point(0, cy2))
+    assert canonical.canonical_key() == key and canonical == lat
+    tiny = F(1, lat.den)
+    for v1, v2 in [((cx, cy2), (0, cy2)),      # y1 = y2
+                   ((cx, -tiny), (0, cy2)),    # y1 = -1/den
+                   ((cx, cy), (tiny, cy2)),    # u2.x = 1/den
+                   ((cx, cy), (-tiny, cy2)),   # u2.x = -1/den
+                   ((-cx, cy), (0, cy2)),      # x1 < 0
+                   ((cx, cy), (0, -cy2)),      # y2 < 0
+                   ((0, cy2), (cx, cy))]:      # the two vectors swapped
+        assert_key_as_reference(Point(*v1), Point(*v2))
+
+
+def assert_key_as_reference(u1, u2):
+    try:
+        expected = canonical_key_reference(u1, u2)
+    except ValueError:
+        with pytest.raises(ValueError, match="singular basis"):
+            Lattice(u1, u2)
+    else:
+        assert Lattice(u1, u2).canonical_key() == expected
+
+
+def test_canonical_bases_skip_the_reduction(monkeypatch):
+    # the sweeps' spaces and the sublattices are built from canonical
+    # bases, which are their own keys; any other basis is still reduced
+    def refuse(u1, u2):
+        raise AssertionError(f"reduced {u1}, {u2}")
+
+    monkeypatch.setattr(stairtile.lattice, "_canonical_triple", refuse)
+    assert len(lattice_search_space(3, 4)) == 113
+    assert len(enumerate_integer_sublattices(12)) == 28  # sigma(12)
+    assert shift_lattice(2, 3).canonical_key() == (1, 2, 7)
+    with pytest.raises(AssertionError, match="reduced"):
+        Lattice(Point(1, 1), Point(1, 2))
 
 
 @pytest.mark.parametrize("u1, u2", [

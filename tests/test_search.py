@@ -2,6 +2,7 @@ import hashlib
 import json
 from fractions import Fraction as F
 from itertools import product
+from math import lcm
 
 import pytest
 
@@ -190,13 +191,35 @@ def test_search_rejects_bad_bounds():
         optimize_inscribed_stair(1, 0)
 
 
-def test_search_reports_are_frozen():
-    # the small_sweeps grid, both kinds: every report byte for byte
-    digest = hashlib.sha256()
+def reports_digest(cases) -> str:
+    cases, digest = list(cases), hashlib.sha256()
     for search in (search_packing, search_covering):
-        for j, q, c in product((1, 2, 3), (1, 2, 3), (2, 3, 4)):
+        for j, q, c in cases:
             report = search(j, q, c).to_json()
             digest.update(json.dumps(report, sort_keys=True).encode())
             digest.update(b"\n")
-    assert digest.hexdigest() == (
+    return digest.hexdigest()
+
+
+def test_search_reports_are_frozen():
+    # the small_sweeps grid, both kinds: every report byte for byte
+    assert reports_digest(product((1, 2, 3), (1, 2, 3), (2, 3, 4))) == (
         "030cc9e69bfa6a7cd5205052ec2fd3063277c3c62ffada2f7f81772d7d957abd")
+    # a larger space, where many lattices share each density level
+    assert reports_digest([(2, 8, 12)]) == (
+        "9d7d7d4309153b2bcc6be1edfe41af660d034b9117c7868454c4bb421a122e58")
+
+
+@pytest.mark.parametrize("kind", [PACKING, COVERING])
+def test_integer_key_orders_the_space_as_the_density(kind):
+    # sign*d*M^2 in integers orders each space exactly as the stable sort
+    # on sign*d does, lattices of one density in the space's order
+    sign = 1 if kind == PACKING else -1
+    for q, c in product(range(1, 7), repeat=2):
+        space = lattice_search_space(q, c)
+        keyed = stairtile.search._best_first(space, kind, q)
+        expected = sorted(space, key=lambda lat: sign * lat.d)
+        m = lcm(*range(1, q + 1))
+        assert [key for key, _ in keyed] == [sign * lat.d * m * m
+                                             for lat in expected]
+        assert [id(lat) for _, lat in keyed] == [id(lat) for lat in expected]

@@ -3,6 +3,7 @@ import json
 import random
 import sys
 from fractions import Fraction as F
+from itertools import product
 from math import gcd, lcm
 
 import pytest
@@ -11,13 +12,13 @@ from hypothesis import strategies as hyp
 
 from stairtile import stairs
 from stairtile import (Lattice, Point, SelectionStairError,
-                       admissible_shifts, canonical_regions, canonical_stair,
-                       count_region, integer_lattice, is_exact_jfold_tiling,
-                       lambda_lower, lambda_upper, layer_extrema,
-                       optimal_covering_lattices, optimal_packing_lattices,
-                       scales, selection_stair, shift_lattice,
-                       verify_stair_tiling_converse,
+                       admissible_shifts, canonical_stair, count_region,
+                       integer_lattice, is_exact_jfold_tiling, lambda_lower,
+                       lambda_upper, layer_extrema, optimal_covering_lattices,
+                       optimal_packing_lattices, scales, selection_stair,
+                       shift_lattice, verify_stair_tiling_converse,
                        verify_stair_tiling_forward)
+from stairtile.stairs import canonical_regions
 
 from oracles import selection_member
 from test_multiplicity import GENERIC_BASES
@@ -61,6 +62,16 @@ def assert_region_count_digest():
 
 def test_count_region_digest():
     assert_region_count_digest()
+
+
+def test_count_region_matches_the_cells_of_its_region():
+    # the column rule against a scan of every cell of canonical_regions
+    for j in (4, 7):
+        n, regions = 2 * j + 1, canonical_regions(j)
+        for m, r, s, t in product((1, 2, j, n - 1, n, n + 3), "BCDS",
+                                  (-n, -1, 0, 2), (-2, 0, 1, n + 1)):
+            assert count_region(m, j, r, s, t) == sum(
+                (t + k - m * (s + i)) % n == 0 for i, k in regions[r])
 
 
 def test_count_region_examples():
