@@ -26,7 +26,7 @@ from .multiplicity import (Mode, MultiplicityReport, Region, count_at,
 from .scales import (CandidateGapError, ScaleCertificate, candidate_scales,
                      covering_predicate, lambda_lower, lambda_upper,
                      packing_predicate)
-from .search import (AreaOptimum, SearchReport, lattice_search_space,
+from .search import (AreaOptimum, SearchReport,
                      optimize_circumscribed_stair, optimize_inscribed_stair,
                      search_covering, search_packing)
 from .stairs import (SelectionStairError, SelectionStair, admissible_shifts,
@@ -50,7 +50,7 @@ __all__ = [
     "enumerate_integer_sublattices", "factorize", "format_rational", "frac",
     "integer_lattice", "is_exact_jfold_tiling",
     "is_jfold_covering", "is_jfold_packing",
-    "lambda_lower", "shift_lattice", "lambda_upper", "lattice_search_space",
+    "lambda_lower", "shift_lattice", "lambda_upper",
     "layer_extrema", "multiplicity_extrema",
     "optimal_covering_lattices", "optimal_packing_lattices",
     "optimize_circumscribed_stair", "optimize_inscribed_stair",

@@ -57,7 +57,9 @@ def _canonical_triple(u1: Point, u2: Point) -> tuple[Fraction, Fraction, Fractio
 
 
 class Lattice(Frozen):
-    """Rank-2 lattice given by two basis vectors with nonzero determinant."""
+    """Rank-2 lattice given by two basis vectors with nonzero determinant;
+    den, the lcm of the canonical denominators (L lies in (Z/den)^2), is
+    set once and is no field, so equality, repr and JSON see u1, u2."""
 
     u1: Point
     u2: Point
@@ -76,6 +78,8 @@ class Lattice(Frozen):
         else:
             key = _canonical_triple(u1, u2)
         object.__setattr__(self, "_key", key)
+        den = lcm(key[0].denominator, key[1].denominator, key[2].denominator)
+        object.__setattr__(self, "den", den)
 
     @property
     def det(self) -> Fraction:
@@ -86,11 +90,6 @@ class Lattice(Frozen):
         """Fundamental-domain area |det|."""
         x1, _, y2 = self._key
         return x1 * y2
-
-    @property
-    def den(self) -> int:
-        """The lcm of the canonical denominators: L lies in (Z/den)^2."""
-        return lcm(*(v.denominator for v in self._key))
 
     def canonical_key(self) -> tuple[Fraction, Fraction, Fraction]:
         return self._key
@@ -146,6 +145,14 @@ def shift_lattice(m: int, j: int) -> Lattice:
     if m < 1 or j < 1:
         raise ValueError(f"need m >= 1 and j >= 1, got m={m}, j={j}")
     return Lattice(Point(1, m), Point(0, 2 * j + 1))
+
+
+def _triangular(q: int, a: int, b: int, c: int) -> Lattice:
+    """The lattice ((a/q, b/q), (0, c/q)), for a, c > 0 and 0 <= b < c: a
+    canonical basis, so it is its own key, and with gcd(q, a, b, c) = 1
+    its den is q and its ``int_key(q)`` is (a, b, c)."""
+    return Lattice(Point(Fraction(a, q), Fraction(b, q)),
+                   Point(0, Fraction(c, q)))
 
 
 def scaled_points(lat: Lattice, den: int, x_min: int, x_max: int,

@@ -203,11 +203,11 @@ def candidate_scales(lat: Lattice, l_max) -> list[Fraction]:
     return [Fraction(v, den) for v in values]
 
 
-def quadrant_stair(lat: Lattice, j: int) -> tuple[int, list[int],
-                                                  list[int]]:
-    """The quadrant stair P(L, j) as (den, breaks, heights): the columns
-    [breaks[i], breaks[i+1]) x [0, heights[i]) in units of 1/den, which
-    makes the canonical basis (x1, y1), (0, y2) integral.
+def quadrant_stair(key: tuple[int, int, int],
+                   j: int) -> tuple[list[int], list[int]]:
+    """The quadrant stair P(L, j) as (breaks, heights): the columns
+    [breaks[i], breaks[i+1]) x [0, heights[i]) in units of 1/den, where
+    key = ``L.int_key(den)`` is the canonical basis (x1, y1), (0, y2).
 
     P holds the j first points, by ``prec``, of each coset in the closed
     quadrant Q (well ordered: finitely many lie below any coordinate sum),
@@ -232,8 +232,7 @@ def quadrant_stair(lat: Lattice, j: int) -> tuple[int, list[int],
     and P ends at 0.  P lies in the covering triangle, so both loops take
     at most scale/x1 columns, of O(j) work each.
     """
-    den = lat.den
-    x1, y1, y2 = lat.int_key(den)
+    x1, y1, y2 = key
     low = [t * y2 for t in range(1, j + 1)]  # the j lowest heights
     k = 1
     while k * x1 + 1 <= low[-1]:
@@ -253,7 +252,7 @@ def quadrant_stair(lat: Lattice, j: int) -> tuple[int, list[int],
             breaks.append(x)
             heights.append(low[-1])
     heights.pop()  # the height 0 where P ends
-    return den, breaks, heights
+    return breaks, heights
 
 
 def _inner_corners(xs, hs) -> list:
@@ -306,9 +305,9 @@ def _proven_stair(lat: Lattice, j: int, kind: str,
     scale, proven to be that scale.  P tiles exactly j-fold (the lemma
     below), has area j * d(L) and at most 2j - 1 steps, and fits the scale
     as ``_corner`` says over all its corners, and the point next to
-    the corner refutes the predicate at scale -+ 1/(2*den), den that of
-    ``quadrant_stair`` (``_witness_refutes``).  A failed check, or a column
-    that ``StairPolygon`` refuses, raises error.
+    the corner refutes the predicate at scale -+ 1/(2*den), den = lat.den
+    (``_witness_refutes``), all on the key ``lat.int_key(den)``.  A failed
+    check, or a column that ``StairPolygon`` refuses, raises error.
 
     Lemma.  Let B(p) = ``preceding_count`` count the points of p's coset in
     the closed quadrant Q that precede p.  A coset meets Q in an infinite
@@ -330,7 +329,9 @@ def _proven_stair(lat: Lattice, j: int, kind: str,
     """
     if j < 1:
         raise ValueError(f"need j >= 1: {j}")
-    den, breaks, heights = quadrant_stair(lat, j)
+    den = lat.den
+    key = lat.int_key(den)
+    breaks, heights = quadrant_stair(key, j)
     x, y = _corner(breaks, heights, kind)
     if kind == COVERING:
         fits = all(hi + h <= x + y for hi, h in zip(breaks[1:], heights))
@@ -344,39 +345,40 @@ def _proven_stair(lat: Lattice, j: int, kind: str,
                              [Fraction(h, den) for h in heights])
     except ValueError as err:
         raise error(f"no stair for lattice {lat.to_json()}: {err}") from err
-    if not (fits and area == j * lat.d * den * den and stair.r <= 2 * j - 1
-            and _is_first_j(lat.int_key(den), j, breaks, heights)):
+    if not (fits and area == j * key[0] * key[2] and stair.r <= 2 * j - 1
+            and _is_first_j(key, j, breaks, heights)):
         raise error(f"the quadrant stair of {lat.to_json()} (area "
                     f"{stair.area()}, j*d = {j * lat.d}, {stair.r} steps) does "
                     f"not prove the {kind} scale of corner {corner.to_json()}")
-    across = Fraction(2 * (x + y) + (1 if kind == PACKING else -1), 2 * den)
-    if not _witness_refutes(lat, j, kind, corner, across):
+    # scale -+ 1/(2*den) in units of 1/(8*den), the witness's grid
+    across = 4 * (2 * (x + y) + (1 if kind == PACKING else -1))
+    if not _witness_refutes(key, j, kind, (x, y), across):
         raise error(f"the witness at corner {corner.to_json()} does not "
-                    f"refute the {kind} predicate at {across}")
+                    f"refute the {kind} predicate at "
+                    f"{Fraction(across, 8 * den)}")
     return stair, corner
 
 
-def _witness_refutes(lat: Lattice, j: int, kind: str, corner: Point,
-                     scale: Fraction | int = 1) -> bool:
+def _witness_refutes(key: tuple[int, int, int], j: int, kind: str,
+                     corner: tuple[int, int], scale: int) -> bool:
     """Whether the point p = corner + (e, e) (packing) or corner - (e, e)
     (covering), e = 1/(8*den), proves that the translates of scale*T are
     no j-fold packing (covering): it lies in more (fewer) than j of them,
     counted in integers at 8*den as the v with v_x <= p_x, v_y <= p_y and
     v_x + v_y >= p_x + p_y - scale, strict for the open translates
-    (``triangle_count``).
+    (``triangle_count``).  key = ``L.int_key(den)`` and the corner are in
+    units of 1/den, the scale in units of 1/(8*den).
 
-    At a corner of P from ``_corner`` (a multiple of 1/den), this is
-    a proof at each scale more than 2e past the corner's sum.  Covering: p
-    lies in P, so the fewer than j points of its coset that precede it
-    hold all those in scale*T.  Packing: p lies in Q outside P and off the
-    1/den grid, so with its j predecessors in Q, off the axes, it lies in
-    the open scale*T.
+    At a corner of P from ``_corner``, this is a proof at each scale more
+    than 2e past the corner's sum.  Covering: p lies in P, so the fewer
+    than j points of its coset that precede it hold all those in scale*T.
+    Packing: p lies in Q outside P and off the 1/den grid, so with its j
+    predecessors in Q, off the axes, it lies in the open scale*T.
     """
-    den = 8 * lat.den
     strict = int(kind != COVERING)  # packing: p = corner + (e, e)
-    px, py = (as_int(c, den) + 2 * strict - 1 for c in (corner.x, corner.y))
-    count = triangle_count(lat.int_key(den), px - strict, py - strict,
-                           px + py - as_int(scale, den) + strict)
+    px, py = (8 * v + 2 * strict - 1 for v in corner)
+    count = triangle_count([8 * v for v in key], px - strict, py - strict,
+                           px + py - scale + strict)
     return count > j if strict else count < j
 
 

@@ -7,20 +7,20 @@ space, and a floating-point coordinate-ascent optimizer for the largest
 stair polygon inside the triangle (resp. smallest stair containing its
 interior), whose optima must approach j/(2j+1) and (2j+1)/(4j).
 
-The sweep visits the lattices best density first, in an order decided in
-integers: each lattice's key is sign*d*M^2 with M = lcm(1..q_max), an
-integer for every lattice of the space (``_best_first``).  It decides each
-lattice by the corner formula (``scales._corner``):
-the critical scale is the coordinate sum x + y of one corner of the
-lattice's quadrant stair P, built once per lattice in integers at its
-1/den grid, and the unit triangle passes iff x + y >= den (packing) or
-<= den (covering).  P proves each pass, at a scale that must pass too, by
-its fit and by 2c + 1 lattice counts at its corners, which show that it
-tiles exactly j-fold (``scales._proven_stair``).  One point next to the
-corner, counted in integers, proves each failure
+The sweep walks the space as integer triples (q, a, b, c) with
+gcd(q, a, b, c) = 1 (``_triples``), whose lattice ((a/q, b/q), (0, c/q))
+has den = q and integer canonical key (a, b, c) at q.  It visits them best
+density first, by the integer key sign*a*c*(M/q)^2 = sign*d*M^2 with
+M = lcm(1..q_max) (``_best_first``), and decides each on its key by the
+corner formula (``scales._corner``): the critical scale is the coordinate
+sum x + y of one corner of the quadrant stair P, built in integers, and
+the unit triangle passes iff x + y >= q (packing) or <= q (covering).
+Only a pass is built as a ``Lattice``, and P proves it, at a scale that
+must pass too, by its fit and by 2c + 1 lattice counts at its corners,
+which show that it tiles exactly j-fold (``scales._proven_stair``).  One
+point next to the corner, counted in integers, proves each failure
 (``scales._witness_refutes``): it is a witness at 1, as the scale and 1
-both lie on the lattice's 1/den grid.  A disagreement raises
-``CandidateGapError``.
+both lie on the 1/q grid.  A disagreement raises ``CandidateGapError``.
 
 The stair optimizers are the only place in the package where inexact
 numbers appear; the best layout found is afterwards snapped to nearby
@@ -34,8 +34,8 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import itemgetter
 
-from .geometry import Frozen, Point, as_int, fields_json
-from .lattice import Lattice
+from .geometry import Frozen, fields_json
+from .lattice import Lattice, _triangular
 from .multiplicity import COVERING, PACKING
 from .scales import (CandidateGapError, _corner, _proven_stair,
                      _witness_refutes, quadrant_stair)
@@ -53,6 +53,18 @@ class SearchReport(Frozen):
         return {**fields_json(self), "parameters": dict(self.parameters)}
 
 
+def _triples(denominator_bound: int,
+             coefficient_bound: int) -> list[tuple[int, int, int, int]]:
+    """The space of ``lattice_search_space`` as integer triples (q, a, b, c)
+    over q, in its order."""
+    if denominator_bound < 1 or coefficient_bound < 1:
+        raise ValueError("bounds must be positive")
+    coefficients = range(1, coefficient_bound + 1)
+    return [(q, a, b, c) for q in range(1, denominator_bound + 1)
+            for a in coefficients for c in coefficients
+            for b in range(c) if gcd(q, a, b, c) == 1]
+
+
 def lattice_search_space(denominator_bound: int,
                          coefficient_bound: int) -> list[Lattice]:
     """Distinct lattices with a triangular basis ((a/q, b/q), (0, c/q)),
@@ -64,83 +76,66 @@ def lattice_search_space(denominator_bound: int,
     (a, b, c)/q agree; each lattice is kept once, at its encoding with
     gcd(q, a, b, c) = 1, which lies in the bounds whenever another does.
     """
-    if denominator_bound < 1 or coefficient_bound < 1:
-        raise ValueError("bounds must be positive")
-    space = []
-    for q in range(1, denominator_bound + 1):
-        # one Fraction i/q per i and one u2 per c, shared by the lattices
-        values = [Fraction(i, q) for i in range(coefficient_bound + 1)]
-        tops = [Point(values[0], v) for v in values]
-        space.extend(Lattice(Point(values[a], values[b]), tops[c])
-                     for a in range(1, coefficient_bound + 1)
-                     for c in range(1, coefficient_bound + 1)
-                     for b in range(c) if gcd(q, a, b, c) == 1)
-    return space
+    return [_triangular(*t)
+            for t in _triples(denominator_bound, coefficient_bound)]
 
 
-def _best_first(space: list[Lattice], kind: str,
-                denominator_bound: int) -> list[tuple[int, Lattice]]:
-    """The space as (key, lattice) pairs, best density first: key is the
-    integer sign*d*M^2, M = lcm(1..denominator_bound), which orders the
-    space as sign*d does (sign = 1 for packing, -1 for covering), and the
-    stable sort keeps the space's order among equal keys.
-
-    Each canonical x1 = a/q and y2 = c/q has a denominator q that divides
-    M, so x1*M and y2*M are integers, and so is d*M^2."""
+def _best_first(triples: list[tuple[int, int, int, int]], kind: str,
+                denominator_bound: int
+                ) -> list[tuple[int, tuple[int, int, int, int]]]:
+    """The triples as (key, triple) pairs, best density first: key is the
+    integer sign*a*c*(M/q)^2 = sign*d*M^2, M = lcm(1..denominator_bound),
+    which orders the space as sign*d does (sign = 1 for packing, -1 for
+    covering), and the stable sort keeps the space's order among equal
+    keys."""
     sign = 1 if kind == PACKING else -1
     m = lcm(*range(1, denominator_bound + 1))
-    keyed = []
-    for lat in space:
-        x1, _, y2 = lat.canonical_key()
-        keyed.append((sign * as_int(x1, m) * as_int(y2, m), lat))
+    weights = [0] + [sign * (m // q) ** 2
+                     for q in range(1, denominator_bound + 1)]
+    keyed = [(a * c * weights[q], (q, a, b, c)) for q, a, b, c in triples]
     keyed.sort(key=itemgetter(0))
     return keyed
 
 
 def _search(j: int, denominator_bound: int, coefficient_bound: int,
             kind: str) -> SearchReport:
-    """Best-first sweep of the bounded space: lattices are visited from the
-    best density down, by the integer key of ``_best_first`` (a stable
-    sort), and the sweep stops at the first key that differs from one that
-    has already passed.  Every lattice at the best level is decided, so the
-    result is the same as a full scan's; space_size still counts the whole
-    space.  The density 1/(2d) is formed once, from the lattices that pass.
-
-    The corner formula decides each lattice: the unit triangle passes iff
-    its critical scale x + y is >= den (packing) or <= den (covering)."""
+    """Best-first sweep of the bounded space, as the module docstring says:
+    the triples come in the order of ``_best_first`` (a stable sort), and
+    the sweep stops at the first key that differs from one that has
+    passed.  Every lattice at the best level is decided, so the result is
+    a full scan's; space_size counts the whole space.  Only a pass is
+    built as a ``Lattice``, and the density 1/(2d) is formed once."""
     if j < 1:
         raise ValueError(f"need j >= 1: {j}")
-    space = lattice_search_space(denominator_bound, coefficient_bound)
+    triples = _triples(denominator_bound, coefficient_bound)
     packing = kind == PACKING
-    sign = 1 if packing else -1  # packings maximize the density
     best_key: int | None = None
     best: list[Lattice] = []
-    for key, lat in _best_first(space, kind, denominator_bound):
+    for key, (q, a, b, c) in _best_first(triples, kind, denominator_bound):
         if best and key != best_key:
             break
-        den, breaks, heights = quadrant_stair(lat, j)
-        x, y = _corner(breaks, heights, kind)
-        if x + y >= den if packing else x + y <= den:
+        x, y = _corner(*quadrant_stair((a, b, c), j), kind)
+        if x + y >= q if packing else x + y <= q:
+            lat = _triangular(q, a, b, c)
             # raises unless P proves its scale, which must pass as well
-            _, proven = _proven_stair(lat, j, kind)
-            if (proven.x + proven.y - 1) * sign < 0:
+            _, p = _proven_stair(lat, j, kind)
+            if not (p.x + p.y >= 1 if packing else p.x + p.y <= 1):
                 raise CandidateGapError(
-                    f"the witness at corner {proven} refutes the {j}-fold "
+                    f"the witness at corner {p} refutes the {j}-fold "
                     f"{kind} predicate at scale 1 on {lat.to_json()}")
             best_key = key
             best.append(lat)
-            continue
-        corner = Point(Fraction(x, den), Fraction(y, den))
-        if not _witness_refutes(lat, j, kind, corner):
+        elif not _witness_refutes((a, b, c), j, kind, (x, y), 8 * q):
             raise CandidateGapError(
-                f"the witness at corner {corner} does not refute the "
-                f"{j}-fold {kind} predicate at scale 1 on {lat.to_json()}, "
-                f"as its scale {Fraction(x + y, den)} says")
+                f"the witness at corner ({x}/{q}, {y}/{q}) does not refute "
+                f"the {j}-fold {kind} predicate at scale 1 on the lattice "
+                f"(({a}/{q}, {b}/{q}), (0, {c}/{q})), as its scale "
+                f"{Fraction(x + y, q)} says")
     best_value = Fraction(1, 2) / best[0].d if best else None
     best.sort(key=Lattice.canonical_key)
     params = (("j", j), ("denominator_bound", denominator_bound),
               ("coefficient_bound", coefficient_bound), ("kind", kind))
-    return SearchReport(best_value, tuple(best), len(space), params)
+    return SearchReport(best_value, tuple(best), len(triples), params)
 
 
 def search_packing(j: int, denominator_bound: int,
@@ -149,11 +144,8 @@ def search_packing(j: int, denominator_bound: int,
     triangle translates form a j-fold packing; never exceeds the closed
     form, and reaches it once the optimal lattices are inside the bounds.
 
-    The sweep is best-first: lattices are decided from the smallest
-    determinant up, in the order of an integer key d*M^2, and it stops
-    below the first density that passes;
-    space_size still counts the whole space.  Each verdict is proven as
-    the module docstring says."""
+    The sweep (``_search``) decides lattices from the smallest determinant
+    up and stops below the first density that passes."""
     return _search(j, denominator_bound, coefficient_bound, PACKING)
 
 
@@ -162,11 +154,8 @@ def search_covering(j: int, denominator_bound: int,
     """Minimal density over j-fold covering lattices in the bounded space;
     never below the closed form.
 
-    The sweep is best-first: lattices are decided from the largest
-    determinant down, in the order of an integer key -d*M^2, and it stops
-    above the first density that passes;
-    space_size still counts the whole space.  Each verdict is proven as
-    the module docstring says."""
+    The sweep (``_search``) decides lattices from the largest determinant
+    down and stops above the first density that passes."""
     return _search(j, denominator_bound, coefficient_bound, COVERING)
 
 

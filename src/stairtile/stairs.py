@@ -24,7 +24,7 @@ from math import gcd
 
 from .geometry import (Frozen, Point, StairPolygon, fields_json,
                        format_rationals, frac)
-from .lattice import Lattice, shift_lattice
+from .lattice import Lattice, _triangular, shift_lattice
 from .multiplicity import COVERING
 from .scales import _proven_stair
 
@@ -175,8 +175,7 @@ def verify_stair_tiling_converse(j: int, denominator_bound: int) -> list[Lattice
                 if gcd(q, a, b, c) > 1:
                     continue
                 if _cosets_hold_at_most(columns, j, (a, b, c)):
-                    found.append(Lattice(Point(Fraction(a, q), Fraction(b, q)),
-                                         Point(0, Fraction(c, q))))
+                    found.append(_triangular(q, a, b, c))
     found.sort(key=lambda lat: lat.canonical_key())
     return found
 

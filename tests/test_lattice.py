@@ -8,10 +8,10 @@ from hypothesis import strategies as hyp
 
 import stairtile.lattice
 from stairtile import (Box, Lattice, Point, enumerate_integer_sublattices,
-                       integer_lattice, lattice_search_space, points_in_box,
-                       shift_lattice)
+                       integer_lattice, points_in_box, shift_lattice)
 from stairtile.lattice import (floor_sum, preceding_count, scaled_points,
                                triangle_count)
+from stairtile.search import lattice_search_space
 
 from oracles import canonical_key_reference, lattice_points_bruteforce
 

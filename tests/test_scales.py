@@ -406,9 +406,9 @@ def test_a_wrong_corner_scale_fails_its_certificate(monkeypatch, lat, fn):
 def test_a_raised_stair_height_fails_the_certificate(monkeypatch, lat, j):
     real = scales.quadrant_stair
 
-    def raised(lat, j):
-        den, breaks, heights = real(lat, j)
-        return den, breaks, heights[:-1] + [heights[-1] + 1]
+    def raised(key, j):
+        breaks, heights = real(key, j)
+        return breaks, heights[:-1] + [heights[-1] + 1]
 
     monkeypatch.setattr(scales, "quadrant_stair", raised)
     for fn in (lambda_lower, lambda_upper):
@@ -448,8 +448,8 @@ def test_near_rotation_ladder(n):
 def test_the_corner_counts_refuse_a_raised_or_cut_stair(lat, j):
     # the 2c + 1 counts accept P and refuse P with any one height raised by
     # 1/den, or with its last column dropped, whatever the area check says
-    den, breaks, heights = scales.quadrant_stair(lat, j)
-    key = lat.int_key(den)
+    key = lat.int_key(lat.den)
+    breaks, heights = scales.quadrant_stair(key, j)
     assert scales._is_first_j(key, j, breaks, heights)
     for i in range(len(heights)):
         raised = heights.copy()
@@ -497,7 +497,8 @@ def assert_metamorphic(lat, j, c, unimodular):
         stair, corner = scales._proven_stair(lat, j, kind)
         value = corner.x + corner.y
         # the proven corner is the one the search reads off P in integers
-        den, breaks, heights = scales.quadrant_stair(lat, j)
+        den = lat.den
+        breaks, heights = scales.quadrant_stair(lat.int_key(den), j)
         x, y = scales._corner(breaks, heights, kind)
         assert corner == Point(F(x, den), F(y, den))
         _, flipped = scales._proven_stair(transposed(lat), j, kind)

@@ -8,12 +8,14 @@ import pytest
 
 import stairtile.search
 from stairtile import (COVERING, PACKING, CandidateGapError, Lattice, Point,
-                       count_at, covering_density, is_jfold_covering,
-                       is_jfold_packing, lattice_search_space,
+                       count_at, covering_density, covering_predicate,
+                       is_jfold_covering, is_jfold_packing,
                        optimize_circumscribed_stair, optimize_inscribed_stair,
-                       packing_density, scales, search_covering,
-                       search_packing, triangle_region)
+                       packing_density, packing_predicate, scales,
+                       search_covering, search_packing, triangle_region)
+from stairtile.lattice import _triangular
 from stairtile.multiplicity import KIND_MODE
+from stairtile.search import _triples, lattice_search_space
 
 
 def test_search_space_is_deduplicated():
@@ -94,6 +96,7 @@ def test_corner_formula_agrees_with_the_predicate(kind):
     step = 1 if kind == PACKING else -1
     for lat in lattice_search_space(4, 5):
         den = lat.den
+        key = lat.int_key(den)
         e = F(step, 8 * den)
         for j in range(1, 5):
             _, corner = scales._proven_stair(lat, j, kind)
@@ -104,7 +107,9 @@ def test_corner_formula_agrees_with_the_predicate(kind):
                 continue
             count = count_at(lat, region, corner + Point(e, e))
             assert count > j if kind == PACKING else count < j, (lat, j)
-            assert stairtile.search._witness_refutes(lat, j, kind, corner)
+            at_den = (int(corner.x * den), int(corner.y * den))
+            assert stairtile.search._witness_refutes(key, j, kind, at_den,
+                                                     8 * den)
 
 
 @pytest.mark.parametrize("j, q, c", [(1, 2, 3), (2, 3, 4)])
@@ -117,10 +122,9 @@ def test_a_corner_one_column_over_is_caught(monkeypatch, search, columns,
     real_stair, real_corner = scales.quadrant_stair, scales._corner
     x1 = []
 
-    def recorded(lat, j):
-        den, breaks, heights = real_stair(lat, j)
-        x1.append(lat.int_key(den)[0])
-        return den, breaks, heights
+    def recorded(key, j):
+        x1.append(key[0])
+        return real_stair(key, j)
 
     def moved(xs, hs, kind):
         x, y = real_corner(xs, hs, kind)
@@ -217,9 +221,62 @@ def test_integer_key_orders_the_space_as_the_density(kind):
     sign = 1 if kind == PACKING else -1
     for q, c in product(range(1, 7), repeat=2):
         space = lattice_search_space(q, c)
-        keyed = stairtile.search._best_first(space, kind, q)
+        keyed = stairtile.search._best_first(_triples(q, c), kind, q)
         expected = sorted(space, key=lambda lat: sign * lat.d)
         m = lcm(*range(1, q + 1))
         assert [key for key, _ in keyed] == [sign * lat.d * m * m
                                              for lat in expected]
-        assert [id(lat) for _, lat in keyed] == [id(lat) for lat in expected]
+        # the space holds each lattice once, so equality pins the order
+        assert [_triangular(*t) for _, t in keyed] == expected
+
+
+def test_each_triple_is_its_lattice_at_den_q():
+    # the identity the sweep rests on: with gcd(q, a, b, c) = 1 the lattice
+    # ((a/q, b/q), (0, c/q)) has den = q and integer key (a, b, c) at q
+    for q, a, b, c in _triples(8, 8):
+        lat = _triangular(q, a, b, c)
+        assert lat.den == q, (q, a, b, c)
+        assert lat.int_key(q) == (a, b, c)
+
+
+@pytest.mark.parametrize("kind", [PACKING, COVERING])
+@pytest.mark.parametrize("j", [1, 2])
+def test_the_sweep_matches_a_scan_by_the_predicate(j, kind):
+    # every lattice of the space decided at scale 1 by the triangle
+    # arrangement, which shares nothing with the quadrant stair
+    predicate = packing_predicate if kind == PACKING else covering_predicate
+    search = search_packing if kind == PACKING else search_covering
+    sign = 1 if kind == PACKING else -1
+    for q, c in product(range(1, 4), range(1, 5)):
+        passing = [lat for lat in lattice_search_space(q, c)
+                   if predicate(lat, j, 1)]
+        best = max((sign * F(1, 2) / lat.d for lat in passing), default=None)
+        report = search(j, q, c)
+        if best is None:
+            assert report.best_value is None, (q, c)
+            continue
+        assert report.best_value == sign * best, (q, c)
+        assert set(report.best_lattices) == {
+            lat for lat in passing if F(1, 2) / lat.d == sign * best}
+        assert len(report.best_lattices) == len(set(report.best_lattices))
+
+
+@pytest.mark.parametrize("search, j, q, c", [
+    (search_covering, 1, 1, 2),   # no lattice passes
+    (search_packing, 1, 3, 4),
+])
+def test_only_a_passing_lattice_is_built(monkeypatch, search, j, q, c):
+    # the sweep decides each triple on its integer key and builds a
+    # Lattice for the lattices that pass, the best ones, alone
+    built = []
+    real = Lattice.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        real(self, *args)
+
+    monkeypatch.setattr(Lattice, "__init__", counted)
+    report = search(j, q, c)
+    monkeypatch.undo()
+    assert len(built) == len(report.best_lattices)
+    assert (report.best_value is None) == (search is search_covering)

@@ -226,7 +226,8 @@ def test_selection_stair_matches_selection_member(lat, j, unit_points):
        hyp.sampled_from([1, 2, 3]))
 @example(near_rotation(300), 3)
 def test_quadrant_stair_against_the_oracle(lat, j):
-    den, breaks, heights = scales.quadrant_stair(lat, j)
+    den = lat.den
+    breaks, heights = scales.quadrant_stair(lat.int_key(den), j)
     xs = [F(x, den) for x in breaks]
     hs = [F(h, den) for h in heights]
     stair = selection_stair(lat, j).stair
@@ -265,12 +266,12 @@ def test_selection_stair_evaluates_no_predicate(monkeypatch):
 def test_a_raised_outer_corner_is_refused(monkeypatch, lat, j):
     real = scales.quadrant_stair
 
-    def raised(lat, j):
-        den, breaks, heights = real(lat, j)
+    def raised(key, j):
+        breaks, heights = real(key, j)
         i = max(range(len(heights)), key=lambda i: breaks[i + 1] + heights[i])
         heights = heights.copy()
         heights[i] += 1
-        return den, breaks, heights
+        return breaks, heights
 
     monkeypatch.setattr(scales, "quadrant_stair", raised)
     with pytest.raises(SelectionStairError):
