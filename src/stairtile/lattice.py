@@ -13,6 +13,7 @@ basis is not singular.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from math import ceil, floor, gcd, lcm
 
 from .geometry import (Box, Frozen, Point, RationalLike, as_int, fields_json,
@@ -59,7 +60,8 @@ def _canonical_triple(u1: Point, u2: Point) -> tuple[Fraction, Fraction, Fractio
 class Lattice(Frozen):
     """Rank-2 lattice given by two basis vectors with nonzero determinant;
     den, the lcm of the canonical denominators (L lies in (Z/den)^2), is
-    set once and is no field, so equality, repr and JSON see u1, u2."""
+    computed on first read and kept, and is no field, so equality, hash,
+    repr and JSON see u1, u2 only."""
 
     u1: Point
     u2: Point
@@ -78,8 +80,11 @@ class Lattice(Frozen):
         else:
             key = _canonical_triple(u1, u2)
         object.__setattr__(self, "_key", key)
-        den = lcm(key[0].denominator, key[1].denominator, key[2].denominator)
-        object.__setattr__(self, "den", den)
+
+    @cached_property
+    def den(self) -> int:
+        x1, y1, y2 = self._key
+        return lcm(x1.denominator, y1.denominator, y2.denominator)
 
     @property
     def det(self) -> Fraction:

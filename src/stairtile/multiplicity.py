@@ -12,7 +12,9 @@ vectors v with u + v inside K.  Everything else is built on two facts:
 
 Every sampler draws from the half open fundamental rectangle
 [0, w) x [0, h) and walks the same grid vertices there, the crossings of
-its vertical and horizontal lines (``_vertices``).  Half open stairs
+its vertical and horizontal lines (``_vertices``).  A stair's grid
+(``_halfopen_grid``) reads its horizontals off one translate per lattice
+column, the floor and ceilings of each taken mod h.  Half open stairs
 sample those alone, the lower left corner of each grid cell; interior or
 closed membership samples the open cells of the arrangement first and
 then those vertices (``_faces``), where semicontinuity and periodicity
@@ -244,19 +246,37 @@ def _halfopen_grid(lat: Lattice, stairs: list[StairPolygon],
     ``_den(lat, *stairs)``; the half open cells partition it exactly.
 
     Every lattice x-coordinate is a multiple of w, so the walls of the
-    translates cross the rectangle at the residues of the x-breaks mod w;
-    the floors and ceilings come from the translates that reach it.
+    translates cross the rectangle at the residues of the x-breaks mod w.
+    The floors and ceilings are read off one translate per lattice column:
+    the translates t + S whose floor (o = 0) or ceiling (o a height) can
+    cross the rectangle have t.x in [-x_max, w - x_min], and the row box
+    [-x_max, w - x_min] x [0, h - 1/den] holds exactly one point (x, r) of
+    each such column.  The horizontals are the (r + o) mod h, with 0 and
+    h.
+
+    These are the lines of ``tests/oracles.py::halfopen_grid_reference``,
+    which lists every translate t of the box [-x_max, w - x_min] x
+    [-y_max, h] and keeps each t.y + o in (0, h).  Such a t lies in the
+    column of some row point (x, r) and differs from it by a multiple of
+    (0, h), a lattice vector, so t.y + o = (r + o) mod h.  Conversely, for
+    l = (r + o) mod h in (0, h), the point t = (x, l - o) differs from
+    (x, r) by a multiple of (0, h), so it is in L, and l - o lies in
+    (-o, h - o), inside [-y_max, h] as 0 <= o <= y_max: t is in the
+    reference's box and gives l.  A line at 0 mod h is 0 or h, kept
+    anyway.  So the sorted line lists, the samples and every witness are
+    the reference's.
     """
     x1, _, y2 = lat.canonical_key()
     w, h = as_int(x1, den), as_int(y2, den)
     xs, ys = {0, w}, {0, h}
+    top = y2 - Fraction(1, den)
     for shape in stairs:
         xs.update(as_int(v, den) % w for v in shape.x_breaks)
         bb = shape.bbox()
-        box = Box(-bb.x_max, x1 - bb.x_min, -bb.y_max, y2 - bb.y_min)
+        row = points_in_box(lat, Box(-bb.x_max, x1 - bb.x_min, 0, top))
         offsets = [0] + [as_int(v, den) for v in shape.heights]
-        for ty in {as_int(t.y, den) for t in points_in_box(lat, box)}:
-            ys.update(y for y in (ty + o for o in offsets) if 0 < y < h)
+        for r in {as_int(t.y, den) for t in row}:
+            ys.update([(r + o) % h for o in offsets])
     return sorted(xs), sorted(ys)
 
 

@@ -40,8 +40,9 @@ def canonical_stair(j: int) -> StairPolygon:
     """The canonical stair: unit columns over [i, i+1) of heights 2j - i."""
     if j < 1:
         raise ValueError(f"need j >= 1: {j}")
-    return StairPolygon(tuple(Fraction(i) for i in range(2 * j + 1)),
-                        tuple(Fraction(2 * j - i) for i in range(2 * j)))
+    # one Fraction per value, shared by the breaks and the heights
+    values = [Fraction(i) for i in range(2 * j + 1)]
+    return StairPolygon(values, values[:0:-1])
 
 
 # The membership rule of each canonical region, on the cells (i, k) of

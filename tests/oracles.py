@@ -13,7 +13,8 @@ from fractions import Fraction
 from itertools import combinations
 from math import floor, lcm
 
-from stairtile import Box, Lattice, Point, points_in_box, prec
+from stairtile import (Box, Lattice, Point, StairPolygon, points_in_box,
+                       prec)
 
 
 def covering_scale_oracle(lat: Lattice, j: int, window: int) -> Fraction:
@@ -179,6 +180,32 @@ def faces_reference(a_vals: list[int], b_vals: list[int],
         samples += [((u0 + u1) // 2, c - (u0 + u1) // 2)
                     for u0, u1 in zip(us, us[1:])]
     return list(dict.fromkeys(samples))
+
+
+def halfopen_grid_reference(lat: Lattice, stairs: list[StairPolygon],
+                            den: int) -> tuple[list[int], list[int]]:
+    """The verticals and horizontals of the translate boundaries of the
+    half open stairs inside the canonical rectangle [0, w) x [0, h),
+    scaled by den, with the sides 0, w and 0, h, each list sorted.
+
+    The walls cross the rectangle at the x-breaks mod w.  For the floors
+    and ceilings every translate t of the box [-x_max, w - x_min] x
+    [-y_max, h] of each stair is listed, and each t.y + o, o = 0 or a
+    height, that falls strictly inside (0, h) is kept.
+    """
+    x1, _, y2 = lat.canonical_key()
+    w, h = int(x1 * den), int(y2 * den)
+    xs, ys = {0, w}, {0, h}
+    for shape in stairs:
+        xs.update(int(v * den) % w for v in shape.x_breaks)
+        bb = shape.bbox()
+        box = Box(-bb.x_max, x1 - bb.x_min, -bb.y_max, y2 - bb.y_min)
+        for t in points_in_box(lat, box):
+            for o in (0, *shape.heights):
+                y = (t.y + o) * den
+                if 0 < y < h:
+                    ys.add(int(y))
+    return sorted(xs), sorted(ys)
 
 
 def _bezout(a: int, b: int) -> tuple[int, int, int]:

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 from math import lcm
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as hyp
 
 from stairtile import (Box, Lattice, Mode, Point, Region, ScaledTriangle,
@@ -20,7 +20,7 @@ from stairtile.multiplicity import (_exact_counts, _extrema, _faces,
                                     _halfopen_grid, _triangle_faces,
                                     _vertices)
 
-from oracles import faces_reference
+from oracles import faces_reference, halfopen_grid_reference
 
 
 def covering_optimal(j, m=1):
@@ -284,14 +284,9 @@ def rational_lattices(draw):
 
 
 @hyp.composite
-def regions(draw):
-    """A small stair or triangle in one of its valid modes."""
-    if draw(hyp.booleans()):
-        side = draw(hyp.fractions(min_value=F(1, 4), max_value=2,
-                                  max_denominator=4))
-        return Region(ScaledTriangle(side),
-                      draw(hyp.sampled_from([Mode.INTERIOR, Mode.CLOSED])))
-    # two columns at least, so that every stair has an internal wall
+def stair_polygons(draw):
+    """A small stair of two or three columns, so that every stair has an
+    internal wall."""
     widths = draw(hyp.lists(lengths, min_size=2, max_size=3))
     steps = draw(hyp.lists(lengths, min_size=len(widths),
                            max_size=len(widths)))
@@ -300,7 +295,18 @@ def regions(draw):
     for w in widths:
         xs.append(xs[-1] + w)
     hs = [sum(steps[i:]) for i in range(len(steps))]
-    return Region(StairPolygon(xs, hs), draw(hyp.sampled_from(list(Mode))))
+    return StairPolygon(xs, hs)
+
+
+@hyp.composite
+def regions(draw):
+    """A small stair or triangle in one of its valid modes."""
+    if draw(hyp.booleans()):
+        side = draw(hyp.fractions(min_value=F(1, 4), max_value=2,
+                                  max_denominator=4))
+        return Region(ScaledTriangle(side),
+                      draw(hyp.sampled_from([Mode.INTERIOR, Mode.CLOSED])))
+    return Region(draw(stair_polygons()), draw(hyp.sampled_from(list(Mode))))
 
 
 def boundary_points(shape, ts):
@@ -404,6 +410,38 @@ def test_counts_on_shared_lines_match_point_oracle(lat, region, data):
     counts = _exact_counts(lat, region, samples, den)
     assert counts == [count_at(lat, region, _at(u, den)) for u in samples]
     assert _exact_counts(lat, region, samples[::-1], den) == counts[::-1]
+
+
+@hyp.composite
+def skewed_line_lattices(draw):
+    """``line_lattices``, each given through a random unimodular change of
+    its basis."""
+    lat = draw(line_lattices())
+    a, b, c, d = 1, 0, 0, 1
+    for k in draw(hyp.lists(hyp.integers(-3, 3), min_size=1, max_size=3)):
+        # left multiplication by [[0, 1], [1, k]], of determinant -1
+        a, b, c, d = c, d, a + k * c, b + k * d
+    return Lattice(lat.u1.scaled(a) + lat.u2.scaled(b),
+                   lat.u1.scaled(c) + lat.u2.scaled(d))
+
+
+@settings(max_examples=80, deadline=None)
+@given(skewed_line_lattices(),
+       hyp.lists(stair_polygons(), min_size=1, max_size=2),
+       hyp.sampled_from([1, 4]))
+# the two stairs of a layer, as layer_extrema passes them
+@example(shift_lattice(1, 1),
+         [canonical_stair(2), StairPolygon([0, 1, 3], [3, 2])], 1)
+@example(shift_lattice(3, 4), [canonical_stair(4)], 4)
+# only the row point of column -1, at h - 1/den, gives the line y = 4
+@example(shift_lattice(1, 2), [StairPolygon([0, 1], [1])], 1)
+def test_halfopen_grid_matches_the_full_box_reference(lat, stairs, scale):
+    # one translate per lattice column gives the horizontals of every
+    # translate of the tall box, at the den of the half open grids and at
+    # the 4*den of _faces
+    den = scale * lcm(*(_common_den(lat, shape) for shape in stairs))
+    assert _halfopen_grid(lat, stairs, den) == \
+        halfopen_grid_reference(lat, stairs, den)
 
 
 def _scaled_magnitude(lat, shape, samples, den):

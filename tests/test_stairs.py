@@ -424,7 +424,7 @@ def test_coset_counter_matches_the_sweep_on_drawn_triples(triple):
 def test_coset_counter_matches_the_forward_check_on_shift_lattices():
     # the forward table counts cosets; the multiplicity sweep of every
     # shift_lattice(m, j) must agree with it
-    for j in range(1, 9):
+    for j in range(1, 17):
         got = verify_stair_tiling_forward(j)
         assert got == [(m, is_exact_jfold_tiling(
                            canonical_stair(j), shift_lattice(m, j), j))
