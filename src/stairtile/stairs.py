@@ -5,8 +5,11 @@ and area j(2j+1).  The lattice generated by (1, m) and (0, 2j+1) tiles the
 plane exactly j-fold with that stair precisely when gcd(m, 2j+1) and
 gcd(m+1, 2j+1) are both 1; both directions of that statement are exercised
 here, the forward one over each m and the converse one over a bounded
-rational search space, each lattice decided by counting the stair's grid
-points in each of its cosets, in integers (``_cosets_hold_at_most``).
+rational search space, each lattice decided in integers from the stair's
+grid columns: in each row of cosets, a column's points are a cyclic run
+of residues, and the row holds j points per coset iff its heights sum to
+j times the row length and its runs start where they end, as multisets
+(``_rows_cover_exactly``).
 The gcd rules count shift_lattice(m, j) points, y = m*x (mod 2j+1), in
 regions of integer unit cells of the square [0, 2j+1)^2
 (``canonical_regions``, ``count_region``).
@@ -98,6 +101,8 @@ def count_region(m: int, j: int, region: str, s: int, t: int) -> int:
 
 def admissible_shifts(j: int) -> list[int]:
     """The m in 1..2j+1 with gcd(m, 2j+1) = gcd(m+1, 2j+1) = 1."""
+    if j < 1:
+        raise ValueError(f"need j >= 1: {j}")
     n = 2 * j + 1
     return [m for m in range(1, n + 1)
             if gcd(m, n) == 1 and gcd(m + 1, n) == 1]
@@ -106,38 +111,53 @@ def admissible_shifts(j: int) -> list[int]:
 def _grid_columns(j: int, q: int) -> list[tuple[int, int]]:
     """The grid points of the canonical stair on the 1/q grid, in units
     of 1/q, as columns (X, H): the points (X, Y) with 0 <= Y < H.  They are
-    the lower left corners of the cells u + [0, 1/q)^2 that make up S_j."""
-    return [(x, int(h * q)) for x0, x1, h in canonical_stair(j).columns()
-            for x in range(int(x0 * q), int(x1 * q))]
+    the lower left corners of the cells u + [0, 1/q)^2 that make up S_j.
+    Column X lies in the unit column X // q, of height 2j - X // q."""
+    if j < 1:
+        raise ValueError(f"need j >= 1: {j}")
+    return [(x, q * (2 * j - x // q)) for x in range(2 * j * q)]
 
 
-def _cosets_hold_at_most(columns: list[tuple[int, int]], j: int,
-                         key: tuple[int, int, int]) -> bool:
-    """Whether no coset of the lattice ((a, b), (0, c)) in Z^2 holds more
-    than j of the points in columns; key is (a, b, c) with a, c > 0.
+def _rows_cover_exactly(columns: list[tuple[int, int]], j: int,
+                        key: tuple[int, int, int]) -> bool:
+    """Whether every coset of the lattice ((a, b), (0, c)) in Z^2 holds
+    exactly j of the points in columns; key is (a, b, c) with a, c > 0.
 
     The point (X, Y) lies in the coset (X mod a, (Y - (X // a)*b) mod c):
     subtracting (X // a) lattice vectors (a, b) leaves the x-residue, and
-    multiples of (0, c) the y-residue.  Stops at the first coset past j.
+    multiples of (0, c) the y-residue.  So the a*c cosets form a rows of
+    c, and column X, of height H, lies in row X mod a, where its points are
+    the cyclic run of H residues mod c that starts at s = -(X // a)*b
+    mod c and ends before (s + H) mod c.
+
+    Lemma.  A row holds exactly j points in each of its c cosets iff its
+    heights H sum to j*c and the multiset of its run starts s equals the
+    multiset of its run ends (s + H) mod c.  Each full turn H // c adds
+    the same count to every residue.  The partial run, of H mod c
+    residues, raises the coverage by one at its start and lowers it by
+    one at its end (a run with no partial part starts where it ends), so
+    the coverage is constant around the cycle iff the starts and ends
+    agree as multisets.  A constant coverage with total j*c is exactly j.
+    A row with no column sums to 0 and fails.  Each start or end in row r
+    at residue y is kept as the one integer r*c + y.
     """
     a, b, c = key
-    counts = [0] * (a * c)
+    sums, starts, ends = [0] * a, [], []
     for x, height in columns:
-        row, shift = x % a * c, x // a * b
-        for y in range(height):
-            k = row + (y - shift) % c
-            counts[k] += 1
-            if counts[k] > j:
-                return False
-    return True
+        row, start = x % a, -(x // a) * b % c
+        sums[row] += height
+        starts.append(row * c + start)
+        ends.append(row * c + (start + height) % c)
+    return sums == [j * c] * a and sorted(starts) == sorted(ends)
 
 
 def verify_stair_tiling_forward(j: int) -> list[tuple[int, bool]]:
     """(m, does the canonical stair tile exactly j-fold with
-    shift_lattice(m, j)) for every m in 1..2j+1, decided by coset counts
-    as ``verify_stair_tiling_converse`` decides it at q = 1."""
+    shift_lattice(m, j)) for every m in 1..2j+1, decided by the row runs
+    of ``_rows_cover_exactly`` as ``verify_stair_tiling_converse`` decides
+    it at q = 1: one row, the 2j columns' runs sorted per m."""
     columns = _grid_columns(j, 1)
-    return [(m, _cosets_hold_at_most(columns, j, (1, m, 2 * j + 1)))
+    return [(m, _rows_cover_exactly(columns, j, (1, m, 2 * j + 1)))
             for m in range(1, 2 * j + 2)]
 
 
@@ -157,10 +177,10 @@ def verify_stair_tiling_converse(j: int, denominator_bound: int) -> list[Lattice
     translates that hold a point is constant on each cell: at a corner u
     it is the number of points of the coset u + L in S_j, all of them cell
     corners.  So S_j tiles exactly j-fold iff every coset of L in
-    (1/q)Z^2 holds exactly j of the cell corners in S_j.  There are
-    j(2j+1)q^2 such corners and (2j+1)q^2 cosets, so by pigeonhole it is
-    enough that no coset holds more than j (``_cosets_hold_at_most``).
-    Only a tiler is built as a ``Lattice``.
+    (1/q)Z^2 holds exactly j of the cell corners in S_j, which
+    ``_rows_cover_exactly`` decides from the run ends of the stair's 2jq
+    grid columns in each row of cosets.  Only a tiler is built as a
+    ``Lattice``.
     """
     if denominator_bound < 1:
         raise ValueError(f"need a positive bound: {denominator_bound}")
@@ -173,9 +193,8 @@ def verify_stair_tiling_converse(j: int, denominator_bound: int) -> list[Lattice
                 continue
             c = index // a
             for b in range(c):
-                if gcd(q, a, b, c) > 1:
-                    continue
-                if _cosets_hold_at_most(columns, j, (a, b, c)):
+                if (gcd(q, a, b, c) == 1
+                        and _rows_cover_exactly(columns, j, (a, b, c))):
                     found.append(_triangular(q, a, b, c))
     found.sort(key=lambda lat: lat.canonical_key())
     return found

@@ -208,6 +208,30 @@ def halfopen_grid_reference(lat: Lattice, stairs: list[StairPolygon],
     return sorted(xs), sorted(ys)
 
 
+def coset_counts_reference(columns: list[tuple[int, int]], j: int,
+                           key: tuple[int, int, int]) -> bool:
+    """Whether no coset of the lattice ((a, b), (0, c)) in Z^2 holds more
+    than j of the points in columns; key is (a, b, c) with a, c > 0.
+
+    The point (X, Y) lies in the coset (X mod a, (Y - (X // a)*b) mod c):
+    subtracting (X // a) lattice vectors (a, b) leaves the x-residue, and
+    multiples of (0, c) the y-residue.  Every point is filed in a table of
+    a*c counts, and the walk stops at the first coset past j.  On the
+    stair's j*a*c grid points this is "every coset holds exactly j", by
+    pigeonhole.
+    """
+    a, b, c = key
+    counts = [0] * (a * c)
+    for x, height in columns:
+        row, shift = x % a * c, x // a * b
+        for y in range(height):
+            k = row + (y - shift) % c
+            counts[k] += 1
+            if counts[k] > j:
+                return False
+    return True
+
+
 def _bezout(a: int, b: int) -> tuple[int, int, int]:
     """(g, s, t) with s*a + t*b = g = gcd(a, b) >= 0, by recursion."""
     if b == 0:

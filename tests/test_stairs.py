@@ -20,7 +20,7 @@ from stairtile import (Lattice, Point, SelectionStairError,
                        verify_stair_tiling_forward)
 from stairtile.stairs import canonical_regions
 
-from oracles import selection_member
+from oracles import coset_counts_reference, selection_member
 from test_multiplicity import GENERIC_BASES
 from test_scales import near_rotation, skewed_lattices
 
@@ -359,15 +359,18 @@ def test_verify_stair_tiling_converse():
 
 
 def test_converse_refuses_j_below_one():
-    # with no cell corners to place, every lattice would pass
+    # with no cell corners to place, every lattice would pass; the
+    # admissible shifts, the family it should find, are refused alike
     for j in (0, -1):
         with pytest.raises(ValueError, match="need j >= 1"):
             verify_stair_tiling_converse(j, 2)
+        with pytest.raises(ValueError, match="need j >= 1"):
+            admissible_shifts(j)
 
 
 def coset_verdict(j, q, a, b, c):
-    return stairs._cosets_hold_at_most(stairs._grid_columns(j, q), j,
-                                       (a, b, c))
+    return stairs._rows_cover_exactly(stairs._grid_columns(j, q), j,
+                                      (a, b, c))
 
 
 def sweep_verdict(j, q, a, b, c):
@@ -388,7 +391,7 @@ def test_grid_columns_are_the_grid_points_of_the_stair():
             assert len(corners) == j * (2 * j + 1) * q * q
 
 
-def test_coset_counter_matches_the_sweep_on_the_converse_space():
+def test_row_runs_match_the_sweep_on_the_converse_space():
     # every triple of the space, the ones the converse skips included
     tilers = 0
     for j in (1, 2):
@@ -417,12 +420,37 @@ def converse_triples(draw):
 @given(converse_triples())
 @example((1, 1, 1, 1, 3))
 @example((3, 5, 5, 1, 35))
-def test_coset_counter_matches_the_sweep_on_drawn_triples(triple):
+def test_row_runs_match_the_sweep_on_drawn_triples(triple):
     assert coset_verdict(*triple) == sweep_verdict(*triple)
 
 
-def test_coset_counter_matches_the_forward_check_on_shift_lattices():
-    # the forward table counts cosets; the multiplicity sweep of every
+@hyp.composite
+def reference_triples(draw):
+    # past the sweep oracle's reach; a = 1 puts every column in one row,
+    # and a = q with b a multiple of q is a shift lattice, so tilers too
+    j = draw(hyp.integers(1, 4))
+    q = draw(hyp.integers(1, 8))
+    index = (2 * j + 1) * q * q
+    a = draw(hyp.one_of(hyp.just(1), hyp.just(q), hyp.sampled_from(
+        [a for a in range(1, index + 1) if index % a == 0])))
+    c = index // a
+    b = draw(hyp.one_of(hyp.integers(0, c - 1),
+                        hyp.sampled_from(range(0, c, q))))
+    return j, q, a, b, c
+
+
+@settings(max_examples=300, deadline=None)
+@given(reference_triples())
+@example((2, 3, 3, 6, 15))
+@example((4, 8, 1, 1, 576))
+def test_row_runs_match_the_coset_counts(triple):
+    j, q, a, b, c = triple
+    assert coset_verdict(*triple) == coset_counts_reference(
+        stairs._grid_columns(j, q), j, (a, b, c))
+
+
+def test_row_runs_match_the_forward_check_on_shift_lattices():
+    # the forward table reads row runs; the multiplicity sweep of every
     # shift_lattice(m, j) must agree with it
     for j in range(1, 17):
         got = verify_stair_tiling_forward(j)
@@ -450,7 +478,7 @@ def test_forward_never_reaches_the_sweep(monkeypatch):
 
 
 def test_converse_never_reaches_the_sweep(monkeypatch):
-    # each candidate is decided by coset counts; only a tiler is built
+    # each candidate is decided by its row runs; only a tiler is built
     def refused(*args, **kwargs):
         raise AssertionError("the converse reached the tiling sweep")
 
