@@ -198,6 +198,8 @@ def _cmd_stair_opt(args) -> int:
 
 
 def _cmd_render(args) -> int:
+    if args.lattice is None and args.j < 1:
+        raise UsageError(f"need j >= 1: {args.j}")
     lat = (shift_lattice(1 if args.m is None else args.m, args.j)
            if args.lattice is None else _parse_lattice(args.lattice, args.j))
     if args.region == "stair":
@@ -273,7 +275,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_phi)
 
-    p = sub.add_parser("search", help="brute-force lattice density sweep")
+    p = sub.add_parser("search",
+                       help="exact search of a bounded lattice space")
     p.add_argument("--j", type=int, required=True)
     p.add_argument("--kind", choices=[PACKING, COVERING], required=True)
     p.add_argument("--qmax", type=int, required=True)

@@ -52,8 +52,9 @@ class CandidateGapError(RuntimeError):
     """The corner formula's scale failed its certificate: the quadrant
     stair does not prove the predicate there, the corner's witness does not
     refute it across the flip, or the scale is not a candidate.  A lattice
-    search raises it when the stair or the witness does not confirm the
-    formula's verdict at scale 1."""
+    search raises it when a shape's witness does not refute its failing
+    scalings, or when the stair of a best lattice does not prove a scale
+    that passes at 1."""
 
 
 class ScaleCertificate(Frozen):

@@ -1,26 +1,26 @@
 """Desk-scale optimization evidence for the closed-form densities.
 
-Two independent kinds of evidence: a brute-force sweep over a bounded grid
-of rational lattices, whose best packing/covering densities must land
-exactly on the closed forms once the optimal lattices enter the search
-space, and a floating-point coordinate-ascent optimizer for the largest
-stair polygon inside the triangle (resp. smallest stair containing its
-interior), whose optima must approach j/(2j+1) and (2j+1)/(4j).
+Two independent kinds of evidence: an exact search over a bounded grid of
+rational lattices, whose best packing/covering densities must land exactly
+on the closed forms once the optimal lattices enter the search space, and
+a floating-point coordinate-ascent optimizer for the largest stair polygon
+inside the triangle (resp. smallest stair containing its interior), whose
+optima must approach j/(2j+1) and (2j+1)/(4j).
 
-The sweep walks the space as integer triples (q, a, b, c) with
-gcd(q, a, b, c) = 1 (``_triples``), whose lattice ((a/q, b/q), (0, c/q))
-has den = q and integer canonical key (a, b, c) at q.  It visits them best
-density first, by the integer key sign*a*c*(M/q)^2 = sign*d*M^2 with
-M = lcm(1..q_max) (``_best_first``), and decides each on its key by the
-corner formula (``scales._corner``): the critical scale is the coordinate
-sum x + y of one corner of the quadrant stair P, built in integers, and
-the unit triangle passes iff x + y >= q (packing) or <= q (covering).
-Only a pass is built as a ``Lattice``, and P proves it, at a scale that
-must pass too, by its fit and by 2c + 1 lattice counts at its corners,
-which show that it tiles exactly j-fold (``scales._proven_stair``).  One
-point next to the corner, counted in integers, proves each failure
-(``scales._witness_refutes``): it is a witness at 1, as the scale and 1
-both lie on the 1/q grid.  A disagreement raises ``CandidateGapError``.
+The space is the integer triples (q, a, b, c) with gcd(q, a, b, c) = 1
+(``_triples``), whose lattice ((a/q, b/q), (0, c/q)) has den = q and
+integer canonical key (a, b, c) at q.  Each is a scaling (g/q)*L0 of a
+primitive integer shape L0, and the search (``_search``) decides each
+shape once, in integers: the corner formula (``scales._corner``) reads
+the shape's critical scale s off one corner of its quadrant stair P, and
+the unit triangle passes on (g/q)*L0 iff g*s >= q (packing) or <= q
+(covering), so each shape's best scaling follows in closed form.  One
+point next to the corner, counted in integers, refutes every failing
+scaling of the shape (``scales._witness_refutes``).  Only a best lattice
+is built as a ``Lattice``, and P proves it, at a scale that must pass too,
+by its fit and by 2c + 1 lattice counts at its corners, which show that it
+tiles exactly j-fold (``scales._proven_stair``).  A disagreement raises
+``CandidateGapError``.
 
 The stair optimizers are the only place in the package where inexact
 numbers appear; the best layout found is afterwards snapped to nearby
@@ -31,8 +31,8 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import gcd, lcm
-from operator import itemgetter
+from itertools import accumulate
+from math import gcd
 
 from .geometry import Frozen, fields_json
 from .lattice import Lattice, _triangular
@@ -42,7 +42,7 @@ from .scales import (CandidateGapError, _corner, _proven_stair,
 
 
 class SearchReport(Frozen):
-    """Outcome of a brute-force lattice sweep."""
+    """Outcome of a bounded lattice search."""
 
     best_value: Fraction | None
     best_lattices: tuple[Lattice, ...]
@@ -80,62 +80,82 @@ def lattice_search_space(denominator_bound: int,
             for t in _triples(denominator_bound, coefficient_bound)]
 
 
-def _best_first(triples: list[tuple[int, int, int, int]], kind: str,
-                denominator_bound: int
-                ) -> list[tuple[int, tuple[int, int, int, int]]]:
-    """The triples as (key, triple) pairs, best density first: key is the
-    integer sign*a*c*(M/q)^2 = sign*d*M^2, M = lcm(1..denominator_bound),
-    which orders the space as sign*d does (sign = 1 for packing, -1 for
-    covering), and the stable sort keeps the space's order among equal
-    keys."""
-    sign = 1 if kind == PACKING else -1
-    m = lcm(*range(1, denominator_bound + 1))
-    weights = [0] + [sign * (m // q) ** 2
-                     for q in range(1, denominator_bound + 1)]
-    keyed = [(a * c * weights[q], (q, a, b, c)) for q, a, b, c in triples]
-    keyed.sort(key=itemgetter(0))
-    return keyed
+def _search(j: int, q_max: int, c_max: int, kind: str) -> SearchReport:
+    """The best lattices of the bounded space, from one decision per
+    primitive shape and each shape's best scaling in closed form.
 
+    Lemma.  A triple (q, a, b, c) with gcd(q, a, b, c) = 1 is the lattice
+    (g/q)*L0, where g = gcd(a, b, c), L0 = ((a0, b0), (0, c0)) =
+    ((a, b), (0, c))/g is a primitive integer shape, and gcd(g, q) = 1.
+    This is a bijection: the triples correspond one to one to the tuples
+    (shape, g, q) with g <= c_max // max(a0, c0), q <= q_max and
+    gcd(g, q) = 1.  ``quadrant_stair`` is homogeneous, so the triple's
+    corner sum at den q is g*s, s the shape's integer corner sum: packing
+    passes iff g*s >= q, covering iff g*s <= q.  The density is
+    (q/g)^2/(2*a0*c0), with q/g in lowest terms.  So a shape's best
+    passing scaling has g = 1, and q = min(q_max, s) for packing, q = s
+    for covering, and then only when s <= q_max; every other scaling of the
+    shape is strictly worse.
 
-def _search(j: int, denominator_bound: int, coefficient_bound: int,
-            kind: str) -> SearchReport:
-    """Best-first sweep of the bounded space, as the module docstring says:
-    the triples come in the order of ``_best_first`` (a stable sort), and
-    the sweep stops at the first key that differs from one that has
-    passed.  Every lattice at the best level is decided, so the result is
-    a full scan's; space_size counts the whole space.  Only a pass is
-    built as a ``Lattice``, and the density 1/(2d) is formed once."""
+    Proofs.  The point next to the shape's corner refutes the predicate
+    on L0 at scale s + 1/2 (packing) or s - 1/2 (covering), 8s +- 4 in
+    units of 1/8 at den 1 (``_witness_refutes``).  The predicate flips
+    only on the 1/den grid, the integers for L0, and is monotone in the
+    scale, so this one call refutes every failing scaling of the shape,
+    each q/g > s (packing) or < s (covering).  Each best lattice is built
+    with ``_triangular`` and proven by ``_proven_stair``, at a scale that
+    must pass too; a disagreement raises ``CandidateGapError``.
+
+    Order.  Packing visits the shapes by increasing a0*c0 and stops once
+    q_max^2/(a0*c0), which bounds the density of every shape left, falls
+    strictly below the best density, so that all ties are kept.  Covering
+    visits every shape.  Densities are compared in integers, by
+    cross-multiplying.  space_size counts, for each shape, its coprime
+    pairs (g, q), from the same bijection, with no list of the space.
+    """
     if j < 1:
         raise ValueError(f"need j >= 1: {j}")
-    triples = _triples(denominator_bound, coefficient_bound)
+    if q_max < 1 or c_max < 1:
+        raise ValueError("bounds must be positive")
     packing = kind == PACKING
-    best_key: int | None = None
-    best: list[Lattice] = []
-    for key, (q, a, b, c) in _best_first(triples, kind, denominator_bound):
-        if best and key != best_key:
+    sign = 1 if packing else -1
+    sides = range(1, c_max + 1)
+    shapes = sorted((a * c, a, b, c) for a in sides for c in sides
+                    for b in range(c) if gcd(a, b, c) == 1)
+    # upto[n]: the coprime pairs (g, q) with g <= n and q <= q_max
+    upto = [0, *accumulate(sum(gcd(g, q) == 1 for q in range(1, q_max + 1))
+                           for g in sides)]
+    space_size = sum(upto[c_max // max(a, c)] for _, a, _, c in shapes)
+    # the best density is best_q^2 / (2*best_area): at first 0 (packing)
+    # or infinite (covering)
+    best_q, best_area = (0, 1) if packing else (1, 0)
+    best: list[tuple[int, int, int, int]] = []
+    for area, a, b, c in shapes:
+        if packing and q_max ** 2 * best_area < best_q ** 2 * area:
             break
         x, y = _corner(*quadrant_stair((a, b, c), j), kind)
-        if x + y >= q if packing else x + y <= q:
-            lat = _triangular(q, a, b, c)
-            # raises unless P proves its scale, which must pass as well
-            _, p = _proven_stair(lat, j, kind)
-            if not (p.x + p.y >= 1 if packing else p.x + p.y <= 1):
-                raise CandidateGapError(
-                    f"the witness at corner {p} refutes the {j}-fold "
-                    f"{kind} predicate at scale 1 on {lat.to_json()}")
-            best_key = key
-            best.append(lat)
-        elif not _witness_refutes((a, b, c), j, kind, (x, y), 8 * q):
+        across = 8 * (x + y) + 4 * sign  # x + y +- 1/2 in units of 1/8
+        if not _witness_refutes((a, b, c), j, kind, (x, y), across):
             raise CandidateGapError(
-                f"the witness at corner ({x}/{q}, {y}/{q}) does not refute "
-                f"the {j}-fold {kind} predicate at scale 1 on the lattice "
-                f"(({a}/{q}, {b}/{q}), (0, {c}/{q})), as its scale "
-                f"{Fraction(x + y, q)} says")
-    best_value = Fraction(1, 2) / best[0].d if best else None
-    best.sort(key=Lattice.canonical_key)
-    params = (("j", j), ("denominator_bound", denominator_bound),
-              ("coefficient_bound", coefficient_bound), ("kind", kind))
-    return SearchReport(best_value, tuple(best), len(triples), params)
+                f"the witness at corner ({x}, {y}) of the shape {(a, b, c)} "
+                f"does not refute the {j}-fold {kind} predicate at {across}/8")
+        q = min(q_max, x + y) if packing else x + y
+        gain = sign * (q * q * best_area - best_q ** 2 * area)
+        if q <= q_max and gain > 0:
+            best_q, best_area, best = q, area, []
+        if q <= q_max and gain >= 0:
+            best.append((q, a, b, c))
+    lats = sorted((_triangular(*t) for t in best), key=Lattice.canonical_key)
+    for lat in lats:
+        _, p = _proven_stair(lat, j, kind)  # raises unless P proves it
+        if sign * (p.x + p.y - 1) < 0:  # P's scale must pass as well
+            raise CandidateGapError(
+                f"the witness at corner {p} refutes the {j}-fold {kind} "
+                f"predicate at scale 1 on {lat.to_json()}")
+    best_value = Fraction(best_q ** 2, 2 * best_area) if best else None
+    params = (("j", j), ("denominator_bound", q_max),
+              ("coefficient_bound", c_max), ("kind", kind))
+    return SearchReport(best_value, tuple(lats), space_size, params)
 
 
 def search_packing(j: int, denominator_bound: int,
@@ -144,8 +164,9 @@ def search_packing(j: int, denominator_bound: int,
     triangle translates form a j-fold packing; never exceeds the closed
     form, and reaches it once the optimal lattices are inside the bounds.
 
-    The sweep (``_search``) decides lattices from the smallest determinant
-    up and stops below the first density that passes."""
+    The search (``_search``) decides each primitive shape once, from the
+    smallest determinant up, and stops once no shape left can reach the
+    best density."""
     return _search(j, denominator_bound, coefficient_bound, PACKING)
 
 
@@ -154,8 +175,9 @@ def search_covering(j: int, denominator_bound: int,
     """Minimal density over j-fold covering lattices in the bounded space;
     never below the closed form.
 
-    The sweep (``_search``) decides lattices from the largest determinant
-    down and stops above the first density that passes."""
+    The search (``_search``) decides every primitive shape once; a shape
+    whose critical scale s exceeds the denominator bound has no covering
+    scaling in the space."""
     return _search(j, denominator_bound, coefficient_bound, COVERING)
 
 

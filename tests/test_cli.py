@@ -201,6 +201,11 @@ def test_usage_errors_exit_2(capsys, tmp_path):
         assert run(["lambda", "--j", "1", "--which", "lower",
                     "--lattice", spec]) == 2
     capsys.readouterr()
+    # render's default lattice is refused on j alone, not on an m the
+    # caller never gave
+    assert run(["render", "--region", "stair", "--j", "0",
+                "--viewport=0,1,0,1"]) == 2
+    assert capsys.readouterr().err == "error: need j >= 1: 0\n"
     # files that cannot be written
     missing = str(tmp_path / "missing" / "x.svg")
     assert run(["sj", "--j", "1", "--lattice", "Z2", "--svg", missing]) == 2

@@ -2,9 +2,11 @@ import hashlib
 import json
 from fractions import Fraction as F
 from itertools import product
-from math import lcm
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hyp
 
 import stairtile.search
 from stairtile import (COVERING, PACKING, CandidateGapError, Lattice, Point,
@@ -60,10 +62,9 @@ def test_search_never_beats_closed_forms():
     (search_covering, 2, 3, 4, F(9, 2)),
     (search_covering, 1, 1, 2, None),   # no lattice passes
 ])
-def test_search_tests_only_lattices_at_least_as_good(monkeypatch, search,
-                                                     j, q, c, best_value):
-    # the corner formula decides each visited lattice: the quadrant stair
-    # is proven on each pass, the witness checked on each failure
+def test_search_decides_each_shape_once(monkeypatch, search, j, q, c,
+                                        best_value):
+    # one witness per primitive shape visited, one proof per best lattice
     proofs, witnesses = [], []
     for name, calls in (("_proven_stair", proofs),
                         ("_witness_refutes", witnesses)):
@@ -74,16 +75,17 @@ def test_search_tests_only_lattices_at_least_as_good(monkeypatch, search,
                 calls.append(args) or real(*args))
     report = search(j, q, c)
     assert report.best_value == best_value
-    space = lattice_search_space(q, c)
-    assert report.space_size == len(space)
-    sign = 1 if search is search_packing else -1
-    expected = len(space) if best_value is None else sum(
-        sign * F(1, 2) / abs(lat.det) >= sign * best_value for lat in space)
-    assert len(proofs) == len(report.best_lattices)
-    assert len(proofs) + len(witnesses) == expected
-    # the packing sweep stops early; in these covering spaces only the
-    # densest lattice passes, or none does, so every lattice is visited
-    assert (expected < len(space)) == (search is search_packing)
+    assert report.space_size == len(lattice_search_space(q, c))
+    shapes = [(a0, b0, c0) for _, a0, b0, c0 in _triples(1, c)
+              if gcd(a0, b0, c0) == 1]
+    # packing visits a shape while its density bound q^2/(2*a0*c0) reaches
+    # the best density; covering visits every shape
+    visited = shapes if search is search_covering else [
+        (a0, b0, c0) for a0, b0, c0 in shapes
+        if F(q * q, 2 * a0 * c0) >= best_value]
+    assert sorted(args[0] for args in witnesses) == sorted(visited)
+    assert (len(visited) < len(shapes)) == (search is search_packing)
+    assert [args[0] for args in proofs] == list(report.best_lattices)
 
 
 @pytest.mark.parametrize("kind", [PACKING, COVERING])
@@ -189,6 +191,13 @@ def test_optimizer_layout_matches_canonical_breakpoints():
 def test_search_rejects_bad_bounds():
     with pytest.raises(ValueError):
         search_packing(0, 1, 1)
+    # the search does not list the space, so it checks the bounds itself,
+    # after j
+    for search, q, c in ((search_packing, 0, 3), (search_covering, 3, 0)):
+        with pytest.raises(ValueError, match="^bounds must be positive$"):
+            search(1, q, c)
+    with pytest.raises(ValueError, match="need j >= 1: 0"):
+        search_packing(0, 0, 0)
     with pytest.raises(ValueError):
         lattice_search_space(0, 1)
     with pytest.raises(ValueError):
@@ -212,22 +221,6 @@ def test_search_reports_are_frozen():
     # a larger space, where many lattices share each density level
     assert reports_digest([(2, 8, 12)]) == (
         "9d7d7d4309153b2bcc6be1edfe41af660d034b9117c7868454c4bb421a122e58")
-
-
-@pytest.mark.parametrize("kind", [PACKING, COVERING])
-def test_integer_key_orders_the_space_as_the_density(kind):
-    # sign*d*M^2 in integers orders each space exactly as the stable sort
-    # on sign*d does, lattices of one density in the space's order
-    sign = 1 if kind == PACKING else -1
-    for q, c in product(range(1, 7), repeat=2):
-        space = lattice_search_space(q, c)
-        keyed = stairtile.search._best_first(_triples(q, c), kind, q)
-        expected = sorted(space, key=lambda lat: sign * lat.d)
-        m = lcm(*range(1, q + 1))
-        assert [key for key, _ in keyed] == [sign * lat.d * m * m
-                                             for lat in expected]
-        # the space holds each lattice once, so equality pins the order
-        assert [_triangular(*t) for _, t in keyed] == expected
 
 
 def test_each_triple_is_its_lattice_at_den_q():
@@ -266,8 +259,8 @@ def test_the_sweep_matches_a_scan_by_the_predicate(j, kind):
     (search_packing, 1, 3, 4),
 ])
 def test_only_a_passing_lattice_is_built(monkeypatch, search, j, q, c):
-    # the sweep decides each triple on its integer key and builds a
-    # Lattice for the lattices that pass, the best ones, alone
+    # the search decides each shape in integers and builds a Lattice for
+    # the best lattices alone
     built = []
     real = Lattice.__init__
 
@@ -280,3 +273,28 @@ def test_only_a_passing_lattice_is_built(monkeypatch, search, j, q, c):
     monkeypatch.undo()
     assert len(built) == len(report.best_lattices)
     assert (report.best_value is None) == (search is search_covering)
+
+
+@given(hyp.integers(1, 3), hyp.integers(1, 6), hyp.integers(1, 7),
+       hyp.sampled_from([PACKING, COVERING]))
+@settings(max_examples=60, deadline=None)
+def test_the_shape_sweep_matches_a_scan_lattice_by_lattice(j, q, c, kind):
+    # every lattice of the space decided on its own, at scale 1, by the
+    # corner that _proven_stair proves on it
+    space = lattice_search_space(q, c)
+    sign = 1 if kind == PACKING else -1
+    passing = []
+    for lat in space:
+        _, corner = scales._proven_stair(lat, j, kind)
+        if sign * (corner.x + corner.y - 1) >= 0:
+            passing.append(lat)
+    report = stairtile.search._search(j, q, c, kind)
+    assert report.space_size == len(space)
+    if not passing:
+        assert report.best_value is None and report.best_lattices == ()
+        return
+    best = max(sign * F(1, 2) / lat.d for lat in passing)
+    assert report.best_value == sign * best
+    assert len(set(report.best_lattices)) == len(report.best_lattices)
+    assert set(report.best_lattices) == {
+        lat for lat in passing if sign * F(1, 2) / lat.d == best}
