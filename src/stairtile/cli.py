@@ -17,13 +17,13 @@ from .density import (COVERING, PACKING, DensityResult, density_result,
 from .geometry import Box, Point, format_rational, parse_rational
 from .lattice import (Lattice, enumerate_integer_sublattices, integer_lattice,
                       shift_lattice)
-from .multiplicity import is_exact_jfold_tiling, stair_region, triangle_region
+from .multiplicity import stair_region, triangle_region
 from .arith import phi_k, phi_k_bruteforce
 from .scales import lambda_lower, lambda_upper
 from .search import (optimize_circumscribed_stair, optimize_inscribed_stair,
                      search_covering, search_packing)
-from .stairs import (canonical_stair, selection_stair, verify_stair_tiling_converse,
-                     verify_stair_tiling_forward)
+from .stairs import (_shifts_tile, canonical_stair, selection_stair,
+                     verify_stair_tiling_converse, verify_stair_tiling_forward)
 from .svgout import RenderSpec, render
 
 
@@ -142,8 +142,8 @@ def _cmd_verify(args) -> int:
         return 0
     if args.m is None:
         raise UsageError("verify needs --m, --forward or --converse")
-    tiles = is_exact_jfold_tiling(canonical_stair(args.j),
-                                  shift_lattice(args.m, args.j), args.j)
+    [tiles] = _shifts_tile(args.j, [args.m])  # refuses j < 1 first
+    shift_lattice(args.m, args.j)  # then m < 1
     payload = {"j": args.j, "m": args.m, "tiles": tiles}
     _emit(payload, args.json, "tiling" if tiles else "not a tiling")
     if args.expect == "tiling" and not tiles:
@@ -198,7 +198,7 @@ def _cmd_stair_opt(args) -> int:
 
 
 def _cmd_render(args) -> int:
-    if args.lattice is None and args.j < 1:
+    if args.j < 1:
         raise UsageError(f"need j >= 1: {args.j}")
     lat = (shift_lattice(1 if args.m is None else args.m, args.j)
            if args.lattice is None else _parse_lattice(args.lattice, args.j))

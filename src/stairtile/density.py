@@ -4,8 +4,10 @@ The closed forms are 2j^2/(2j+1) for packing and (2j+1)/2 for covering, and
 the lattices attaining them are one family for both kinds: the stair
 lattices (1, m), (0, 2j+1) of ``shift_lattice`` with gcd(m, 2j+1) =
 gcd(m+1, 2j+1) = 1, scaled by 1/(2j) for packing and by 1/(2j+1) for
-covering (``family_lattice``), and ``optimal_*_lattices`` can check each
-with ``is_jfold_packing`` or ``is_jfold_covering``.  A triangle a, b, c
+covering (``family_lattice``).  ``optimal_*_lattices`` can check the
+family by the stair lemma of ``_optimal_lattices``: the canonical stair
+S_j tiles exactly j-fold with each of them (the row runs of the forward
+table) and fits the triangle at its corners.  A triangle a, b, c
 carries lattices through its edge basis b - a, c - a
 (``triangle_lattice``), and every j-fold predicate and density value is
 invariant under that linear map.
@@ -17,9 +19,9 @@ from fractions import Fraction
 
 from .geometry import Frozen, Point, fields_json
 from .lattice import Lattice, shift_lattice
-from .multiplicity import (COVERING, KIND_MODE, PACKING, is_jfold_covering,
-                           is_jfold_packing, triangle_region)
-from .stairs import admissible_shifts
+from .multiplicity import COVERING, PACKING
+from .scales import _corner
+from .stairs import admissible_shifts, verify_stair_tiling_forward
 
 
 class DensityResult(Frozen):
@@ -48,7 +50,6 @@ def covering_density(j: int) -> Fraction:
 
 
 _CLOSED_FORMS = {PACKING: packing_density, COVERING: covering_density}
-_PREDICATES = {PACKING: is_jfold_packing, COVERING: is_jfold_covering}
 
 
 def family_lattice(j: int, m: int, kind: str) -> Lattice:
@@ -60,17 +61,36 @@ def family_lattice(j: int, m: int, kind: str) -> Lattice:
 
 
 def _optimal_lattices(j: int, kind: str, verify: bool) -> list[Lattice]:
-    if kind not in KIND_MODE:
+    """``family_lattice(j, m, kind)`` for the admissible shifts m, checked
+    by the stair lemma when verify is set.
+
+    Lemma.  Let a stair tile exactly j-fold with L.  If it lies in the
+    closed l*T, the closed l*T + L covers every point at least j times: a
+    j-fold covering at l.  If the open l*T lies in it, the open l*T + L
+    holds every point at most j times: a j-fold packing at l.  Scaling by
+    1/l carries each to T with L/l.
+
+    The forward table's tilers must be the admissible shifts, and S_j's
+    fit, from ``scales._corner`` on its integer breaks 0..2j and heights
+    2j..1, must be 2j + 1 (its largest outer corner sum: S_j lies in the
+    closed (2j+1)T) for covering and 2j (its smallest inner corner sum:
+    the open 2jT lies in S_j) for packing, the scalings of
+    ``family_lattice``.  Any failure, or a density other than the closed
+    form, raises AssertionError.
+    """
+    if kind not in _CLOSED_FORMS:
         raise ValueError(f"kind must be {PACKING!r} or {COVERING!r}: {kind}")
-    # the standard triangle in the mode that decides the kind
-    region = triangle_region(1, KIND_MODE[kind])
-    lats = [family_lattice(j, m, kind) for m in admissible_shifts(j)]
+    shifts = admissible_shifts(j)
+    lats = [family_lattice(j, m, kind) for m in shifts]
     if verify:
+        tilers = [m for m, ok in verify_stair_tiling_forward(j) if ok]
+        if tilers != shifts:
+            raise AssertionError(
+                f"S_{j} tiles with the shifts {tilers}, not {shifts}")
+        fit = sum(_corner(range(2 * j + 1), range(2 * j, 0, -1), kind))
+        if fit != (2 * j if kind == PACKING else 2 * j + 1):
+            raise AssertionError(f"S_{j} fits the {kind} triangle at {fit}")
         for lat in lats:
-            if not _PREDICATES[kind](region, lat, j):
-                raise AssertionError(
-                    f"claimed optimal {kind} lattice fails the predicate: "
-                    f"{lat.to_json()}")
             if Fraction(1, 2) / lat.d != _CLOSED_FORMS[kind](j):
                 raise AssertionError(
                     f"density mismatch for {lat.to_json()}")

@@ -151,14 +151,20 @@ def _rows_cover_exactly(columns: list[tuple[int, int]], j: int,
     return sums == [j * c] * a and sorted(starts) == sorted(ends)
 
 
+def _shifts_tile(j: int, shifts) -> list[bool]:
+    """For each m in shifts, whether the canonical stair tiles exactly
+    j-fold with shift_lattice(m, j), decided by the row runs of
+    ``_rows_cover_exactly`` as ``verify_stair_tiling_converse`` decides it
+    at q = 1: one row, the 2j columns' runs sorted per m."""
+    columns = _grid_columns(j, 1)
+    return [_rows_cover_exactly(columns, j, (1, m, 2 * j + 1))
+            for m in shifts]
+
+
 def verify_stair_tiling_forward(j: int) -> list[tuple[int, bool]]:
     """(m, does the canonical stair tile exactly j-fold with
-    shift_lattice(m, j)) for every m in 1..2j+1, decided by the row runs
-    of ``_rows_cover_exactly`` as ``verify_stair_tiling_converse`` decides
-    it at q = 1: one row, the 2j columns' runs sorted per m."""
-    columns = _grid_columns(j, 1)
-    return [(m, _rows_cover_exactly(columns, j, (1, m, 2 * j + 1)))
-            for m in range(1, 2 * j + 2)]
+    shift_lattice(m, j)) for every m in 1..2j+1, by ``_shifts_tile``."""
+    return list(enumerate(_shifts_tile(j, range(1, 2 * j + 2)), 1))
 
 
 def verify_stair_tiling_converse(j: int, denominator_bound: int) -> list[Lattice]:

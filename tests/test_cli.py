@@ -206,6 +206,10 @@ def test_usage_errors_exit_2(capsys, tmp_path):
     assert run(["render", "--region", "stair", "--j", "0",
                 "--viewport=0,1,0,1"]) == 2
     assert capsys.readouterr().err == "error: need j >= 1: 0\n"
+    # also where the triangle and its lattice never use j
+    assert run(["render", "--region", "triangle", "--j", "0",
+                "--lattice", "Z2", "--viewport=0,1,0,1"]) == 2
+    assert capsys.readouterr().err == "error: need j >= 1: 0\n"
     # files that cannot be written
     missing = str(tmp_path / "missing" / "x.svg")
     assert run(["sj", "--j", "1", "--lattice", "Z2", "--svg", missing]) == 2

@@ -8,6 +8,7 @@ from stairtile import (Lattice, Mode, Point, canonical_stair,
                        covering_density, density_result, integer_lattice,
                        optimal_covering_lattices, optimal_packing_lattices,
                        packing_density, triangle_lattice, triangle_region)
+from stairtile import density
 from stairtile.density import family_lattice
 
 from oracles import triangle_count_reference
@@ -62,12 +63,23 @@ def test_optimal_family_sizes_match_phi2():
 
 
 def test_optimal_lattices_verified_through_j5():
-    # verify=True re-checks every lattice against its predicate and density
+    # verify=True re-checks the family by the stair lemma and the density
     for j in range(1, 6):
         assert len(optimal_packing_lattices(j, verify=True)) == \
             count_optimal_lattices(j)
         assert len(optimal_covering_lattices(j, verify=True)) == \
             count_optimal_lattices(j)
+
+
+def test_family_check_refuses_a_non_tiler(monkeypatch):
+    # m = 4 is not admissible at j = 2: gcd(5, 5) != 1, so S_2 does not
+    # tile with shift_lattice(4, 2) and the check must refuse the claim
+    monkeypatch.setattr(density, "admissible_shifts",
+                        lambda j: [1, 2, 3, 4])
+    for kind in ("packing", "covering"):
+        with pytest.raises(AssertionError,
+                           match=r"shifts \[1, 2, 3\], not \[1, 2, 3, 4\]"):
+            density_result(2, kind)
 
 
 def test_density_result_payload():

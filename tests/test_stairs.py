@@ -13,11 +13,13 @@ from hypothesis import strategies as hyp
 from stairtile import stairs
 from stairtile import (Lattice, Point, SelectionStairError,
                        admissible_shifts, canonical_stair, count_region,
+                       density_result,
                        integer_lattice, is_exact_jfold_tiling, lambda_lower,
                        lambda_upper, layer_extrema, optimal_covering_lattices,
                        optimal_packing_lattices, scales, selection_stair,
                        shift_lattice, verify_stair_tiling_converse,
                        verify_stair_tiling_forward)
+from stairtile.cli import run
 from stairtile.stairs import canonical_regions
 
 from oracles import coset_counts_reference, selection_member
@@ -460,20 +462,30 @@ def test_row_runs_match_the_forward_check_on_shift_lattices():
         assert sum(ok for _, ok in got) == len(admissible_shifts(j))
 
 
-def test_forward_never_reaches_the_sweep(monkeypatch):
-    # the forward table and the region counts are decided in integers
+def test_forward_never_reaches_the_sweep(monkeypatch, capsys):
+    # the forward table, the family check of density_result, verify --m
+    # and the region counts are decided in integers
     def refused(*args, **kwargs):
         raise AssertionError("the forward check reached the tiling sweep")
 
+    names = ("is_exact_jfold_tiling", "multiplicity_extrema",
+             "is_jfold_packing", "is_jfold_covering")
     for module in [m for key, m in sys.modules.items()
                    if key == "stairtile" or key.startswith("stairtile.")]:
-        for name in ("is_exact_jfold_tiling", "multiplicity_extrema"):
+        for name in names:
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, refused)
     monkeypatch.setattr(Lattice, "contains", refused)
     for j in range(1, 5):
-        assert [m for m, ok in verify_stair_tiling_forward(j) if ok] \
-            == admissible_shifts(j)
+        good = admissible_shifts(j)
+        assert [m for m, ok in verify_stair_tiling_forward(j) if ok] == good
+        for kind in ("packing", "covering"):
+            assert len(density_result(j, kind).witness_lattices) == len(good)
+        for m in range(1, 2 * j + 2):
+            assert run(["verify", "--stair", "Sj", "--m", str(m),
+                        "--j", str(j)]) == 0
+            assert capsys.readouterr().out == (
+                "tiling\n" if m in good else "not a tiling\n")
     assert_region_count_digest()
 
 
