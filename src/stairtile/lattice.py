@@ -5,17 +5,21 @@ A lattice is stored as an ordered basis but compared as a point set: two
 combination of the other's, which we decide by reducing both to the unique
 lower-triangular canonical basis ((x1, y1), (0, y2)) with x1, y2 > 0 and
 0 <= y1 < y2.  The canonical basis is unique, so a basis already in that
-form is its own key; any other is reduced once, in integers, when the
-``Lattice`` is constructed, and that reduction is also the check that the
-basis is not singular.
+form is its own key; any other given basis is reduced once, in integers,
+when the ``Lattice`` is constructed, and that reduction is also the check
+that the basis is not singular.  The lattices the library makes from its
+own canonical keys (the sublattices of Z^2, and the triangular lattices of
+the search and the converse sweep) are built directly from the key by
+``_canonical``, with no coercion and no check.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from math import ceil, floor, gcd, lcm
+from math import ceil, floor, gcd, lcm, prod
 
+from .arith import OversizeError, factorize
 from .geometry import (Box, Frozen, Point, RationalLike, as_int, fields_json,
                        frac)
 
@@ -140,6 +144,26 @@ class Lattice(Frozen):
         return Lattice(Point.from_json(data["u1"]), Point.from_json(data["u2"]))
 
 
+_new = object.__new__
+_set = object.__setattr__
+
+
+def _canonical(x1: Fraction, y1: Fraction, u2: Point) -> Lattice:
+    """The lattice of the canonical basis ((x1, y1), u2), built without
+    ``Lattice.__init__``.  The caller guarantees the form: Fractions x1 > 0
+    and 0 <= y1 < y2, and u2 = (0, y2).  The basis is then its own key, so
+    nothing is coerced, compared or reduced, and the lattice equals, hashes,
+    prints and serializes as ``Lattice(Point(x1, y1), u2)``."""
+    u1 = _new(Point)
+    _set(u1, "x", x1)
+    _set(u1, "y", y1)
+    lat = _new(Lattice)
+    _set(lat, "u1", u1)
+    _set(lat, "u2", u2)
+    _set(lat, "_key", (x1, y1, u2.y))
+    return lat
+
+
 def integer_lattice() -> Lattice:
     """The standard lattice Z^2."""
     return Lattice(Point(1, 0), Point(0, 1))
@@ -153,11 +177,12 @@ def shift_lattice(m: int, j: int) -> Lattice:
 
 
 def _triangular(q: int, a: int, b: int, c: int) -> Lattice:
-    """The lattice ((a/q, b/q), (0, c/q)), for a, c > 0 and 0 <= b < c: a
-    canonical basis, so it is its own key, and with gcd(q, a, b, c) = 1
-    its den is q and its ``int_key(q)`` is (a, b, c)."""
-    return Lattice(Point(Fraction(a, q), Fraction(b, q)),
-                   Point(0, Fraction(c, q)))
+    """The lattice ((a/q, b/q), (0, c/q)), for q, a, c > 0 and 0 <= b < c:
+    a canonical basis, so it is its own key and is built by ``_canonical``
+    with no check; with gcd(q, a, b, c) = 1 its den is q and its
+    ``int_key(q)`` is (a, b, c)."""
+    return _canonical(Fraction(a, q), Fraction(b, q),
+                      Point(0, Fraction(c, q)))
 
 
 def scaled_points(lat: Lattice, den: int, x_min: int, x_max: int,
@@ -252,14 +277,33 @@ def points_in_box(lat: Lattice, box: Box) -> list[Point]:
                                       floor(box.y_max * den))]
 
 
+# enumerate_integer_sublattices builds at most this many lattices: at
+# sigma(99301) = 10^5, about 0.5 s and 35 MB in-process.
+SUBLATTICE_BUDGET = 10**5
+
+
 def enumerate_integer_sublattices(det_target: int) -> list[Lattice]:
     """All sublattices of Z^2 of index det_target, in triangular form.
 
     Each sublattice appears exactly once as ((a, b), (0, c)) with a*c equal
-    to the target and 0 <= b < c; the count is the divisor sum sigma(n).
+    to the target and 0 <= b < c, built by ``_canonical``; the count is the
+    divisor sum sigma(n).  sigma(n) is computed first, by formula: past
+    ``SUBLATTICE_BUDGET`` lattices, ``OversizeError`` names it and nothing
+    is built.  An n above the budget is refused unfactorized, as
+    sigma(n) >= n + 1 already exceeds it.
     """
     if det_target < 1:
         raise ValueError(f"index must be positive: {det_target}")
+    if det_target > SUBLATTICE_BUDGET:
+        count = f"at least n + 1 = {det_target + 1}"
+    else:
+        sigma = prod((p ** (e + 1) - 1) // (p - 1)
+                     for p, e in factorize(det_target))
+        count = f"sigma(n) = {sigma}" if sigma > SUBLATTICE_BUDGET else ""
+    if count:
+        raise OversizeError(
+            f"Z^2 has {count} sublattices of index n = {det_target}, past "
+            f"the budget of {SUBLATTICE_BUDGET}")
     # one Fraction per integer and one u2 per c, shared by the lattices
     values = [Fraction(i) for i in range(det_target + 1)]
     out = []
@@ -268,5 +312,5 @@ def enumerate_integer_sublattices(det_target: int) -> list[Lattice]:
             continue
         c = det_target // a
         x, u2 = values[a], Point(values[0], values[c])
-        out.extend(Lattice(Point(x, values[b]), u2) for b in range(c))
+        out.extend(_canonical(x, values[b], u2) for b in range(c))
     return out

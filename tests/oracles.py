@@ -264,6 +264,16 @@ def canonical_key_reference(u1: Point, u2: Point
     return v1.x, v1.y, v2.y
 
 
+def sublattices_reference(n: int) -> list[Lattice]:
+    """The index-n sublattices of Z^2 in the library's order (a ascending
+    over the divisors of n, then b), each through the checked
+    ``Lattice`` constructor: the Hermite normal forms ((a, b), (0, c))
+    with a*c = n and 0 <= b < c."""
+    return [Lattice(Point(a, b), Point(0, n // a))
+            for a in range(1, n + 1) if n % a == 0
+            for b in range(n // a)]
+
+
 def lattice_points_bruteforce(lat: Lattice, box: Box,
                               coeff: int = 12) -> list[Point]:
     """Lattice points in a closed box by sweeping small basis coefficients."""

@@ -210,6 +210,9 @@ def test_usage_errors_exit_2(capsys, tmp_path):
     assert run(["render", "--region", "triangle", "--j", "0",
                 "--lattice", "Z2", "--viewport=0,1,0,1"]) == 2
     assert capsys.readouterr().err == "error: need j >= 1: 0\n"
+    # an index whose sublattices are past the budget, with their count
+    assert run(["enumerate", "--det", "1000000000000"]) == 2
+    assert "at least n + 1 = 1000000000001" in capsys.readouterr().err
     # files that cannot be written
     missing = str(tmp_path / "missing" / "x.svg")
     assert run(["sj", "--j", "1", "--lattice", "Z2", "--svg", missing]) == 2
@@ -429,7 +432,8 @@ _ARGV = hyp.one_of(
               "expect": hyp.sampled_from(["tiling", "no-tiling"]),
               "forward": None, "converse": None,
               "qmax": hyp.integers(-1, 2), "json": None}),
-    _command("enumerate", {"det": hyp.integers(-2, 30)}, {"json": None}),
+    _command("enumerate", {"det": hyp.integers(-2, 30)
+                           | hyp.integers(10**6, 10**18)}, {"json": None}),
     _command("phi", {"k": hyp.integers(-1, 4), "n": hyp.integers(-2, 40)},
              {"verify": None, "json": None}),
     _command("search", {"j": _J, "kind": _KIND, "qmax": hyp.integers(0, 2),
@@ -481,6 +485,10 @@ def test_cli_fuzz_exit_codes(argv):
     if code == 1:
         assert any(a.startswith(("--expect", "--verify")) for a in argv)
     assert "Traceback" not in err.getvalue()
+    # an index past the sublattice budget is refused before any work
+    if argv[:1] == ["enumerate"] and any(
+            a.startswith("--det=") and int(a[6:]) >= 10**6 for a in argv):
+        assert code == 2
 
 
 @pytest.mark.parametrize("spec, den, expected", [

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction as F
-from math import ceil
+from math import ceil, gcd
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -9,11 +9,13 @@ from hypothesis import strategies as hyp
 import stairtile.lattice
 from stairtile import (Box, Lattice, Point, enumerate_integer_sublattices,
                        integer_lattice, points_in_box, shift_lattice)
-from stairtile.lattice import (floor_sum, preceding_count, scaled_points,
-                               triangle_count)
+from stairtile.arith import OversizeError
+from stairtile.lattice import (_triangular, floor_sum, preceding_count,
+                               scaled_points, triangle_count)
 from stairtile.search import lattice_search_space
 
-from oracles import canonical_key_reference, lattice_points_bruteforce
+from oracles import (canonical_key_reference, lattice_points_bruteforce,
+                     sublattices_reference)
 
 
 def test_lattice_constructor_examples():
@@ -247,6 +249,55 @@ def test_enumerate_integer_sublattices_pairwise_distinct():
             for b in lats[i + 1:]:
                 assert not (b.contains(a.u1) and b.contains(a.u2)
                             and a.contains(b.u1) and a.contains(b.u2))
+
+
+def _observed(lat):
+    """Everything a caller reads of a lattice, with the key's types."""
+    return (lat.u1, lat.u2, repr(lat.canonical_key()), lat.den, hash(lat),
+            repr(lat), lat.to_json())
+
+
+def test_enumerate_matches_the_checked_constructor():
+    # built from their keys with no check, the sublattices must be the
+    # ones the checked constructor makes, in the same order
+    for n in range(1, 61):
+        got, want = enumerate_integer_sublattices(n), sublattices_reference(n)
+        assert got == want
+        assert list(map(_observed, got)) == list(map(_observed, want))
+
+
+_SIDE = hyp.integers(1, 12) | hyp.integers(1, _BIG)
+
+
+@given(_SIDE, _SIDE, _SIDE, _SIDE)
+@settings(max_examples=200, deadline=None)
+def test_triangular_is_the_checked_lattice(q, a, b, c):
+    b %= c
+    assume(gcd(q, a, b, c) == 1)
+    lat = _triangular(q, a, b, c)
+    checked = Lattice(Point(F(a, q), F(b, q)), Point(0, F(c, q)))
+    assert lat == checked and checked == lat
+    assert _observed(lat) == _observed(checked)
+    assert lat.den == q and lat.int_key(q) == (a, b, c)
+
+
+def test_enumerate_refuses_past_the_budget(monkeypatch):
+    # the count is known before any lattice is built: an index past the
+    # budget is refused unfactorized, as sigma(n) >= n + 1
+    budget = stairtile.lattice.SUBLATTICE_BUDGET
+    for n in (budget + 1, 10**12, 10**18 + 9):
+        with pytest.raises(OversizeError, match=f"at least n \\+ 1 = {n + 1}"):
+            enumerate_integer_sublattices(n)
+    # 83160 = 2^3 3^3 5 7 11 is below the budget, its sigma is not
+    with pytest.raises(OversizeError, match="sigma\\(n\\) = 345600"):
+        enumerate_integer_sublattices(83160)
+    monkeypatch.setattr(stairtile.lattice, "SUBLATTICE_BUDGET", 28)
+    assert len(enumerate_integer_sublattices(12)) == 28  # sigma(12)
+    for n, sigma in ((16, 31), (28, 56)):
+        with pytest.raises(OversizeError, match=f"sigma\\(n\\) = {sigma}"):
+            enumerate_integer_sublattices(n)
+    with pytest.raises(OversizeError, match="at least n \\+ 1 = 30"):
+        enumerate_integer_sublattices(29)
 
 
 def test_scaled_determinant_quadratic():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hyp
 
+import stairtile.lattice
 import stairtile.search
 from stairtile import (COVERING, PACKING, CandidateGapError, Lattice, Point,
                        count_at, covering_density, covering_predicate,
@@ -260,15 +261,20 @@ def test_the_sweep_matches_a_scan_by_the_predicate(j, kind):
 ])
 def test_only_a_passing_lattice_is_built(monkeypatch, search, j, q, c):
     # the search decides each shape in integers and builds a Lattice for
-    # the best lattices alone
+    # the best lattices alone, by either constructor
     built = []
-    real = Lattice.__init__
+    real, canonical = Lattice.__init__, stairtile.lattice._canonical
 
     def counted(self, *args):
         built.append(args)
         real(self, *args)
 
+    def counted_canonical(*args):
+        built.append(args)
+        return canonical(*args)
+
     monkeypatch.setattr(Lattice, "__init__", counted)
+    monkeypatch.setattr(stairtile.lattice, "_canonical", counted_canonical)
     report = search(j, q, c)
     monkeypatch.undo()
     assert len(built) == len(report.best_lattices)
