@@ -73,6 +73,18 @@ def _emit(payload: dict, as_json: bool, plain: str) -> None:
         print(plain)
 
 
+def _emit_lattices(payload: dict, field: str, lats: list[Lattice],
+                   as_json: bool) -> None:
+    """The payload with the lattices' JSON under field, or one lattice's
+    JSON per line; each lattice's ``to_json()`` is called once, and only
+    the printed form is built."""
+    found = [lat.to_json() for lat in lats]
+    if as_json:
+        print(json.dumps({**payload, field: found}, sort_keys=True))
+    else:
+        print("\n".join(json.dumps(lat, sort_keys=True) for lat in found))
+
+
 def _cmd_density(args) -> int:
     vertices = [Point(0, 0), Point(1, 0), Point(0, 1)]
     if args.triangle is not None:
@@ -134,11 +146,8 @@ def _cmd_verify(args) -> int:
     if args.converse:
         qmax = 2 if args.qmax is None else args.qmax
         found = verify_stair_tiling_converse(args.j, qmax)
-        payload = {"j": args.j, "qmax": qmax,
-                   "tilers": [lat.to_json() for lat in found]}
-        _emit(payload, args.json,
-              "\n".join(json.dumps(lat.to_json(), sort_keys=True)
-                        for lat in found))
+        _emit_lattices({"j": args.j, "qmax": qmax}, "tilers", found,
+                       args.json)
         return 0
     if args.m is None:
         raise UsageError("verify needs --m, --forward or --converse")
@@ -155,11 +164,8 @@ def _cmd_verify(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     lats = enumerate_integer_sublattices(args.det)
-    payload = {"det": args.det, "count": len(lats),
-               "lattices": [lat.to_json() for lat in lats]}
-    _emit(payload, args.json,
-          "\n".join(json.dumps(lat.to_json(), sort_keys=True)
-                    for lat in lats))
+    _emit_lattices({"det": args.det, "count": len(lats)}, "lattices", lats,
+                   args.json)
     return 0
 
 

@@ -16,7 +16,13 @@ the shape's critical scale s off one corner of its quadrant stair P, and
 the unit triangle passes on (g/q)*L0 iff g*s >= q (packing) or <= q
 (covering), so each shape's best scaling follows in closed form.  One
 point next to the corner, counted in integers, refutes every failing
-scaling of the shape (``scales._witness_refutes``).  Only a best lattice
+scaling of the shape (``scales._witness_refutes``).  The shapes are
+visited by increasing determinant a0*c0, from a sorted list of the
+pairs (a0*c0, a0, c0) alone, and each kind stops at a bound on the
+shapes left: packing once none can reach the best density, covering
+once 2j*a0*c0 > q_max^2, since P, of area j*a0*c0, lies in s*T, so
+that s > q_max.  The space's size is counted per pair in closed form,
+never listed.  Only a best lattice
 is built as a ``Lattice``, and P proves it, at a scale that must pass too,
 by its fit and by 2c + 1 lattice counts at its corners, which show that it
 tiles exactly j-fold (``scales._proven_stair``).  A disagreement raises
@@ -34,6 +40,7 @@ from fractions import Fraction
 from itertools import accumulate
 from math import gcd
 
+from .arith import phi_k
 from .geometry import Frozen, fields_json
 from .lattice import Lattice, _triangular
 from .multiplicity import COVERING, PACKING
@@ -106,12 +113,28 @@ def _search(j: int, q_max: int, c_max: int, kind: str) -> SearchReport:
     with ``_triangular`` and proven by ``_proven_stair``, at a scale that
     must pass too; a disagreement raises ``CandidateGapError``.
 
-    Order.  Packing visits the shapes by increasing a0*c0 and stops once
-    q_max^2/(a0*c0), which bounds the density of every shape left, falls
-    strictly below the best density, so that all ties are kept.  Covering
-    visits every shape.  Densities are compared in integers, by
-    cross-multiplying.  space_size counts, for each shape, its coprime
-    pairs (g, q), from the same bijection, with no list of the space.
+    Order.  The shapes are visited by increasing a0*c0, then a0, then b0.
+    Only the pairs (a0*c0, a0, c0) are sorted; b0 runs over the residues
+    mod c0 coprime to h = gcd(a0, c0), as gcd(a0, b0, c0) = gcd(h, b0).
+    Both kinds stop between two pairs, on a bound that holds for every
+    shape of the pair and every later one:
+      packing, once q_max^2/(a0*c0), which bounds the density of every
+        shape left, falls strictly below the best density, so that all
+        ties are kept.  A shape's best density is at most its pair's
+        bound, so the stop never falls within a pair;
+      covering, once 2j*a0*c0 > q_max^2.  Area lemma: P lies in the
+        closed s*T (each outer corner has sum at most s, ``_corner``) and
+        has area j*a0*c0 (it tiles exactly j-fold), so s^2/2 >= j*a0*c0
+        and s > q_max: neither the shape nor any later one has a covering
+        scaling in the space.
+    So every failing scaling is refuted, by its shape's witness or by the
+    area lemma.  Densities are compared in integers, by cross-multiplying.
+
+    Size.  A pair holds (c0/h)*phi(h) shapes, phi = ``phi_k(1, .)``
+    tabulated once up to c_max, as the residues coprime to h repeat with
+    period h | c0; each shape has upto[c_max // max(a0, c0)] scalings
+    (g, q) by the bijection.  space_size sums these over every pair:
+    O(c_max^2) work, with no list of the space.
     """
     if j < 1:
         raise ValueError(f"need j >= 1: {j}")
@@ -120,31 +143,37 @@ def _search(j: int, q_max: int, c_max: int, kind: str) -> SearchReport:
     packing = kind == PACKING
     sign = 1 if packing else -1
     sides = range(1, c_max + 1)
-    shapes = sorted((a * c, a, b, c) for a in sides for c in sides
-                    for b in range(c) if gcd(a, b, c) == 1)
+    phi = [0, *(phi_k(1, n) for n in sides)]
     # upto[n]: the coprime pairs (g, q) with g <= n and q <= q_max
     upto = [0, *accumulate(sum(gcd(g, q) == 1 for q in range(1, q_max + 1))
                            for g in sides)]
-    space_size = sum(upto[c_max // max(a, c)] for _, a, _, c in shapes)
+    pairs = sorted((a * c, a, c, gcd(a, c)) for a in sides for c in sides)
+    space_size = sum(c // h * phi[h] * upto[c_max // max(a, c)]
+                     for _, a, c, h in pairs)
     # the best density is best_q^2 / (2*best_area): at first 0 (packing)
     # or infinite (covering)
     best_q, best_area = (0, 1) if packing else (1, 0)
     best: list[tuple[int, int, int, int]] = []
-    for area, a, b, c in shapes:
-        if packing and q_max ** 2 * best_area < best_q ** 2 * area:
+    for area, a, c, h in pairs:
+        if (q_max ** 2 * best_area < best_q ** 2 * area if packing
+                else q_max ** 2 < 2 * j * area):
             break
-        x, y = _corner(*quadrant_stair((a, b, c), j), kind)
-        across = 8 * (x + y) + 4 * sign  # x + y +- 1/2 in units of 1/8
-        if not _witness_refutes((a, b, c), j, kind, (x, y), across):
-            raise CandidateGapError(
-                f"the witness at corner ({x}, {y}) of the shape {(a, b, c)} "
-                f"does not refute the {j}-fold {kind} predicate at {across}/8")
-        q = min(q_max, x + y) if packing else x + y
-        gain = sign * (q * q * best_area - best_q ** 2 * area)
-        if q <= q_max and gain > 0:
-            best_q, best_area, best = q, area, []
-        if q <= q_max and gain >= 0:
-            best.append((q, a, b, c))
+        for b in range(c):
+            if gcd(h, b) != 1:
+                continue
+            x, y = _corner(*quadrant_stair((a, b, c), j), kind)
+            across = 8 * (x + y) + 4 * sign  # x + y +- 1/2 in units of 1/8
+            if not _witness_refutes((a, b, c), j, kind, (x, y), across):
+                raise CandidateGapError(
+                    f"the witness at corner ({x}, {y}) of the shape "
+                    f"{(a, b, c)} does not refute the {j}-fold {kind} "
+                    f"predicate at {across}/8")
+            q = min(q_max, x + y) if packing else x + y
+            gain = sign * (q * q * best_area - best_q ** 2 * area)
+            if q <= q_max and gain > 0:
+                best_q, best_area, best = q, area, []
+            if q <= q_max and gain >= 0:
+                best.append((q, a, b, c))
     lats = sorted((_triangular(*t) for t in best), key=Lattice.canonical_key)
     for lat in lats:
         _, p = _proven_stair(lat, j, kind)  # raises unless P proves it
@@ -175,9 +204,11 @@ def search_covering(j: int, denominator_bound: int,
     """Minimal density over j-fold covering lattices in the bounded space;
     never below the closed form.
 
-    The search (``_search``) decides every primitive shape once; a shape
-    whose critical scale s exceeds the denominator bound has no covering
-    scaling in the space."""
+    The search (``_search``) decides each primitive shape once, from the
+    smallest determinant a0*c0 up, and stops once 2j*a0*c0 exceeds the
+    square of the denominator bound: such a shape's quadrant stair, of
+    area j*a0*c0, lies in s*T, so its critical scale s exceeds the bound
+    and it has no covering scaling in the space, nor has any later one."""
     return _search(j, denominator_bound, coefficient_bound, COVERING)
 
 

@@ -62,10 +62,12 @@ def test_search_never_beats_closed_forms():
     (search_packing, 1, 3, 4, F(2, 3)),
     (search_covering, 2, 3, 4, F(9, 2)),
     (search_covering, 1, 1, 2, None),   # no lattice passes
+    (search_covering, 1, 3, 4, F(3, 2)),  # the area bound skips 19 of 33
 ])
 def test_search_decides_each_shape_once(monkeypatch, search, j, q, c,
                                         best_value):
-    # one witness per primitive shape visited, one proof per best lattice
+    # one witness per primitive shape visited, in the visiting order, and
+    # one proof per best lattice
     proofs, witnesses = [], []
     for name, calls in (("_proven_stair", proofs),
                         ("_witness_refutes", witnesses)):
@@ -77,16 +79,28 @@ def test_search_decides_each_shape_once(monkeypatch, search, j, q, c,
     report = search(j, q, c)
     assert report.best_value == best_value
     assert report.space_size == len(lattice_search_space(q, c))
-    shapes = [(a0, b0, c0) for _, a0, b0, c0 in _triples(1, c)
-              if gcd(a0, b0, c0) == 1]
+    shapes = sorted((a0 * c0, a0, b0, c0) for _, a0, b0, c0 in _triples(1, c)
+                    if gcd(a0, b0, c0) == 1)
     # packing visits a shape while its density bound q^2/(2*a0*c0) reaches
-    # the best density; covering visits every shape
-    visited = shapes if search is search_covering else [
-        (a0, b0, c0) for a0, b0, c0 in shapes
-        if F(q * q, 2 * a0 * c0) >= best_value]
-    assert sorted(args[0] for args in witnesses) == sorted(visited)
-    assert (len(visited) < len(shapes)) == (search is search_packing)
+    # the best density; covering while 2j*a0*c0 <= q^2, past which the
+    # shape's stair, of area j*a0*c0, cannot fit in q*T
+    visited = [(a0, b0, c0) for area, a0, b0, c0 in shapes
+               if (F(q * q, 2 * area) >= best_value
+                   if search is search_packing else 2 * j * area <= q * q)]
+    assert [args[0] for args in witnesses] == visited
+    # every case stops early, and visits a shape unless none passes
+    assert len(visited) < len(shapes)
+    assert (not visited) == (best_value is None)
     assert [args[0] for args in proofs] == list(report.best_lattices)
+
+
+def test_the_space_size_is_counted_in_closed_form():
+    # per pair (a0, c0), (c0/h)*phi(h) shapes, h = gcd(a0, c0), each with
+    # its coprime scalings: the size of the listed space at every bound
+    for q, c in product(range(1, 5), range(1, 13)):
+        size = len(lattice_search_space(q, c))
+        for search in (search_packing, search_covering):
+            assert search(1, q, c).space_size == size, (search, q, c)
 
 
 @pytest.mark.parametrize("kind", [PACKING, COVERING])
