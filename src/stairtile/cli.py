@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Callable
 
 from .density import (COVERING, PACKING, DensityResult, density_result,
                       family_lattice, triangle_lattice)
@@ -66,23 +67,19 @@ def _parse_viewport(text: str) -> Box:
     return Box(parts[0], parts[1], parts[2], parts[3])
 
 
-def _emit(payload: dict, as_json: bool, plain: str) -> None:
+def _emit(payload: dict, as_json: bool,
+          plain: str | Callable[[], str]) -> None:
+    """Print the payload as JSON, or the plain text; a callable plain is
+    called only when the plain text is printed."""
     if as_json:
         print(json.dumps(payload, sort_keys=True))
     else:
-        print(plain)
+        print(plain if isinstance(plain, str) else plain())
 
 
-def _emit_lattices(payload: dict, field: str, lats: list[Lattice],
-                   as_json: bool) -> None:
-    """The payload with the lattices' JSON under field, or one lattice's
-    JSON per line; each lattice's ``to_json()`` is called once, and only
-    the printed form is built."""
-    found = [lat.to_json() for lat in lats]
-    if as_json:
-        print(json.dumps({**payload, field: found}, sort_keys=True))
-    else:
-        print("\n".join(json.dumps(lat, sort_keys=True) for lat in found))
+def _json_lines(items: list[dict]) -> Callable[[], str]:
+    return lambda: "\n".join(json.dumps(item, sort_keys=True)
+                             for item in items)
 
 
 def _cmd_density(args) -> int:
@@ -122,8 +119,8 @@ def _cmd_sj(args) -> int:
                           copies=8)
         with open(args.svg, "w", encoding="utf-8") as handle:
             handle.write(render(spec))
-    _emit(result.to_json(), args.json,
-          json.dumps(result.to_json(), sort_keys=True))
+    payload = result.to_json()
+    _emit(payload, args.json, lambda: json.dumps(payload, sort_keys=True))
     return 0
 
 
@@ -139,15 +136,16 @@ def _cmd_verify(args) -> int:
         table = verify_stair_tiling_forward(args.j)
         payload = {"j": args.j,
                    "tilings": [{"m": m, "tiles": ok} for m, ok in table]}
-        plain = "\n".join(f"m={m}: {'tiling' if ok else 'not a tiling'}"
-                          for m, ok in table)
-        _emit(payload, args.json, plain)
+        _emit(payload, args.json,
+              lambda: "\n".join(f"m={m}: {'tiling' if ok else 'not a tiling'}"
+                                for m, ok in table))
         return 0
     if args.converse:
         qmax = 2 if args.qmax is None else args.qmax
-        found = verify_stair_tiling_converse(args.j, qmax)
-        _emit_lattices({"j": args.j, "qmax": qmax}, "tilers", found,
-                       args.json)
+        found = [lat.to_json()
+                 for lat in verify_stair_tiling_converse(args.j, qmax)]
+        _emit({"j": args.j, "qmax": qmax, "tilers": found}, args.json,
+              _json_lines(found))
         return 0
     if args.m is None:
         raise UsageError("verify needs --m, --forward or --converse")
@@ -163,9 +161,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    lats = enumerate_integer_sublattices(args.det)
-    _emit_lattices({"det": args.det, "count": len(lats)}, "lattices", lats,
-                   args.json)
+    found = [lat.to_json() for lat in enumerate_integer_sublattices(args.det)]
+    _emit({"det": args.det, "count": len(found), "lattices": found},
+          args.json, _json_lines(found))
     return 0
 
 

@@ -309,6 +309,17 @@ def test_enumerate_subcommand(capsys):
     assert payload["count"] == 4
 
 
+@pytest.mark.parametrize("argv, field", [
+    (["enumerate", "--det", "3"], "lattices"),
+    (["verify", "--converse", "--j", "1", "--qmax", "2"], "tilers")])
+def test_plain_lattice_lines_match_the_json_payload(capsys, argv, field):
+    assert run(argv + ["--json"]) == 0
+    lats = json.loads(capsys.readouterr().out)[field]
+    assert run(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lats and lines == [json.dumps(lat, sort_keys=True) for lat in lats]
+
+
 def test_sj_subcommand_with_svg(tmp_path, capsys):
     out = tmp_path / "tiling.svg"
     assert run(["sj", "--j", "1", "--lattice", "covering:1", "--json",
