@@ -148,12 +148,23 @@ _new = object.__new__
 _set = object.__setattr__
 
 
+def _point(x: Fraction, y: Fraction) -> Point:
+    """``Point(x, y)`` for two Fractions, built without ``Point.__init__``
+    and its re-coercion of each coordinate."""
+    p = _new(Point)
+    _set(p, "x", x)
+    _set(p, "y", y)
+    return p
+
+
 def _canonical(x1: Fraction, y1: Fraction, u2: Point) -> Lattice:
     """The lattice of the canonical basis ((x1, y1), u2), built without
     ``Lattice.__init__``.  The caller guarantees the form: Fractions x1 > 0
     and 0 <= y1 < y2, and u2 = (0, y2).  The basis is then its own key, so
     nothing is coerced, compared or reduced, and the lattice equals, hashes,
     prints and serializes as ``Lattice(Point(x1, y1), u2)``."""
+    # u1 is set inline, not by _point: the searches and the sublattice
+    # enumeration build their lattices here, and the extra call shows
     u1 = _new(Point)
     _set(u1, "x", x1)
     _set(u1, "y", y1)
@@ -268,9 +279,9 @@ def preceding_count(key: tuple[int, int, int], x: int, y: int) -> int:
 def points_in_box(lat: Lattice, box: Box) -> list[Point]:
     """All lattice points in a closed box, each exactly once, sorted by
     (x, y): ``scaled_points`` at the common denominator of the canonical
-    basis."""
+    basis, each made a ``Point`` of two Fractions by ``_point``."""
     den = lat.den
-    return [Point(Fraction(x, den), Fraction(y, den))
+    return [_point(Fraction(x, den), Fraction(y, den))
             for x, y in scaled_points(lat, den, ceil(box.x_min * den),
                                       floor(box.x_max * den),
                                       ceil(box.y_min * den),

@@ -14,11 +14,11 @@ Every sampler draws from the half open fundamental rectangle
 [0, w) x [0, h) and walks the same grid vertices there, the crossings of
 its vertical and horizontal lines (``_vertices``).  A stair's grid
 (``_halfopen_grid``) reads its horizontals off one translate per lattice
-column, the floor and ceilings of each taken mod h.  Half open stairs
-sample those alone, the lower left corner of each grid cell; interior or
-closed membership samples the open cells of the arrangement first and
-then those vertices (``_faces``), where semicontinuity and periodicity
-put both extrema.
+column, the floor and ceilings of each taken mod h, and stops once every
+integer of [0, h] is a line.  Half open stairs sample those alone, the
+lower left corner of each grid cell; interior or closed membership
+samples the open cells of the arrangement first and then those vertices
+(``_faces``), where semicontinuity and periodicity put both extrema.
 
 Sampling and counting run on plain integers.  The lattice and the shape
 are brought to one common denominator den (``_den``); a sample (x, y)
@@ -28,7 +28,13 @@ den.  Closed or interior stairs and triangles are sampled by one sampler,
 samples are still integers.  Only the two witnesses of an extremum become
 ``Point``s again.
 
-The count kernel ``_exact_counts`` is a line sweep.  Samples are grouped
+The count kernel ``_exact_counts`` is a line sweep.  Its translates come
+from one lattice point per column too: the row box of the window's
+x-range at heights [0, h) holds one point (x, r) of each column, and the
+column's translates in the window are r + t*h over a range of t read off
+by one floor division (``_column_translates``).  Every lattice point of
+a column differs from the row point by a multiple of (0, h), so this is
+the window's full listing, in the same order.  Samples are grouped
 into lines along the axis with fewer distinct sample values (x and y swap
 roles when that axis is y).  On one line each translate that can reach it
 covers a closed interval of the line, so the line's interval starts and
@@ -183,6 +189,20 @@ def _exact_counts(lat: Lattice, region: Region,
     can reach the samples and the shape are integers too and the region is
     the atoms of ``_atoms``.
 
+    The translates that can reach a sample are the lattice points of the
+    window [min x - x_max, max x - x_min] x [y_lo, y_hi], y_lo = min y -
+    y_max and y_hi = max y - y_min, over the samples and the shape's box.
+    They are listed from one point per lattice column, as the grid of
+    ``_halfopen_grid`` is: the row box [window x-range] x [0, y2 - 1/den]
+    holds exactly one point (x, r) of each lattice column that meets the
+    window, and ``_column_translates`` lists that column's points in the
+    window as r + t*h, h = y2*den, from t = ceil((y_lo - r)/h).  A lattice
+    point of the window lies in the column of some row point and differs
+    from it by a multiple of (0, h), a lattice vector, so it is listed;
+    each listed point is such a sum, in L and in the window.  So the list
+    is ``points_in_box`` of the window, in its (x, y) order, and the counts
+    are those of that listing (``tests/oracles.py::translates_reference``).
+
     The count is a line sweep.  Samples that share an x lie on one vertical
     line, and on the line x = px each translate (x, y) in an atom's
     x-window (found by bisection) covers one closed interval of py, from
@@ -195,13 +215,15 @@ def _exact_counts(lat: Lattice, region: Region,
     bb = region.shape.bbox()
     sx = [x for x, _ in samples]
     sy = [y for _, y in samples]
-    translates = points_in_box(lat, Box(
+    _, _, y2 = lat.canonical_key()
+    row = points_in_box(lat, Box(
         Fraction(min(sx), den) - bb.x_max, Fraction(max(sx), den) - bb.x_min,
-        Fraction(min(sy), den) - bb.y_max, Fraction(max(sy), den) - bb.y_min))
-    wx = [as_int(w.x, den) for w in translates]
-    wy = [as_int(w.y, den) for w in translates]
+        0, y2 - Fraction(1, den)))
+    wx, wy = _column_translates(row, den, as_int(y2, den),
+                                min(sy) - as_int(bb.y_max, den),
+                                max(sy) - as_int(bb.y_min, den))
     atoms = _atoms(region, den)
-    if translates and len(set(sy)) < len(set(sx)):
+    if wx and len(set(sy)) < len(set(sx)):
         # the kernel is symmetric in x and y: transpose everything
         wx, wy = map(list, zip(*sorted(zip(wy, wx))))
         sx, sy = sy, sx
@@ -210,7 +232,7 @@ def _exact_counts(lat: Lattice, region: Region,
     # an atom with y_lo > y_hi is empty, and its translates would give
     # empty intervals, which the counts below must not see
     atoms = [a for a in atoms if a[2] <= a[3]]
-    # wx is sorted: points_in_box sorts by x, and a transpose re-sorts
+    # wx is sorted: the row is sorted by x, and a transpose re-sorts
     ws = [x + y for x, y in zip(wx, wy)]
     lines: dict[int, list[int]] = {}
     for i, px in enumerate(sx):
@@ -239,6 +261,27 @@ def _exact_counts(lat: Lattice, region: Region,
     return counts
 
 
+def _column_translates(row: list[Point], den: int, h: int, y_lo: int,
+                       y_hi: int) -> tuple[list[int], list[int]]:
+    """The lattice points (x, y), y_lo <= y <= y_hi, of the columns of the
+    row points, scaled by den, as the lists of their x and y, sorted by
+    (x, y).
+
+    row holds one point (x, r) of each lattice column, sorted by x, and h
+    is the column period y2 scaled by den: the column's points are the
+    (x, r + t*h), the first in the window at t = ceil((y_lo - r)/h).  A
+    window lower than h may miss a column.
+    """
+    wx: list[int] = []
+    wy: list[int] = []
+    for p in row:
+        r = as_int(p.y, den)
+        ys = range(r - (r - y_lo) // h * h, y_hi + 1, h)
+        wx += [as_int(p.x, den)] * len(ys)
+        wy += ys
+    return wx, wy
+
+
 def _halfopen_grid(lat: Lattice, stairs: list[StairPolygon],
                    den: int) -> tuple[list[int], list[int]]:
     """Grid lines of all translate boundaries inside the fundamental
@@ -264,7 +307,9 @@ def _halfopen_grid(lat: Lattice, stairs: list[StairPolygon],
     (-o, h - o), inside [-y_max, h] as 0 <= o <= y_max: t is in the
     reference's box and gives l.  A line at 0 mod h is 0 or h, kept
     anyway.  So the sorted line lists, the samples and every witness are
-    the reference's.
+    the reference's.  The lines are integers of [0, h], so once there are
+    h + 1 of them no row can add one, and the walk stops: a stair of
+    integer steps at den 1 fills them from its first row.
     """
     x1, _, y2 = lat.canonical_key()
     w, h = as_int(x1, den), as_int(y2, den)
@@ -272,11 +317,16 @@ def _halfopen_grid(lat: Lattice, stairs: list[StairPolygon],
     top = y2 - Fraction(1, den)
     for shape in stairs:
         xs.update(as_int(v, den) % w for v in shape.x_breaks)
+        # full: ys holds all h + 1 integers of [0, h]
+        if len(ys) > h:
+            continue
         bb = shape.bbox()
         row = points_in_box(lat, Box(-bb.x_max, x1 - bb.x_min, 0, top))
         offsets = [0] + [as_int(v, den) for v in shape.heights]
         for r in {as_int(t.y, den) for t in row}:
             ys.update([(r + o) % h for o in offsets])
+            if len(ys) > h:
+                break
     return sorted(xs), sorted(ys)
 
 

@@ -40,12 +40,21 @@ class SelectionStairError(RuntimeError):
 
 
 def canonical_stair(j: int) -> StairPolygon:
-    """The canonical stair: unit columns over [i, i+1) of heights 2j - i."""
+    """The canonical stair: unit columns over [i, i+1) of heights 2j - i.
+
+    Its breaks 0, 1, ..., 2j increase and its heights 2j, ..., 1 decrease
+    to 1 > 0, so it is built without ``StairPolygon.__init__`` and its
+    O(j) Fraction checks; it equals, hashes, prints and serializes as the
+    checked ``StairPolygon(range(2j + 1), range(2j, 0, -1))``.
+    """
     if j < 1:
         raise ValueError(f"need j >= 1: {j}")
     # one Fraction per value, shared by the breaks and the heights
-    values = [Fraction(i) for i in range(2 * j + 1)]
-    return StairPolygon(values, values[:0:-1])
+    values = tuple(Fraction(i) for i in range(2 * j + 1))
+    stair = object.__new__(StairPolygon)
+    object.__setattr__(stair, "x_breaks", values)
+    object.__setattr__(stair, "heights", values[:0:-1])
+    return stair
 
 
 # The membership rule of each canonical region, on the cells (i, k) of

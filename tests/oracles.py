@@ -208,6 +208,18 @@ def halfopen_grid_reference(lat: Lattice, stairs: list[StairPolygon],
     return sorted(xs), sorted(ys)
 
 
+def translates_reference(lat: Lattice, den: int, x_lo: int, x_hi: int,
+                         y_lo: int, y_hi: int) -> tuple[list[int], list[int]]:
+    """The lattice points of the closed box [x_lo, x_hi] x [y_lo, y_hi],
+    given and returned scaled by den, as the lists of their x and y sorted
+    by (x, y): ``points_in_box`` over the whole box, the listing that
+    ``multiplicity._column_translates`` builds from one point per
+    column."""
+    pts = points_in_box(lat, Box(Fraction(x_lo, den), Fraction(x_hi, den),
+                                 Fraction(y_lo, den), Fraction(y_hi, den)))
+    return [int(p.x * den) for p in pts], [int(p.y * den) for p in pts]
+
+
 def coset_counts_reference(columns: list[tuple[int, int]], j: int,
                            key: tuple[int, int, int]) -> bool:
     """Whether no coset of the lattice ((a, b), (0, c)) in Z^2 holds more

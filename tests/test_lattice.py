@@ -151,6 +151,8 @@ def test_points_in_box_matches_bruteforce():
                   F(rng.randint(-4, 0)), F(rng.randint(1, 4)))
         got = points_in_box(lat, box)
         assert got == lattice_points_bruteforce(lat, box, coeff=30)
+        # the points are built without Point's coercion: Fractions already
+        assert all(type(c) is F for p in got for c in (p.x, p.y))
         # every point solves back to integer coefficients
         for p in got:
             a, b = lat.coefficients(p)
@@ -179,8 +181,9 @@ def test_points_in_box_matches_bruteforce():
         if coeff > 60:
             continue
         checked += 1
-        assert points_in_box(lat, box) == lattice_points_bruteforce(
-            lat, box, coeff=coeff)
+        got = points_in_box(lat, box)
+        assert got == lattice_points_bruteforce(lat, box, coeff=coeff)
+        assert all(type(c) is F for p in got for c in (p.x, p.y))
 
 
 def test_points_in_box_negation_closure():

@@ -2,7 +2,7 @@ import hashlib
 import json
 import random
 from fractions import Fraction as F
-from math import lcm
+from math import floor, lcm
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -16,11 +16,12 @@ from stairtile import (Box, Lattice, Mode, Point, Region, ScaledTriangle,
                        optimal_packing_lattices, points_in_box,
                        random_sampling_oracle, shift_lattice, stair_region,
                        triangle_region)
-from stairtile.multiplicity import (_exact_counts, _extrema, _faces,
-                                    _halfopen_grid, _triangle_faces,
-                                    _vertices)
+from stairtile.multiplicity import (_column_translates, _exact_counts,
+                                    _extrema, _faces, _halfopen_grid,
+                                    _triangle_faces, _vertices)
 
-from oracles import faces_reference, halfopen_grid_reference
+from oracles import (faces_reference, halfopen_grid_reference,
+                     translates_reference)
 
 
 def covering_optimal(j, m=1):
@@ -435,6 +436,12 @@ def skewed_line_lattices(draw):
 @example(shift_lattice(3, 4), [canonical_stair(4)], 4)
 # only the row point of column -1, at h - 1/den, gives the line y = 4
 @example(shift_lattice(1, 2), [StairPolygon([0, 1], [1])], 1)
+# every integer of [0, h] is a line after the first row: the walk stops
+@example(shift_lattice(1, 8), [canonical_stair(8)], 1)
+# at 4*den the lines are multiples of 4 and never fill [0, h]
+@example(shift_lattice(1, 8), [canonical_stair(8)], 4)
+# the first row gives the lines 0, 2 and 3 of [0, 3], the second line 1
+@example(shift_lattice(1, 1), [StairPolygon([0, 1, 3], [6, 5])], 1)
 def test_halfopen_grid_matches_the_full_box_reference(lat, stairs, scale):
     # one translate per lattice column gives the horizontals of every
     # translate of the tall box, at the den of the half open grids and at
@@ -442,6 +449,33 @@ def test_halfopen_grid_matches_the_full_box_reference(lat, stairs, scale):
     den = scale * lcm(*(_common_den(lat, shape) for shape in stairs))
     assert _halfopen_grid(lat, stairs, den) == \
         halfopen_grid_reference(lat, stairs, den)
+
+
+window_lows = hyp.fractions(min_value=-3, max_value=3, max_denominator=12)
+window_sizes = hyp.fractions(min_value=0, max_value=3, max_denominator=12)
+
+
+@settings(max_examples=80, deadline=None)
+@given(skewed_line_lattices(), hyp.sampled_from([1, 4]),
+       hyp.tuples(window_lows, window_lows),
+       hyp.tuples(window_sizes, window_sizes))
+# the window [-2, 1] x [-2, 0] is lower than h = 5, and column 1 has no
+# point in it
+@example(shift_lattice(1, 2), 1, (F(-7, 5), F(-1, 3)), (3, F(1, 2)))
+def test_column_translates_match_the_full_window_listing(lat, scale, lows,
+                                                         sizes):
+    # windows of up to 3 periods each way from -3 periods, scaled by the
+    # canonical w and h: negative bounds, and y-windows lower than h,
+    # which some columns miss
+    x1, _, y2 = lat.canonical_key()
+    den = scale * lat.den
+    w, h = int(x1 * den), int(y2 * den)
+    x_lo, y_lo = floor(lows[0] * w), floor(lows[1] * h)
+    x_hi, y_hi = x_lo + floor(sizes[0] * w), y_lo + floor(sizes[1] * h)
+    row = points_in_box(lat, Box(F(x_lo, den), F(x_hi, den),
+                                 0, y2 - F(1, den)))
+    assert _column_translates(row, den, h, y_lo, y_hi) == \
+        translates_reference(lat, den, x_lo, x_hi, y_lo, y_hi)
 
 
 def _scaled_magnitude(lat, shape, samples, den):

@@ -11,7 +11,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as hyp
 
 from stairtile import stairs
-from stairtile import (Lattice, Point, SelectionStairError,
+from stairtile import (Lattice, Point, SelectionStairError, StairPolygon,
                        admissible_shifts, canonical_stair, count_region,
                        density_result,
                        integer_lattice, is_exact_jfold_tiling, lambda_lower,
@@ -35,6 +35,20 @@ def test_canonical_stair_shape_and_area():
     for j in (1, 2, 3, 4):
         assert canonical_stair(j).area() == j * (2 * j + 1)
         assert canonical_stair(j).r == 2 * j - 1
+
+
+def test_canonical_stair_is_the_checked_stair():
+    # built without StairPolygon's checks, it is the value they pass
+    for j in range(1, 61):
+        stair = canonical_stair(j)
+        checked = StairPolygon(range(2 * j + 1), range(2 * j, 0, -1))
+        assert stair == checked and hash(stair) == hash(checked)
+        assert repr(stair) == repr(checked)
+        assert stair.to_json() == checked.to_json()
+        assert type(stair.x_breaks) is tuple and type(stair.heights) is tuple
+        assert stair.x_breaks == checked.x_breaks
+        assert stair.heights == checked.heights
+        assert all(type(v) is F for v in stair.x_breaks + stair.heights)
 
 
 def test_canonical_regions_areas_and_partition():
